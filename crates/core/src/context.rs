@@ -104,8 +104,9 @@ pub struct AppArtifacts {
 }
 
 /// Encode → disassemble → index: the shared preprocessing step of §III,
-/// used by every artifact constructor that starts from a program.
-fn build_engine(program: &Program, backend: BackendChoice) -> SearchEngine {
+/// used by every artifact constructor that starts from a program and by
+/// [`crate::Backdroid::analyze`].
+pub(crate) fn build_engine(program: &Program, backend: BackendChoice) -> SearchEngine {
     let image = DexImage::encode(program);
     let dump = dump_image(&image);
     SearchEngine::with_backend(BytecodeText::index(&dump), backend)

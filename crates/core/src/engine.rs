@@ -25,7 +25,7 @@
 //!   redundantly produced report.
 
 use crate::chunks::{classify_delta, DeltaKind};
-use crate::context::{AppArtifacts, DepTrace, TaskContext};
+use crate::context::{build_engine, AppArtifacts, DepTrace, TaskContext};
 use crate::detect::Verdict;
 use crate::detector::DetectorRegistry;
 use crate::forward::{DataflowValue, ForwardAnalysis};
@@ -33,12 +33,9 @@ use crate::locate::{locate_sinks, SinkSite};
 use crate::loops::LoopStats;
 use crate::sinks::SinkRegistry;
 use crate::slicer::{slice_sink, SlicerConfig};
-use backdroid_dex::{dump_image, DexImage};
 use backdroid_ir::{ClassName, MethodSig, Program};
 use backdroid_manifest::Manifest;
-use backdroid_search::{
-    BackendChoice, BytecodeText, CacheStats, SearchCmd, SearchEngine, SearchTrace,
-};
+use backdroid_search::{BackendChoice, CacheStats, SearchCmd, SearchEngine, SearchTrace};
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -281,9 +278,7 @@ impl Backdroid {
     /// `analysis_time` covers the whole span, timed once.
     pub fn analyze(&self, program: &Program, manifest: &Manifest) -> AppReport {
         let start = Instant::now();
-        let image = DexImage::encode(program);
-        let dump = dump_image(&image);
-        let engine = SearchEngine::with_backend(BytecodeText::index(&dump), self.options.backend);
+        let engine = build_engine(program, self.options.backend);
         self.run_scheduler(program, manifest, &engine, start)
     }
 

@@ -7,9 +7,9 @@
 //! into `.` (§IV-A step 2: "an inner class needs to add back the symbol
 //! `$`").
 
-use crate::insn::Insn;
-use crate::model::{ClassDef, DexFile, DexImage, EncodedMethod};
-use backdroid_ir::{ClassName, FieldSig, MethodSig, Type};
+use crate::insn::{FieldIdx, Insn, Reg, TypeIdx};
+use crate::model::{ClassDef, DexImage, EncodedMethod, PoolBuilder, ProtoId};
+use backdroid_ir::{ClassName, FieldSig, MethodSig, Modifiers, Type};
 use std::fmt::Write as _;
 
 /// The bytecode reference form of a method, as it appears in dexdump
@@ -103,147 +103,367 @@ pub fn banner_name(sig: &MethodSig) -> String {
     )
 }
 
-fn access_suffix(access: backdroid_ir::Modifiers, is_init: bool) -> String {
-    let mut names = Vec::new();
-    if access.is_public() {
-        names.push("PUBLIC");
-    }
-    if access.is_private() {
-        names.push("PRIVATE");
-    }
-    if access.is_static() {
-        names.push("STATIC");
-    }
-    if access.is_final() {
-        names.push("FINAL");
-    }
-    if access.is_abstract() {
-        names.push("ABSTRACT");
-    }
-    if access.is_interface() {
-        names.push("INTERFACE");
-    }
-    if is_init {
-        names.push("CONSTRUCTOR");
-    }
-    format!("0x{:04x} ({})", access.bits(), names.join(" "))
+/// The number of newlines in `s`.
+fn newlines(s: &str) -> u32 {
+    s.bytes().filter(|&b| b == b'\n').count() as u32
 }
 
-/// Renders fake code-word hex for an instruction (stable filler so the
-/// dump *looks* like dexdump output; never parsed by the search).
-fn fake_words(insn: &Insn, unit_off: u32) -> String {
-    let op = insn.pseudo_opcode() as u32;
-    let mut words = Vec::new();
-    for k in 0..insn.units().min(3) {
-        let w = (op << 8) ^ (unit_off.wrapping_mul(0x9e37).wrapping_add(k * 0x515d)) & 0xffff;
-        words.push(format!("{:04x}", w & 0xffff));
-    }
-    words.join(" ")
+/// Where one pool entry's text sits in a [`PoolText`] arena, and how
+/// many newlines it embeds (string literals can carry some).
+#[derive(Clone, Copy)]
+struct Piece {
+    start: u32,
+    end: u32,
+    newlines: u32,
 }
 
-struct Renderer<'a> {
-    dex: &'a DexFile,
+/// A method pool entry's text: `Lcom/a/B;.run:(I)V`, its name and its
+/// proto.
+#[derive(Clone, Copy)]
+struct MethodText {
+    reference: Piece,
+    name: Piece,
+    proto: Piece,
+}
+
+/// A field pool entry's text: `Lcom/a/B;.port:I`, its name and its
+/// type descriptor.
+#[derive(Clone, Copy)]
+struct FieldText {
+    reference: Piece,
+    name: Piece,
+    ty: Piece,
+}
+
+/// One dex file's pool entries in the form the dump prints them, all in
+/// one arena and each derived once per entry rather than once per use.
+#[derive(Default)]
+struct PoolText {
+    arena: String,
+    strings: Vec<Piece>,
+    types: Vec<Piece>,
+    methods: Vec<MethodText>,
+    fields: Vec<FieldText>,
+}
+
+impl PoolText {
+    fn new(pools: &PoolBuilder) -> PoolText {
+        let mut t = PoolText::default();
+        for s in &pools.strings {
+            let p = t.push(|a| a.push_str(s));
+            t.strings.push(p);
+        }
+        for d in &pools.types {
+            let p = t.push(|a| a.push_str(d));
+            t.types.push(p);
+        }
+        let type_desc = |idx: TypeIdx| pools.types[idx.0 as usize].as_str();
+        let proto_text = |a: &mut String, proto: &ProtoId| {
+            a.push('(');
+            for &p in &proto.params {
+                a.push_str(type_desc(p));
+            }
+            a.push(')');
+            a.push_str(type_desc(proto.ret));
+        };
+        let protos: Vec<Piece> = pools
+            .protos
+            .iter()
+            .map(|proto| t.push(|a| proto_text(a, proto)))
+            .collect();
+        for m in &pools.methods {
+            let proto = &pools.protos[m.proto as usize];
+            let reference = t.push(|a| {
+                a.push_str(type_desc(m.class));
+                a.push('.');
+                a.push_str(&pools.strings[m.name.0 as usize]);
+                a.push(':');
+                proto_text(a, proto);
+            });
+            t.methods.push(MethodText {
+                reference,
+                name: t.strings[m.name.0 as usize],
+                proto: protos[m.proto as usize],
+            });
+        }
+        for f in &pools.fields {
+            let reference = t.push(|a| {
+                a.push_str(type_desc(f.class));
+                a.push('.');
+                a.push_str(&pools.strings[f.name.0 as usize]);
+                a.push(':');
+                a.push_str(type_desc(f.ty));
+            });
+            t.fields.push(FieldText {
+                reference,
+                name: t.strings[f.name.0 as usize],
+                ty: t.types[f.ty.0 as usize],
+            });
+        }
+        t
+    }
+
+    /// Appends one entry's text through `write` and returns its piece.
+    fn push(&mut self, write: impl FnOnce(&mut String)) -> Piece {
+        let start = self.arena.len();
+        write(&mut self.arena);
+        Piece {
+            start: start as u32,
+            end: self.arena.len() as u32,
+            newlines: newlines(&self.arena[start..]),
+        }
+    }
+}
+
+/// Writes the dump of a whole image into one buffer, counting lines as
+/// it writes them.
+struct Renderer {
     out: String,
+    lines: u32,
+    /// The pool text of the file being rendered.
+    pool: PoolText,
     /// Fake absolute file offset, advanced per code unit.
     abs: u32,
 }
 
-impl<'a> Renderer<'a> {
-    fn operand(&self, insn: &Insn) -> String {
-        match insn {
-            Insn::Nop => "nop // spacer".into(),
-            Insn::Move { dst, src } => format!("move-object {dst}, {src}"),
-            Insn::MoveResult { dst, object } => {
-                if *object {
-                    format!("move-result-object {dst}")
-                } else {
-                    format!("move-result {dst}")
-                }
+impl Renderer {
+    /// Appends template text, which never holds a newline.
+    fn s(&mut self, s: &str) {
+        self.out.push_str(s);
+    }
+
+    /// Ends the current line.
+    fn nl(&mut self) {
+        self.out.push('\n');
+        self.lines += 1;
+    }
+
+    /// Appends one pool entry's text.
+    fn piece(&mut self, p: Piece) {
+        self.out
+            .push_str(&self.pool.arena[p.start as usize..p.end as usize]);
+        self.lines += p.newlines;
+    }
+
+    /// `{v}`.
+    fn dec(&mut self, v: u64) {
+        let mut digits = [0u8; 20];
+        let mut i = digits.len();
+        let mut v = v;
+        loop {
+            i -= 1;
+            digits[i] = b'0' + (v % 10) as u8;
+            v /= 10;
+            if v == 0 {
+                break;
             }
-            Insn::ConstInt { dst, value } => format!("const {dst}, #int {value}"),
-            Insn::ConstString { dst, idx } => format!(
-                "const-string {dst}, \"{}\" // string@{:04x}",
-                self.dex.string(*idx),
-                idx.0
-            ),
-            Insn::ConstClass { dst, idx } => format!(
-                "const-class {dst}, {} // type@{:04x}",
-                self.dex.type_desc(*idx),
-                idx.0
-            ),
-            Insn::ConstNull { dst } => format!("const/4 {dst}, #int 0 // null"),
-            Insn::NewInstance { dst, idx } => format!(
-                "new-instance {dst}, {} // type@{:04x}",
-                self.dex.type_desc(*idx),
-                idx.0
-            ),
-            Insn::NewArray { dst, size, idx } => format!(
-                "new-array {dst}, {size}, {} // type@{:04x}",
-                self.dex.type_desc(*idx),
-                idx.0
-            ),
-            Insn::ArrayLength { dst, src } => format!("array-length {dst}, {src}"),
-            Insn::CheckCast { reg, idx } => format!(
-                "check-cast {reg}, {} // type@{:04x}",
-                self.dex.type_desc(*idx),
-                idx.0
-            ),
-            Insn::InstanceOf { dst, src, idx } => format!(
-                "instance-of {dst}, {src}, {} // type@{:04x}",
-                self.dex.type_desc(*idx),
-                idx.0
-            ),
+        }
+        for &d in &digits[i..] {
+            self.out.push(char::from(d));
+        }
+    }
+
+    /// `{v:<width$}`.
+    fn dec_left(&mut self, v: u64, width: usize) {
+        let start = self.out.len();
+        self.dec(v);
+        let pad = width.saturating_sub(self.out.len() - start);
+        self.spaces(pad);
+    }
+
+    /// `{v:0width$x}`.
+    fn hex(&mut self, v: u32, width: u32) {
+        let digits = (32 - v.leading_zeros()).div_ceil(4).max(width);
+        for i in (0..digits).rev() {
+            let nibble = v.checked_shr(4 * i).unwrap_or(0) & 0xf;
+            self.out
+                .push(char::from(b"0123456789abcdef"[nibble as usize]));
+        }
+    }
+
+    fn spaces(&mut self, n: usize) {
+        for _ in 0..n {
+            self.out.push(' ');
+        }
+    }
+
+    /// A register: `v3`.
+    fn reg(&mut self, r: Reg) {
+        self.out.push('v');
+        self.dec(u64::from(r.0));
+    }
+
+    /// The access flags and their names: `0x0009 (PUBLIC STATIC)`.
+    fn access(&mut self, access: Modifiers, is_init: bool) {
+        self.s("0x");
+        self.hex(access.bits(), 4);
+        self.s(" (");
+        let mut sep = "";
+        for (set, name) in [
+            (access.is_public(), "PUBLIC"),
+            (access.is_private(), "PRIVATE"),
+            (access.is_static(), "STATIC"),
+            (access.is_final(), "FINAL"),
+            (access.is_abstract(), "ABSTRACT"),
+            (access.is_interface(), "INTERFACE"),
+            (is_init, "CONSTRUCTOR"),
+        ] {
+            if set {
+                self.s(sep);
+                self.s(name);
+                sep = " ";
+            }
+        }
+        self.s(")");
+    }
+
+    /// Fake code-word hex for an instruction, padded to its column
+    /// (stable filler so the dump *looks* like dexdump output; never
+    /// parsed by the search).
+    fn fake_words(&mut self, insn: &Insn, unit_off: u32) {
+        let op = insn.pseudo_opcode() as u32;
+        let count = insn.units().min(3);
+        for k in 0..count {
+            if k > 0 {
+                self.s(" ");
+            }
+            let w = (op << 8) ^ (unit_off.wrapping_mul(0x9e37).wrapping_add(k * 0x515d)) & 0xffff;
+            self.hex(w & 0xffff, 4);
+        }
+        // Four hex digits per word, one space between words.
+        self.spaces(21usize.saturating_sub((count * 5).saturating_sub(1) as usize));
+    }
+
+    /// `mnemonic v1, v2`.
+    fn op(&mut self, mnemonic: &str, regs: &[Reg]) {
+        self.s(mnemonic);
+        let mut sep = " ";
+        for &r in regs {
+            self.s(sep);
+            self.reg(r);
+            sep = ", ";
+        }
+    }
+
+    /// `, Lcom/a/B; // type@0001`.
+    fn type_operand(&mut self, idx: TypeIdx) {
+        self.s(", ");
+        self.piece(self.pool.types[idx.0 as usize]);
+        self.s(" // type@");
+        self.hex(idx.0, 4);
+    }
+
+    /// `, Lcom/a/B;.port:I // field@0001`.
+    fn field_operand(&mut self, idx: FieldIdx) {
+        self.s(", ");
+        self.piece(self.pool.fields[idx.0 as usize].reference);
+        self.s(" // field@");
+        self.hex(idx.0, 4);
+    }
+
+    /// A branch target: `0012 // +0012`.
+    fn branch_target(&mut self, target_units: u32) {
+        self.hex(target_units, 4);
+        self.s(" // +");
+        self.hex(target_units, 4);
+    }
+
+    fn operand(&mut self, insn: &Insn) {
+        match insn {
+            Insn::Nop => self.s("nop // spacer"),
+            Insn::Move { dst, src } => self.op("move-object", &[*dst, *src]),
+            Insn::MoveResult { dst, object } => {
+                let mnemonic = if *object {
+                    "move-result-object"
+                } else {
+                    "move-result"
+                };
+                self.op(mnemonic, &[*dst]);
+            }
+            Insn::ConstInt { dst, value } => {
+                self.op("const", &[*dst]);
+                self.s(", #int ");
+                if *value < 0 {
+                    self.s("-");
+                }
+                self.dec(value.unsigned_abs());
+            }
+            Insn::ConstString { dst, idx } => {
+                self.op("const-string", &[*dst]);
+                self.s(", \"");
+                self.piece(self.pool.strings[idx.0 as usize]);
+                self.s("\" // string@");
+                self.hex(idx.0, 4);
+            }
+            Insn::ConstClass { dst, idx } => {
+                self.op("const-class", &[*dst]);
+                self.type_operand(*idx);
+            }
+            Insn::ConstNull { dst } => {
+                self.op("const/4", &[*dst]);
+                self.s(", #int 0 // null");
+            }
+            Insn::NewInstance { dst, idx } => {
+                self.op("new-instance", &[*dst]);
+                self.type_operand(*idx);
+            }
+            Insn::NewArray { dst, size, idx } => {
+                self.op("new-array", &[*dst, *size]);
+                self.type_operand(*idx);
+            }
+            Insn::ArrayLength { dst, src } => self.op("array-length", &[*dst, *src]),
+            Insn::CheckCast { reg, idx } => {
+                self.op("check-cast", &[*reg]);
+                self.type_operand(*idx);
+            }
+            Insn::InstanceOf { dst, src, idx } => {
+                self.op("instance-of", &[*dst, *src]);
+                self.type_operand(*idx);
+            }
             Insn::Iget {
                 dst,
                 obj,
                 idx,
                 object,
-            } => format!(
-                "iget{} {dst}, {obj}, {} // field@{:04x}",
-                if *object { "-object" } else { "" },
-                field_ref_string(self.dex.field_sig(*idx)),
-                idx.0
-            ),
+            } => {
+                self.op(if *object { "iget-object" } else { "iget" }, &[*dst, *obj]);
+                self.field_operand(*idx);
+            }
             Insn::Iput {
                 src,
                 obj,
                 idx,
                 object,
-            } => format!(
-                "iput{} {src}, {obj}, {} // field@{:04x}",
-                if *object { "-object" } else { "" },
-                field_ref_string(self.dex.field_sig(*idx)),
-                idx.0
-            ),
-            Insn::Sget { dst, idx, object } => format!(
-                "sget{} {dst}, {} // field@{:04x}",
-                if *object { "-object" } else { "" },
-                field_ref_string(self.dex.field_sig(*idx)),
-                idx.0
-            ),
-            Insn::Sput { src, idx, object } => format!(
-                "sput{} {src}, {} // field@{:04x}",
-                if *object { "-object" } else { "" },
-                field_ref_string(self.dex.field_sig(*idx)),
-                idx.0
-            ),
-            Insn::Aget { dst, arr, index } => format!("aget-object {dst}, {arr}, {index}"),
-            Insn::Aput { src, arr, index } => format!("aput-object {src}, {arr}, {index}"),
+            } => {
+                self.op(if *object { "iput-object" } else { "iput" }, &[*src, *obj]);
+                self.field_operand(*idx);
+            }
+            Insn::Sget { dst, idx, object } => {
+                self.op(if *object { "sget-object" } else { "sget" }, &[*dst]);
+                self.field_operand(*idx);
+            }
+            Insn::Sput { src, idx, object } => {
+                self.op(if *object { "sput-object" } else { "sput" }, &[*src]);
+                self.field_operand(*idx);
+            }
+            Insn::Aget { dst, arr, index } => self.op("aget-object", &[*dst, *arr, *index]),
+            Insn::Aput { src, arr, index } => self.op("aput-object", &[*src, *arr, *index]),
             Insn::Invoke { kind, idx, args } => {
-                let regs = args
-                    .iter()
-                    .map(|r| r.to_string())
-                    .collect::<Vec<_>>()
-                    .join(", ");
-                format!(
-                    "{} {{{regs}}}, {} // method@{:04x}",
-                    kind.dex_mnemonic(),
-                    method_ref_string(self.dex.method_sig(*idx)),
-                    idx.0
-                )
+                self.s(kind.dex_mnemonic());
+                self.s(" {");
+                let mut sep = "";
+                for &r in args {
+                    self.s(sep);
+                    self.reg(r);
+                    sep = ", ";
+                }
+                self.s("}, ");
+                self.piece(self.pool.methods[idx.0 as usize].reference);
+                self.s(" // method@");
+                self.hex(idx.0, 4);
             }
             Insn::Binop { op, dst, a, b } => {
-                let mnem = match op {
+                let mnemonic = match op {
                     backdroid_ir::BinOp::Add => "add-int",
                     backdroid_ir::BinOp::Sub => "sub-int",
                     backdroid_ir::BinOp::Mul => "mul-int",
@@ -257,157 +477,171 @@ impl<'a> Renderer<'a> {
                     backdroid_ir::BinOp::Ushr => "ushr-int",
                     backdroid_ir::BinOp::Cmp => "cmp-long",
                 };
-                format!("{mnem} {dst}, {a}, {b}")
+                self.op(mnemonic, &[*dst, *a, *b]);
             }
             Insn::IfTest {
                 mnemonic,
                 a,
                 b,
                 target_units,
-            } => format!("{mnemonic} {a}, {b}, {target_units:04x} // +{target_units:04x}"),
+            } => {
+                self.op(mnemonic, &[*a, *b]);
+                self.s(", ");
+                self.branch_target(*target_units);
+            }
             Insn::Goto { target_units } => {
-                format!("goto {target_units:04x} // +{target_units:04x}")
+                self.s("goto ");
+                self.branch_target(*target_units);
             }
-            Insn::ReturnVoid => "return-void".into(),
+            Insn::ReturnVoid => self.s("return-void"),
             Insn::Return { reg, object } => {
-                if *object {
-                    format!("return-object {reg}")
-                } else {
-                    format!("return {reg}")
-                }
+                self.op(if *object { "return-object" } else { "return" }, &[*reg]);
             }
-            Insn::Throw { reg } => format!("throw {reg}"),
+            Insn::Throw { reg } => self.op("throw", &[*reg]),
         }
     }
 
-    fn render_method(&mut self, class: &ClassDef, k: usize, m: &EncodedMethod) {
-        let _ = writeln!(
-            self.out,
-            "    #{k:<15}: (in {})",
-            class_descriptor(&class.name)
-        );
-        let _ = writeln!(self.out, "      name          : '{}'", m.sig.name());
-        let _ = writeln!(self.out, "      type          : '{}'", proto_string(&m.sig));
-        let _ = writeln!(
-            self.out,
-            "      access        : {}",
-            access_suffix(m.access, m.sig.is_init())
-        );
+    fn render_method(&mut self, class_desc: Piece, k: usize, m: &EncodedMethod) {
+        let text = self.pool.methods[m.idx.0 as usize];
+        self.s("    #");
+        self.dec_left(k as u64, 15);
+        self.s(": (in ");
+        self.piece(class_desc);
+        self.s(")");
+        self.nl();
+        self.s("      name          : '");
+        self.piece(text.name);
+        self.s("'");
+        self.nl();
+        self.s("      type          : '");
+        self.piece(text.proto);
+        self.s("'");
+        self.nl();
+        self.s("      access        : ");
+        self.access(m.access, m.sig.is_init());
+        self.nl();
         let Some(code) = &m.code else {
-            let _ = writeln!(self.out, "      code          : (none)");
-            let _ = writeln!(self.out);
+            self.s("      code          : (none)");
+            self.nl();
+            self.nl();
             return;
         };
-        let _ = writeln!(self.out, "      code          -");
-        let _ = writeln!(self.out, "      registers     : {}", code.registers);
-        let _ = writeln!(
-            self.out,
-            "      ins           : {}",
-            m.sig.params().len() + 1
-        );
-        let _ = writeln!(
-            self.out,
-            "      insns size    : {} 16-bit code units",
-            code.total_units
-        );
+        self.s("      code          -");
+        self.nl();
+        self.s("      registers     : ");
+        self.dec(u64::from(code.registers));
+        self.nl();
+        self.s("      ins           : ");
+        self.dec(m.sig.params().len() as u64 + 1);
+        self.nl();
+        self.s("      insns size    : ");
+        self.dec(u64::from(code.total_units));
+        self.s(" 16-bit code units");
+        self.nl();
         let method_start = self.abs;
-        let _ = writeln!(
-            self.out,
-            "{method_start:06x}:                                       |[{method_start:06x}] {}",
-            banner_name(&m.sig)
-        );
-        for (i, insn) in code.insns.iter().enumerate() {
-            let unit = code.offsets[i];
-            let words = fake_words(insn, unit);
-            let text = self.operand(insn);
-            let abs = method_start + unit * 2;
-            let _ = writeln!(self.out, "{abs:06x}: {words:<21} |{unit:04x}: {text}");
+        self.hex(method_start, 6);
+        self.s(":                                       |[");
+        self.hex(method_start, 6);
+        self.s("] ");
+        // The banner's dotted class name, inner-class `$` flattened.
+        let class = m.sig.class().as_str();
+        self.out
+            .extend(class.chars().map(|c| if c == '$' { '.' } else { c }));
+        self.lines += newlines(class);
+        self.s(".");
+        self.piece(text.name);
+        self.s(":");
+        self.piece(text.proto);
+        self.nl();
+        for (insn, &unit) in code.insns.iter().zip(&code.offsets) {
+            self.hex(method_start + unit * 2, 6);
+            self.s(": ");
+            self.fake_words(insn, unit);
+            self.s(" |");
+            self.hex(unit, 4);
+            self.s(": ");
+            self.operand(insn);
+            self.nl();
         }
         self.abs = method_start + code.total_units * 2 + 12;
-        let _ = writeln!(self.out, "      catches       : (none)");
-        let _ = writeln!(self.out, "      positions     : ");
-        let _ = writeln!(self.out);
+        self.s("      catches       : (none)");
+        self.nl();
+        self.s("      positions     : ");
+        self.nl();
+        self.nl();
+    }
+
+    /// A `    #0              : ` list-entry prefix.
+    fn entry(&mut self, i: usize) {
+        self.s("    #");
+        self.dec(i as u64);
+        self.s("              : ");
     }
 
     fn render_class(&mut self, idx: usize, class: &ClassDef) {
-        let _ = writeln!(self.out, "Class #{idx}            -");
-        let _ = writeln!(
-            self.out,
-            "  Class descriptor  : '{}'",
-            class_descriptor(&class.name)
-        );
-        let _ = writeln!(
-            self.out,
-            "  Access flags      : {}",
-            access_suffix(class.access, false)
-        );
+        let desc = self.pool.types[class.ty.0 as usize];
+        self.s("Class #");
+        self.dec(idx as u64);
+        self.s("            -");
+        self.nl();
+        self.s("  Class descriptor  : '");
+        self.piece(desc);
+        self.s("'");
+        self.nl();
+        self.s("  Access flags      : ");
+        self.access(class.access, false);
+        self.nl();
         if let Some(sup) = class.superclass {
-            let _ = writeln!(
-                self.out,
-                "  Superclass        : '{}'",
-                self.dex.type_desc(sup)
-            );
+            self.s("  Superclass        : '");
+            self.piece(self.pool.types[sup.0 as usize]);
+            self.s("'");
+            self.nl();
         }
-        let _ = writeln!(self.out, "  Interfaces        -");
+        self.s("  Interfaces        -");
+        self.nl();
         for (i, iface) in class.interfaces.iter().enumerate() {
-            let desc = self.dex.type_desc(*iface).to_string();
-            let _ = writeln!(self.out, "    #{i}              : '{desc}'");
+            self.entry(i);
+            self.s("'");
+            self.piece(self.pool.types[iface.0 as usize]);
+            self.s("'");
+            self.nl();
         }
-        let _ = writeln!(self.out, "  Static fields     -");
-        for (i, f) in class
-            .fields
-            .iter()
-            .filter(|f| f.access.is_static())
-            .enumerate()
-        {
-            let _ = writeln!(
-                self.out,
-                "    #{i}              : (in {}) name:'{}' type:'{}'",
-                class_descriptor(&class.name),
-                f.sig.name(),
-                f.sig.ty().descriptor()
-            );
+        for (header, statics) in [
+            ("  Static fields     -", true),
+            ("  Instance fields   -", false),
+        ] {
+            self.s(header);
+            self.nl();
+            let fields = class
+                .fields
+                .iter()
+                .filter(|f| f.access.is_static() == statics);
+            for (i, f) in fields.enumerate() {
+                let text = self.pool.fields[f.idx.0 as usize];
+                self.entry(i);
+                self.s("(in ");
+                self.piece(desc);
+                self.s(") name:'");
+                self.piece(text.name);
+                self.s("' type:'");
+                self.piece(text.ty);
+                self.s("'");
+                self.nl();
+            }
         }
-        let _ = writeln!(self.out, "  Instance fields   -");
-        for (i, f) in class
-            .fields
-            .iter()
-            .filter(|f| !f.access.is_static())
-            .enumerate()
-        {
-            let _ = writeln!(
-                self.out,
-                "    #{i}              : (in {}) name:'{}' type:'{}'",
-                class_descriptor(&class.name),
-                f.sig.name(),
-                f.sig.ty().descriptor()
-            );
+        for (header, direct) in [
+            ("  Direct methods    -", true),
+            ("  Virtual methods   -", false),
+        ] {
+            self.s(header);
+            self.nl();
+            let methods = class.methods.iter().filter(|m| m.direct == direct);
+            for (k, m) in methods.enumerate() {
+                self.render_method(desc, k, m);
+            }
         }
-        let _ = writeln!(self.out, "  Direct methods    -");
-        let directs: Vec<&EncodedMethod> = class.methods.iter().filter(|m| m.direct).collect();
-        for (k, m) in directs.into_iter().enumerate() {
-            self.render_method(class, k, m);
-        }
-        let _ = writeln!(self.out, "  Virtual methods   -");
-        let virtuals: Vec<&EncodedMethod> = class.methods.iter().filter(|m| !m.direct).collect();
-        for (k, m) in virtuals.into_iter().enumerate() {
-            self.render_method(class, k, m);
-        }
-        let _ = writeln!(self.out);
+        self.nl();
     }
-}
-
-/// Disassembles a single dex file.
-pub fn dump_dex(dex: &DexFile) -> String {
-    let mut r = Renderer {
-        dex,
-        out: String::new(),
-        abs: 0x1000,
-    };
-    for (idx, class) in dex.class_defs().iter().enumerate() {
-        r.render_class(idx, class);
-    }
-    r.out
 }
 
 /// Disassembles all dex files of a (merged multidex) image into one
@@ -430,6 +664,20 @@ pub struct ClassMark {
     pub line_end: u32,
 }
 
+/// An estimate of an image's dump size from its class, field, method
+/// and instruction counts, on the high side (generated apps render 80–93%
+/// of it), so the output buffer is allocated once.
+fn dump_capacity(image: &DexImage) -> usize {
+    let mut bytes = 0;
+    for class in image.files().iter().flat_map(|f| f.class_defs()) {
+        bytes += 256 + 96 * class.fields.len();
+        for m in &class.methods {
+            bytes += 420 + m.code.as_ref().map_or(0, |c| 88 * c.insns.len());
+        }
+    }
+    bytes
+}
+
 /// Like [`dump_image`], but also reports each class's line extent.
 ///
 /// The plaintext is byte-identical to [`dump_image`]'s; the marks let
@@ -437,39 +685,33 @@ pub struct ClassMark {
 /// re-parsing the dump (class blocks can contain adversarial string
 /// constants, so textual boundary sniffing is not trustworthy).
 pub fn dump_image_with_marks(image: &DexImage) -> (String, Vec<ClassMark>) {
-    let mut out = String::new();
+    let mut r = Renderer {
+        out: String::with_capacity(dump_capacity(image)),
+        lines: 0,
+        pool: PoolText::default(),
+        abs: 0,
+    };
     let mut marks = Vec::new();
-    let mut line = 0u32;
-    for (i, f) in image.files().iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "Opened 'classes{}.dex', DEX version '038'",
-            if i == 0 {
-                String::new()
-            } else {
-                (i + 1).to_string()
-            }
-        );
-        line += 1;
-        let mut r = Renderer {
-            dex: f,
-            out: String::new(),
-            abs: 0x1000,
-        };
-        for (idx, class) in f.class_defs().iter().enumerate() {
-            let before = r.out.len();
+    for (i, dex) in image.files().iter().enumerate() {
+        r.s("Opened 'classes");
+        if i > 0 {
+            r.dec(i as u64 + 1);
+        }
+        r.s(".dex', DEX version '038'");
+        r.nl();
+        r.pool = PoolText::new(dex.pools());
+        r.abs = 0x1000;
+        for (idx, class) in dex.class_defs().iter().enumerate() {
+            let line_start = r.lines;
             r.render_class(idx, class);
-            let rendered = r.out[before..].bytes().filter(|&b| b == b'\n').count() as u32;
             marks.push(ClassMark {
                 name: class.name.clone(),
-                line_start: line,
-                line_end: line + rendered,
+                line_start,
+                line_end: r.lines,
             });
-            line += rendered;
         }
-        out.push_str(&r.out);
     }
-    (out, marks)
+    (r.out, marks)
 }
 
 #[cfg(test)]
@@ -573,6 +815,29 @@ mod tests {
         let a = dump_image(&crate::model::DexImage::encode(&p));
         let b = dump_image(&crate::model::DexImage::encode(&p));
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn marks_count_newlines_inside_string_constants() {
+        let mut p = Program::new();
+        for (name, literal) in [("com.a.First", "one\ntwo\n"), ("com.a.Second", "plain")] {
+            let class = ClassName::new(name);
+            let mut m = MethodBuilder::public_static(&class, "m", vec![], Type::Void);
+            m.assign_const(backdroid_ir::Const::str(literal));
+            m.ret_void();
+            p.add_class(ClassBuilder::new(name).method(m.build()).build());
+        }
+        let (text, marks) = dump_image_with_marks(&crate::model::DexImage::encode(&p));
+        let line_starts: Vec<usize> = std::iter::once(0)
+            .chain(text.match_indices('\n').map(|(i, _)| i + 1))
+            .collect();
+        assert_eq!(marks.len(), 2);
+        for m in &marks {
+            let block = &text[line_starts[m.line_start as usize]..line_starts[m.line_end as usize]];
+            assert!(block.starts_with("Class #"), "{m:?} starts mid-block");
+            assert!(block.contains(&format!("'{}'", class_descriptor(&m.name))));
+        }
+        assert_eq!(marks[1].line_end as usize, line_starts.len() - 1);
     }
 
     #[test]

@@ -263,7 +263,7 @@ pub fn assemble(body: &MethodBody, pools: &mut dyn PoolResolver) -> CodeItem {
 
     // Pass 1: emit instructions per statement, recording (stmt_idx → first
     // insn position) so branch targets can be patched in pass 2.
-    let mut insns: Vec<Insn> = Vec::new();
+    let mut insns: Vec<Insn> = Vec::with_capacity(body.len());
     let mut stmt_first_insn: Vec<usize> = Vec::with_capacity(body.len());
     // (insn position, IR stmt target) pairs to patch.
     let mut branch_patches: Vec<(usize, usize)> = Vec::new();
@@ -417,7 +417,7 @@ pub fn assemble(body: &MethodBody, pools: &mut dyn PoolResolver) -> CodeItem {
                         dst
                     }
                     Rvalue::Invoke(ie) => {
-                        let mut regs = Vec::new();
+                        let mut regs = Vec::with_capacity(ie.args.len() + 1);
                         if let Some(b) = ie.base {
                             regs.push(Reg(b.0));
                         }
@@ -487,7 +487,7 @@ pub fn assemble(body: &MethodBody, pools: &mut dyn PoolResolver) -> CodeItem {
                 }
             }
             Stmt::Invoke(ie) => {
-                let mut regs = Vec::new();
+                let mut regs = Vec::with_capacity(ie.args.len() + 1);
                 if let Some(b) = ie.base {
                     regs.push(Reg(b.0));
                 }

@@ -2,8 +2,8 @@
 //! encoder from [`backdroid_ir::Program`].
 
 use crate::insn::{assemble, CodeItem, FieldIdx, MethodIdx, PoolResolver, StringIdx, TypeIdx};
-use backdroid_ir::{ClassName, FieldSig, MethodSig, Modifiers, Program, Type};
-use std::collections::HashMap;
+use backdroid_ir::{Class, ClassName, FieldSig, MethodSig, Modifiers, Program, Type};
+use std::collections::{HashMap, HashSet};
 
 /// A proto (method prototype): shorty, return type, parameter types.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
@@ -85,19 +85,24 @@ pub struct ClassDef {
 }
 
 /// String/type/proto/field/method pools under construction.
+///
+/// The maps are keyed by the IR values themselves (`Arc`-backed, so a
+/// key costs a reference count, not a copy): a lookup that hits builds
+/// no descriptor or signature text. Text is derived once, when an entry
+/// is first interned.
 #[derive(Default, Debug)]
 pub struct PoolBuilder {
-    strings: Vec<String>,
+    pub(crate) strings: Vec<String>,
     string_map: HashMap<String, u32>,
-    types: Vec<String>, // descriptors
-    type_map: HashMap<String, u32>,
-    protos: Vec<ProtoId>,
-    proto_map: HashMap<(u32, Vec<u32>), u32>,
-    fields: Vec<FieldId>,
-    field_map: HashMap<String, u32>,
+    pub(crate) types: Vec<String>, // descriptors
+    type_map: HashMap<Type, u32>,
+    pub(crate) protos: Vec<ProtoId>,
+    proto_map: HashMap<(TypeIdx, Vec<TypeIdx>), u32>,
+    pub(crate) fields: Vec<FieldId>,
+    field_map: HashMap<FieldSig, u32>,
     field_sigs: Vec<FieldSig>,
-    methods: Vec<MethodId>,
-    method_map: HashMap<String, u32>,
+    pub(crate) methods: Vec<MethodId>,
+    method_map: HashMap<MethodSig, u32>,
     method_sigs: Vec<MethodSig>,
 }
 
@@ -113,14 +118,18 @@ impl PoolBuilder {
     }
 
     fn intern_type(&mut self, t: &Type) -> TypeIdx {
-        let desc = t.descriptor();
-        if let Some(&i) = self.type_map.get(&desc) {
+        if let Some(&i) = self.type_map.get(t) {
             return TypeIdx(i);
         }
         let i = self.types.len() as u32;
-        self.types.push(desc.clone());
-        self.type_map.insert(desc, i);
+        self.types.push(t.descriptor());
+        self.type_map.insert(t.clone(), i);
         TypeIdx(i)
+    }
+
+    /// Interns the object type of class `name`.
+    fn intern_class(&mut self, name: &ClassName) -> TypeIdx {
+        self.intern_type(&Type::Object(name.clone()))
     }
 
     fn shorty_char(t: &Type) -> char {
@@ -141,7 +150,7 @@ impl PoolBuilder {
     fn intern_proto(&mut self, m: &MethodSig) -> u32 {
         let ret = self.intern_type(m.ret());
         let params: Vec<TypeIdx> = m.params().iter().map(|p| self.intern_type(p)).collect();
-        let key = (ret.0, params.iter().map(|p| p.0).collect::<Vec<_>>());
+        let key = (ret, params);
         if let Some(&i) = self.proto_map.get(&key) {
             return i;
         }
@@ -154,7 +163,7 @@ impl PoolBuilder {
         self.protos.push(ProtoId {
             shorty,
             ret,
-            params,
+            params: key.1.clone(),
         });
         self.proto_map.insert(key, i);
         i
@@ -171,32 +180,30 @@ impl PoolResolver for PoolBuilder {
     }
 
     fn field_idx(&mut self, f: &FieldSig) -> FieldIdx {
-        let key = f.to_string();
-        if let Some(&i) = self.field_map.get(&key) {
+        if let Some(&i) = self.field_map.get(f) {
             return FieldIdx(i);
         }
-        let class = self.intern_type(&Type::Object(f.class().clone()));
+        let class = self.intern_class(f.class());
         let ty = self.intern_type(f.ty());
         let name = self.intern_string(f.name());
         let i = self.fields.len() as u32;
         self.fields.push(FieldId { class, ty, name });
         self.field_sigs.push(f.clone());
-        self.field_map.insert(key, i);
+        self.field_map.insert(f.clone(), i);
         FieldIdx(i)
     }
 
     fn method_idx(&mut self, m: &MethodSig) -> MethodIdx {
-        let key = m.to_string();
-        if let Some(&i) = self.method_map.get(&key) {
+        if let Some(&i) = self.method_map.get(m) {
             return MethodIdx(i);
         }
-        let class = self.intern_type(&Type::Object(m.class().clone()));
+        let class = self.intern_class(m.class());
         let proto = self.intern_proto(m);
         let name = self.intern_string(m.name());
         let i = self.methods.len() as u32;
         self.methods.push(MethodId { class, proto, name });
         self.method_sigs.push(m.clone());
-        self.method_map.insert(key, i);
+        self.method_map.insert(m.clone(), i);
         MethodIdx(i)
     }
 }
@@ -209,22 +216,18 @@ pub struct DexFile {
 }
 
 impl DexFile {
-    /// Encodes `classes` (taken from `program`) into one DEX file.
-    fn encode_classes(program: &Program, names: &[ClassName]) -> DexFile {
+    /// Encodes `classes` into one DEX file.
+    fn encode_classes(classes: &[&Class]) -> DexFile {
         let mut pools = PoolBuilder::default();
-        let mut class_defs = Vec::new();
-        for name in names {
-            let class = program
-                .class(name)
-                .expect("encode_classes: class not in program");
-            let ty = pools.intern_type(&Type::Object(name.clone()));
-            let superclass = class
-                .superclass()
-                .map(|s| pools.intern_type(&Type::Object(s.clone())));
+        let mut class_defs = Vec::with_capacity(classes.len());
+        for &class in classes {
+            let name = class.name();
+            let ty = pools.intern_class(name);
+            let superclass = class.superclass().map(|s| pools.intern_class(s));
             let interfaces = class
                 .interfaces()
                 .iter()
-                .map(|i| pools.intern_type(&Type::Object(i.clone())))
+                .map(|i| pools.intern_class(i))
                 .collect();
             let fields = class
                 .fields()
@@ -268,6 +271,11 @@ impl DexFile {
     /// The class definitions.
     pub fn class_defs(&self) -> &[ClassDef] {
         &self.class_defs
+    }
+
+    /// The constant pools, for the disassembler.
+    pub(crate) fn pools(&self) -> &PoolBuilder {
+        &self.pools
     }
 
     /// Number of method references in the pool (the multidex limit counts
@@ -339,6 +347,18 @@ pub struct DexImage {
 /// Android's 64K reference limit.
 pub const MULTIDEX_METHOD_LIMIT: usize = 65_536;
 
+/// The method references a class adds to its file's pool: each declared
+/// method, then every callee its body invokes, repeats included.
+fn method_refs(class: &Class) -> impl Iterator<Item = &MethodSig> {
+    class.methods().iter().flat_map(|m| {
+        let callees = m
+            .body()
+            .into_iter()
+            .flat_map(|body| body.stmts().iter().filter_map(|s| s.invoke_expr()));
+        std::iter::once(m.sig()).chain(callees.map(|ie| &ie.callee))
+    })
+}
+
 impl DexImage {
     /// Encodes a whole program with the default multidex limit.
     pub fn encode(program: &Program) -> DexImage {
@@ -351,38 +371,35 @@ impl DexImage {
     /// The split is computed in a single pass by tracking the set of
     /// method references each class contributes (declared methods plus
     /// invoke callees); each sealed chunk is then encoded exactly once.
+    /// A program with no more reference occurrences than the limit can
+    /// never fill a file, so it is encoded as one without tracking refs.
     pub fn encode_with_limit(program: &Program, limit: usize) -> DexImage {
         assert!(limit > 0, "multidex limit must be positive");
-        use std::collections::HashSet;
+        let classes: Vec<&Class> = program.classes().collect();
+        if classes
+            .iter()
+            .map(|c| method_refs(c).count())
+            .sum::<usize>()
+            <= limit
+        {
+            return DexImage {
+                files: vec![DexFile::encode_classes(&classes)],
+            };
+        }
         let mut files = Vec::new();
-        let mut chunk: Vec<ClassName> = Vec::new();
-        let mut refs: HashSet<String> = HashSet::new();
-
-        for class in program.classes() {
-            // Method references this class contributes to the pool.
-            let mut class_refs: Vec<String> = Vec::new();
-            for m in class.methods() {
-                class_refs.push(m.sig().to_string());
-                if let Some(body) = m.body() {
-                    for stmt in body.stmts() {
-                        if let Some(ie) = stmt.invoke_expr() {
-                            class_refs.push(ie.callee.to_string());
-                        }
-                    }
-                }
-            }
-            let new_refs = class_refs.iter().filter(|r| !refs.contains(*r)).count();
+        let mut chunk: Vec<&Class> = Vec::new();
+        let mut refs: HashSet<&MethodSig> = HashSet::new();
+        for class in classes {
+            let new_refs = method_refs(class).filter(|r| !refs.contains(r)).count();
             if !chunk.is_empty() && refs.len() + new_refs > limit {
-                files.push(DexFile::encode_classes(program, &chunk));
+                files.push(DexFile::encode_classes(&chunk));
                 chunk.clear();
                 refs.clear();
             }
-            refs.extend(class_refs);
-            chunk.push(class.name().clone());
+            refs.extend(method_refs(class));
+            chunk.push(class);
         }
-        if !chunk.is_empty() || files.is_empty() {
-            files.push(DexFile::encode_classes(program, &chunk));
-        }
+        files.push(DexFile::encode_classes(&chunk));
         DexImage { files }
     }
 

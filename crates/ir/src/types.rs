@@ -181,38 +181,53 @@ impl Type {
     /// Parses one descriptor from the front of `desc`, returning the type
     /// and the unconsumed suffix. Used for parsing parameter lists.
     pub fn parse_descriptor_prefix(desc: &str) -> Option<(Type, &str)> {
-        let mut chars = desc.char_indices();
-        let (_, first) = chars.next()?;
-        match first {
-            'V' => Some((Type::Void, &desc[1..])),
-            'Z' => Some((Type::Boolean, &desc[1..])),
-            'B' => Some((Type::Byte, &desc[1..])),
-            'S' => Some((Type::Short, &desc[1..])),
-            'C' => Some((Type::Char, &desc[1..])),
-            'I' => Some((Type::Int, &desc[1..])),
-            'J' => Some((Type::Long, &desc[1..])),
-            'F' => Some((Type::Float, &desc[1..])),
-            'D' => Some((Type::Double, &desc[1..])),
-            'L' => {
-                let end = desc.find(';')?;
-                let cls = &desc[1..end];
-                if cls.is_empty() {
-                    return None;
-                }
-                Some((
-                    Type::Object(ClassName::new(cls.replace('/', "."))),
-                    &desc[end + 1..],
-                ))
-            }
-            '[' => {
-                let (elem, rest) = Self::parse_descriptor_prefix(&desc[1..])?;
-                if elem == Type::Void {
-                    return None;
-                }
-                Some((Type::Array(Box::new(elem)), rest))
-            }
-            _ => None,
+        let len = Self::descriptor_len(desc)?;
+        let (head, rest) = desc.split_at(len);
+        let dims = head.bytes().take_while(|&b| b == b'[').count();
+        let mut ty = match head.as_bytes()[dims] {
+            b'V' => Type::Void,
+            b'Z' => Type::Boolean,
+            b'B' => Type::Byte,
+            b'S' => Type::Short,
+            b'C' => Type::Char,
+            b'I' => Type::Int,
+            b'J' => Type::Long,
+            b'F' => Type::Float,
+            b'D' => Type::Double,
+            // `Lpkg/Cls;`, the one other form `descriptor_len` accepts.
+            _ => Type::Object(ClassName::new(head[dims + 1..len - 1].replace('/', "."))),
+        };
+        for _ in 0..dims {
+            ty = Type::Array(Box::new(ty));
         }
+        Some((ty, rest))
+    }
+
+    /// Length in bytes of the one descriptor at the front of `desc`, if
+    /// one is there: the descriptor grammar itself, without building the
+    /// [`Type`]. [`Type::parse_descriptor_prefix`] is built on it, and
+    /// tokenizers that only need extents call it directly.
+    ///
+    /// ```
+    /// use backdroid_ir::Type;
+    /// assert_eq!(Type::descriptor_len("[Ljava/lang/String;I"), Some(19));
+    /// assert_eq!(Type::descriptor_len("L;"), None);
+    /// assert_eq!(Type::descriptor_len("[V"), None);
+    /// ```
+    pub fn descriptor_len(desc: &str) -> Option<usize> {
+        let dims = desc.bytes().take_while(|&b| b == b'[').count();
+        let elem = match desc.as_bytes().get(dims)? {
+            // `void` is a return type only, never an array element.
+            b'V' if dims == 0 => 1,
+            b'Z' | b'B' | b'S' | b'C' | b'I' | b'J' | b'F' | b'D' => 1,
+            b'L' => match desc[dims..].find(';')? {
+                // `L;` names no class.
+                1 => return None,
+                end => end + 1,
+            },
+            _ => return None,
+        };
+        Some(dims + elem)
     }
 
     /// Java source form used by Soot signatures (`int`, `java.lang.String`,
@@ -646,6 +661,41 @@ mod tests {
         assert_eq!(Type::from_descriptor("Q"), None);
         assert_eq!(Type::from_descriptor("II"), None);
         assert_eq!(Type::from_descriptor("[V"), None);
+        assert_eq!(Type::from_descriptor("[[V"), None);
+    }
+
+    #[test]
+    fn descriptor_len_measures_one_descriptor() {
+        for (desc, len) in [
+            ("", None),
+            ("V", Some(1)),
+            ("Vx", Some(1)),
+            ("I;", Some(1)),
+            ("L", None),
+            ("L;", None),
+            ("La;", Some(3)),
+            ("La/b;rest", Some(5)),
+            ("Q", None),
+            ("[", None),
+            ("[V", None),
+            ("[[V", None),
+            ("[[I", Some(3)),
+            ("[La/b;", Some(6)),
+            ("[L;", None),
+            ("é", None),
+            ("Lé;x", Some(4)),
+        ] {
+            assert_eq!(Type::descriptor_len(desc), len, "desc {desc:?}");
+            assert_eq!(
+                Type::parse_descriptor_prefix(desc).map(|(_, rest)| desc.len() - rest.len()),
+                len,
+                "desc {desc:?}"
+            );
+        }
+        assert_eq!(
+            Type::parse_descriptor_prefix("[[La/b;I"),
+            Some((Type::array(Type::array(Type::object("a.b"))), "I"))
+        );
     }
 
     #[test]

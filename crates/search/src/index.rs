@@ -545,37 +545,33 @@ fn scan_tokens(line: &str, emit: &mut impl FnMut(&str, &str)) {
     // needle of the form `"…"` present in the line has its content
     // keyed (dump lines carry at most one literal, so this stays
     // quadratic only in theory).
-    let quotes: Vec<usize> = line
-        .char_indices()
-        .filter(|&(_, c)| c == '"')
-        .map(|(p, _)| p)
-        .collect();
-    for (a, &qa) in quotes.iter().enumerate() {
-        for &qb in &quotes[a + 1..] {
-            emit("s:", &line[qa + 1..qb]);
+    for (qa, _) in line.match_indices('"') {
+        let after = &line[qa + 1..];
+        for (qb, _) in after.match_indices('"') {
+            emit("s:", &after[..qb]);
         }
     }
 
     // Bare method-name calls: every `;.name:(` occurrence, parsed
     // lexically so even refs the descriptor scan below cannot parse
     // still land in the name posting list.
-    let mut p = 0;
-    while let Some(off) = line[p..].find(";.") {
-        let start = p + off + 2;
-        if let Some(colon) = line[start..].find(':') {
-            let name = &line[start..start + colon];
-            if !name.is_empty() && line[start + colon + 1..].starts_with('(') {
+    for (semi, _) in line.match_indices(';') {
+        let Some(member) = line[semi + 1..].strip_prefix('.') else {
+            continue;
+        };
+        if let Some(colon) = member.find(':') {
+            let name = &member[..colon];
+            if !name.is_empty() && member[colon + 1..].starts_with('(') {
                 emit("n:", name);
             }
         }
-        p = start;
     }
 
     // Class descriptors and member references: try a descriptor parse
     // at every `L` byte, mirroring how the linear grep's needles can
     // match at any position.
-    for (p, _) in line.char_indices().filter(|&(_, c)| c == 'L') {
-        let Some(desc_len) = object_descriptor_len(&line[p..]) else {
+    for (p, _) in line.match_indices('L') {
+        let Some(desc_len) = Type::descriptor_len(&line[p..]) else {
             continue;
         };
         emit("c:", &line[p..p + desc_len]);
@@ -597,9 +593,9 @@ fn scan_tokens(line: &str, emit: &mut impl FnMut(&str, &str)) {
                 let end = p + desc_len + 1 + colon + 1 + proto_len;
                 emit("i:", &line[p..end]);
             }
-        } else if let Some((_, rem)) = Type::parse_descriptor_prefix(after) {
+        } else if let Some(ty_len) = Type::descriptor_len(after) {
             // Field reference: `Lc;.name:type`.
-            let end = p + desc_len + 1 + colon + 1 + (after.len() - rem.len());
+            let end = p + desc_len + 1 + colon + 1 + ty_len;
             emit("f:", &line[p..end]);
         }
     }
@@ -626,32 +622,17 @@ where
     postings
 }
 
-/// Length of the `Lpkg/Cls;` object descriptor at the start of `s`, if
-/// one is present. Mirrors the `L` branch of
-/// [`Type::parse_descriptor_prefix`]: any non-empty run of characters up
-/// to the first `;`.
-fn object_descriptor_len(s: &str) -> Option<usize> {
-    if !s.starts_with('L') {
-        return None;
-    }
-    let end = s.find(';')?;
-    if end < 2 {
-        return None;
-    }
-    Some(end + 1)
-}
-
 /// Length of the `(params)ret` proto at the start of `s`, if one parses.
 fn proto_prefix_len(s: &str) -> Option<usize> {
-    let mut cur = s.strip_prefix('(')?;
-    loop {
-        if let Some(after_paren) = cur.strip_prefix(')') {
-            let (_, rem) = Type::parse_descriptor_prefix(after_paren)?;
-            return Some(s.len() - rem.len());
-        }
-        let (_, rem) = Type::parse_descriptor_prefix(cur)?;
-        cur = rem;
+    if !s.starts_with('(') {
+        return None;
     }
+    let mut end = 1;
+    while !s[end..].starts_with(')') {
+        end += Type::descriptor_len(&s[end..])?;
+    }
+    end += 1;
+    Some(end + Type::descriptor_len(&s[end..])?)
 }
 
 #[cfg(test)]
@@ -786,12 +767,13 @@ mod tests {
 
     #[test]
     fn prefix_parsers_reject_garbage() {
-        assert_eq!(object_descriptor_len("not a descriptor"), None);
-        assert_eq!(object_descriptor_len("L;"), None);
-        assert_eq!(object_descriptor_len("Lcom/a/B; trailing"), Some(9));
         assert_eq!(proto_prefix_len("()V"), Some(3));
         assert_eq!(proto_prefix_len("(ILjava/lang/String;)[B rest"), Some(23));
+        // A `)` inside a class name does not end the parameter list.
+        assert_eq!(proto_prefix_len("(La)b;)V"), Some(8));
         assert_eq!(proto_prefix_len("(Q)V"), None);
+        assert_eq!(proto_prefix_len("(I"), None);
+        assert_eq!(proto_prefix_len("()"), None);
         assert_eq!(proto_prefix_len("no parens"), None);
     }
 }

@@ -677,6 +677,12 @@ impl ShardPool {
     pub fn shutdown(&self) {
         self.inner.running.store(false, Ordering::Relaxed);
         for shard in &self.inner.shards {
+            // Notify under the shard lock, as `kill_shard` does: a worker
+            // holds it from its `running` check until it parks, so it
+            // either sees the cleared flag or is parked when the
+            // notification lands — never in between, where it would
+            // sleep through it and hang the join below.
+            let _state = shard.lock();
             shard.not_empty.notify_all();
             shard.not_full.notify_all();
         }

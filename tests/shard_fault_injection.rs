@@ -263,3 +263,53 @@ fn killing_every_shard_yields_deterministic_errors_not_hangs() {
     assert_eq!(pool.pool_stats().no_shard_errors, 1);
     pool.shutdown();
 }
+
+#[test]
+fn dropping_pools_right_after_their_last_reply_never_hangs() {
+    // A worker that has checked the pool's `running` flag but not yet
+    // parked on its condvar must still see shutdown's wake-up; a lost
+    // wake-up leaves it asleep and the drop's join waiting forever. The
+    // window is a few instructions wide, so drop many one-worker pools
+    // the moment their only reply lands (spinning, not blocking, so the
+    // drop races the worker's way back to its wait), each after a
+    // slightly different delay, all under a watchdog.
+    use std::sync::atomic::{AtomicBool, Ordering};
+    const DROPS: usize = 5_000;
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        for i in 0..DROPS {
+            let pool = ShardPool::new(
+                ShardPoolConfig {
+                    shards: 1,
+                    workers_per_shard: 1,
+                    ..ShardPoolConfig::default()
+                },
+                |_| {
+                    Service::new(ServiceConfig::default(), |id: &str| {
+                        Err(format!("no app {id}"))
+                    })
+                },
+            );
+            let replied = Arc::new(AtomicBool::new(false));
+            let responder: Responder = {
+                let replied = Arc::clone(&replied);
+                Arc::new(move |_, line| {
+                    assert!(line.is_some_and(|l| l.contains("\"error\"")));
+                    replied.store(true, Ordering::Release);
+                })
+            };
+            pool.submit_line(0, &analyze_line(0, 0), &responder);
+            while !replied.load(Ordering::Acquire) {
+                std::hint::spin_loop();
+            }
+            for _ in 0..i % 256 {
+                std::hint::spin_loop();
+            }
+            drop(pool);
+        }
+        done_tx.send(()).expect("the test is waiting");
+    });
+    done_rx
+        .recv_timeout(std::time::Duration::from_secs(120))
+        .expect("a pool drop hung: shutdown's wake-up was lost");
+}
