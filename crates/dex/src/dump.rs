@@ -238,6 +238,21 @@ impl Renderer {
         self.lines += 1;
     }
 
+    /// A whole line of template text.
+    fn line(&mut self, s: &str) {
+        self.s(s);
+        self.nl();
+    }
+
+    /// Ends a line with a quoted pool entry: `{prefix}{entry}'`, where
+    /// `prefix` holds the opening quote.
+    fn quoted_line(&mut self, prefix: &str, p: Piece) {
+        self.s(prefix);
+        self.piece(p);
+        self.s("'");
+        self.nl();
+    }
+
     /// Appends one pool entry's text.
     fn piece(&mut self, p: Piece) {
         self.out
@@ -509,25 +524,17 @@ impl Renderer {
         self.piece(class_desc);
         self.s(")");
         self.nl();
-        self.s("      name          : '");
-        self.piece(text.name);
-        self.s("'");
-        self.nl();
-        self.s("      type          : '");
-        self.piece(text.proto);
-        self.s("'");
-        self.nl();
+        self.quoted_line("      name          : '", text.name);
+        self.quoted_line("      type          : '", text.proto);
         self.s("      access        : ");
         self.access(m.access, m.sig.is_init());
         self.nl();
         let Some(code) = &m.code else {
-            self.s("      code          : (none)");
-            self.nl();
+            self.line("      code          : (none)");
             self.nl();
             return;
         };
-        self.s("      code          -");
-        self.nl();
+        self.line("      code          -");
         self.s("      registers     : ");
         self.dec(u64::from(code.registers));
         self.nl();
@@ -564,10 +571,8 @@ impl Renderer {
             self.nl();
         }
         self.abs = method_start + code.total_units * 2 + 12;
-        self.s("      catches       : (none)");
-        self.nl();
-        self.s("      positions     : ");
-        self.nl();
+        self.line("      catches       : (none)");
+        self.line("      positions     : ");
         self.nl();
     }
 
@@ -584,34 +589,23 @@ impl Renderer {
         self.dec(idx as u64);
         self.s("            -");
         self.nl();
-        self.s("  Class descriptor  : '");
-        self.piece(desc);
-        self.s("'");
-        self.nl();
+        self.quoted_line("  Class descriptor  : '", desc);
         self.s("  Access flags      : ");
         self.access(class.access, false);
         self.nl();
         if let Some(sup) = class.superclass {
-            self.s("  Superclass        : '");
-            self.piece(self.pool.types[sup.0 as usize]);
-            self.s("'");
-            self.nl();
+            self.quoted_line("  Superclass        : '", self.pool.types[sup.0 as usize]);
         }
-        self.s("  Interfaces        -");
-        self.nl();
+        self.line("  Interfaces        -");
         for (i, iface) in class.interfaces.iter().enumerate() {
             self.entry(i);
-            self.s("'");
-            self.piece(self.pool.types[iface.0 as usize]);
-            self.s("'");
-            self.nl();
+            self.quoted_line("'", self.pool.types[iface.0 as usize]);
         }
         for (header, statics) in [
             ("  Static fields     -", true),
             ("  Instance fields   -", false),
         ] {
-            self.s(header);
-            self.nl();
+            self.line(header);
             let fields = class
                 .fields
                 .iter()
@@ -623,18 +617,14 @@ impl Renderer {
                 self.piece(desc);
                 self.s(") name:'");
                 self.piece(text.name);
-                self.s("' type:'");
-                self.piece(text.ty);
-                self.s("'");
-                self.nl();
+                self.quoted_line("' type:'", text.ty);
             }
         }
         for (header, direct) in [
             ("  Direct methods    -", true),
             ("  Virtual methods   -", false),
         ] {
-            self.s(header);
-            self.nl();
+            self.line(header);
             let methods = class.methods.iter().filter(|m| m.direct == direct);
             for (k, m) in methods.enumerate() {
                 self.render_method(desc, k, m);
