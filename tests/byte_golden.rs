@@ -15,6 +15,11 @@ use backdroid_appgen::AndroidApp;
 use backdroid_core::AppArtifacts;
 use backdroid_dex::{dump_image, dump_image_with_marks, DexImage};
 use backdroid_ir::wire::fnv1a64_wide;
+use backdroid_ir::{
+    BinOp, ClassBuilder, ClassName, CondOp, Const, FieldSig, InvokeExpr, InvokeKind, LocalId,
+    MethodBuilder, MethodSig, Modifiers, Place, Program, Rvalue, Stmt, Type, Value,
+};
+use backdroid_manifest::Manifest;
 use std::fmt::Write as _;
 
 /// `(dump, marks, snapshot)` fingerprints of one build.
@@ -73,6 +78,231 @@ fn bench_apps_match_recorded_bytes() {
     check("bench apps", &got, BENCH_APPS);
 }
 
+/// A program that lowers to every instruction form, operand shape and
+/// header variant the renderer prints — the generated corpora above
+/// never emit branches, arrays, `throw`, primitive field access or most
+/// arithmetic.
+fn every_form_app() -> AndroidApp {
+    let name = ClassName::new("com.golden.Forms$Inner");
+    let port = FieldSig::new(name.clone(), "port", Type::Int);
+    let host = FieldSig::new(name.clone(), "host", Type::string());
+    let count = FieldSig::new(name.clone(), "COUNT", Type::Long);
+    let runnable = ClassName::new("java.lang.Runnable");
+    let mut m = MethodBuilder::public(
+        &name,
+        "run",
+        vec![Type::Int, Type::array(Type::Byte)],
+        Type::Int,
+    );
+    let this = m.this();
+    let n = m.param(0);
+    let bytes = m.param(1);
+    let end = m.reserve_label();
+    for op in [
+        CondOp::Eq,
+        CondOp::Ne,
+        CondOp::Lt,
+        CondOp::Le,
+        CondOp::Gt,
+        CondOp::Ge,
+    ] {
+        m.if_goto(op, Value::Local(n), Value::int(3), end);
+    }
+    let mut acc = Value::Local(n);
+    for (op, k) in [
+        (BinOp::Add, 5),
+        (BinOp::Sub, 1_000),
+        (BinOp::Mul, -70_000),
+        (BinOp::Div, -8),
+        (BinOp::Rem, 7),
+        (BinOp::And, 255),
+        (BinOp::Or, 1 << 40),
+        (BinOp::Xor, i64::MIN),
+        (BinOp::Shl, 2),
+        (BinOp::Shr, 3),
+        (BinOp::Ushr, 4),
+        (BinOp::Cmp, 0),
+    ] {
+        acc = Value::Local(m.binop(op, acc, Value::int(k), Type::Int));
+    }
+    fn assign(m: &mut MethodBuilder, ty: Type, rvalue: Rvalue) -> LocalId {
+        let l = m.local(ty);
+        m.push(Stmt::Assign {
+            place: Place::Local(l),
+            rvalue,
+        });
+        l
+    }
+    let _ = m.read_instance_field(this, port.clone());
+    let _ = m.read_instance_field(this, host.clone());
+    m.write_instance_field(this, port, acc);
+    m.write_instance_field(this, host, Value::str("a \"quoted\"\nline"));
+    let total = m.read_static_field(count.clone());
+    m.write_static_field(count, Value::Local(total));
+    let arr = assign(
+        &mut m,
+        Type::array(Type::string()),
+        Rvalue::NewArray(Type::string(), Value::int(4)),
+    );
+    let _ = assign(&mut m, Type::Int, Rvalue::Length(Value::Local(bytes)));
+    let elem = assign(
+        &mut m,
+        Type::string(),
+        Rvalue::Read(Place::ArrayElem {
+            base: arr,
+            index: Value::int(0),
+        }),
+    );
+    m.push(Stmt::Assign {
+        place: Place::ArrayElem {
+            base: arr,
+            index: Value::int(1),
+        },
+        rvalue: Rvalue::Use(Value::Local(elem)),
+    });
+    let _ = assign(
+        &mut m,
+        Type::Boolean,
+        Rvalue::InstanceOf(runnable.clone(), Value::Local(this)),
+    );
+    let _ = m.cast(Type::object("java.lang.Runnable"), Value::Local(this));
+    let _ = assign(
+        &mut m,
+        Type::object("java.lang.Class"),
+        Rvalue::Use(Value::Const(Const::Class(runnable.clone()))),
+    );
+    let none = assign(
+        &mut m,
+        Type::string(),
+        Rvalue::Use(Value::Const(Const::Null)),
+    );
+    let _ = assign(&mut m, Type::string(), Rvalue::Phi(vec![elem, none]));
+    let _ = assign(
+        &mut m,
+        Type::Double,
+        Rvalue::Use(Value::Const(Const::Float(2.5))),
+    );
+    let helper = MethodSig::new(name.clone(), "helper", vec![Type::Int], Type::Long);
+    for kind in [
+        InvokeKind::Virtual,
+        InvokeKind::Super,
+        InvokeKind::Special,
+        InvokeKind::Interface,
+    ] {
+        m.invoke(InvokeExpr {
+            kind,
+            callee: helper.clone(),
+            base: Some(this),
+            args: vec![Value::int(kind as i64)],
+        });
+    }
+    let _ = m.invoke_assign(InvokeExpr::call_static(
+        MethodSig::new("com.golden.Util", "name", vec![], Type::string()),
+        vec![],
+    ));
+    let _ = m.invoke_assign(InvokeExpr::call_static(helper.clone(), vec![Value::int(1)]));
+    m.goto(end);
+    m.push(Stmt::Throw(Value::Local(none)));
+    m.place_label(end);
+    m.ret(Value::Local(n));
+
+    let mut h = MethodBuilder::private(&name, "helper", vec![Type::Int], Type::Long);
+    h.ret_void();
+    let mut init = MethodBuilder::constructor(&name, vec![]);
+    init.ret_void();
+    let mut clinit = MethodBuilder::clinit(&name);
+    clinit.ret_void();
+    let mut program = Program::new();
+    program.add_class(
+        ClassBuilder::new(name.as_str())
+            .extends("com.golden.Base")
+            .implements("java.lang.Runnable")
+            .implements("com.golden.Listener")
+            .field("port", Type::Int, Modifiers::private())
+            .field("host", Type::string(), Modifiers::none().with_final())
+            .field("COUNT", Type::Long, Modifiers::public_static())
+            .method(init.build())
+            .method(clinit.build())
+            .method(m.build())
+            .method(h.build())
+            .build(),
+    );
+    program.add_class(
+        ClassBuilder::new_interface("com.golden.Listener")
+            .abstract_method(
+                "onEvent",
+                vec![Type::array(Type::array(Type::Int))],
+                Type::Void,
+            )
+            .build(),
+    );
+    AndroidApp {
+        name: "com.golden".into(),
+        program,
+        manifest: Manifest::new("com.golden"),
+        resource_bytes: 0,
+        ground_truth: Vec::new(),
+    }
+}
+
+#[test]
+fn every_instruction_form_matches_recorded_bytes() {
+    let app = every_form_app();
+    let dump = dump_image(&DexImage::encode(&app.program));
+    for form in [
+        "if-eq ",
+        "if-ne ",
+        "if-lt ",
+        "if-le ",
+        "if-gt ",
+        "if-ge ",
+        "goto ",
+        "throw ",
+        "sub-int ",
+        "div-int ",
+        "rem-int ",
+        "and-int ",
+        "or-int ",
+        "shl-int ",
+        "shr-int ",
+        "ushr-int ",
+        "cmp-long ",
+        "iget ",
+        "iget-object ",
+        "iput ",
+        "iput-object ",
+        "sget ",
+        "sput ",
+        "new-array ",
+        "array-length ",
+        "aget-object ",
+        "aput-object ",
+        "instance-of ",
+        "check-cast ",
+        "const-class ",
+        "const/4 ",
+        "move-object ",
+        "move-result ",
+        "move-result-object ",
+        "invoke-super ",
+        "invoke-interface ",
+        "invoke-direct ",
+        "code          : (none)",
+        "CONSTRUCTOR",
+        "Superclass",
+    ] {
+        assert!(
+            dump.contains(form),
+            "the program no longer lowers to `{form}`"
+        );
+    }
+    check(
+        "every form",
+        &[prints(&app, &DexImage::encode(&app.program))],
+        EVERY_FORM,
+    );
+}
+
 #[test]
 fn forced_multidex_split_matches_recorded_bytes() {
     let app = snapshot_fixture(3);
@@ -112,5 +342,7 @@ const BENCH_APPS: &[Prints] = &[
     (0x61f4a7a9380a2c49, 0xabc397e3084fca69, 0x9950f587a7db9410),
     (0x30a3245dcfe88316, 0x0d7726520f132bfd, 0x98a8d47ddd7ccae7),
 ];
+
+const EVERY_FORM: &[Prints] = &[(0xb7318f1bf3ff645e, 0xfeefd552058e0696, 0xbae7e8f3520007d9)];
 
 const MULTIDEX: &[Prints] = &[(0xfe0c0708cc236319, 0x9a69fa688bdee2be, 0xe98eea8eb71ee66c)];
