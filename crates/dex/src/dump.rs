@@ -80,29 +80,6 @@ pub fn class_descriptor(name: &ClassName) -> String {
     format!("L{};", name.as_str().replace('.', "/"))
 }
 
-/// The proto string used in method banner/type lines: `(I)V`.
-fn proto_string(sig: &MethodSig) -> String {
-    let mut s = String::from("(");
-    for p in sig.params() {
-        s.push_str(&p.descriptor());
-    }
-    s.push(')');
-    s.push_str(&sig.ret().descriptor());
-    s
-}
-
-/// The dotted banner form dexdump prints inside code listings, with the
-/// inner-class `$` flattened to `.`:
-/// `com.connectsdk.service.NetcastTVService.1.run:()V`.
-pub fn banner_name(sig: &MethodSig) -> String {
-    format!(
-        "{}.{}:{}",
-        sig.class().as_str().replace('$', "."),
-        sig.name(),
-        proto_string(sig)
-    )
-}
-
 /// The number of newlines in `s`.
 fn newlines(s: &str) -> u32 {
     s.bytes().filter(|&b| b == b'\n').count() as u32
@@ -260,11 +237,17 @@ impl Renderer {
         self.lines += p.newlines;
     }
 
-    /// `{v}`.
-    fn dec(&mut self, v: u64) {
-        let mut digits = [0u8; 20];
+    // `reg` and `hex` format by hand because every instruction line
+    // calls them several times: with `write!` there the whole render
+    // took 2.4-4.5x as long. Lines printed once per method or class
+    // use `write!`.
+
+    /// A register: `v3`.
+    fn reg(&mut self, r: Reg) {
+        self.out.push('v');
+        let mut digits = [0u8; 10];
         let mut i = digits.len();
-        let mut v = v;
+        let mut v = r.0;
         loop {
             i -= 1;
             digits[i] = b'0' + (v % 10) as u8;
@@ -273,17 +256,7 @@ impl Renderer {
                 break;
             }
         }
-        for &d in &digits[i..] {
-            self.out.push(char::from(d));
-        }
-    }
-
-    /// `{v:<width$}`.
-    fn dec_left(&mut self, v: u64, width: usize) {
-        let start = self.out.len();
-        self.dec(v);
-        let pad = width.saturating_sub(self.out.len() - start);
-        self.spaces(pad);
+        self.out.extend(digits[i..].iter().map(|&d| char::from(d)));
     }
 
     /// `{v:0width$x}`.
@@ -296,23 +269,9 @@ impl Renderer {
         }
     }
 
-    fn spaces(&mut self, n: usize) {
-        for _ in 0..n {
-            self.out.push(' ');
-        }
-    }
-
-    /// A register: `v3`.
-    fn reg(&mut self, r: Reg) {
-        self.out.push('v');
-        self.dec(u64::from(r.0));
-    }
-
     /// The access flags and their names: `0x0009 (PUBLIC STATIC)`.
     fn access(&mut self, access: Modifiers, is_init: bool) {
-        self.s("0x");
-        self.hex(access.bits(), 4);
-        self.s(" (");
+        let _ = write!(self.out, "0x{:04x} (", access.bits());
         let mut sep = "";
         for (set, name) in [
             (access.is_public(), "PUBLIC"),
@@ -337,16 +296,16 @@ impl Renderer {
     /// parsed by the search).
     fn fake_words(&mut self, insn: &Insn, unit_off: u32) {
         let op = insn.pseudo_opcode() as u32;
-        let count = insn.units().min(3);
-        for k in 0..count {
+        let start = self.out.len();
+        for k in 0..insn.units().min(3) {
             if k > 0 {
                 self.s(" ");
             }
             let w = (op << 8) ^ (unit_off.wrapping_mul(0x9e37).wrapping_add(k * 0x515d)) & 0xffff;
             self.hex(w & 0xffff, 4);
         }
-        // Four hex digits per word, one space between words.
-        self.spaces(21usize.saturating_sub((count * 5).saturating_sub(1) as usize));
+        let pad = 21usize.saturating_sub(self.out.len() - start);
+        self.out.extend(std::iter::repeat_n(' ', pad));
     }
 
     /// `mnemonic v1, v2`.
@@ -378,9 +337,7 @@ impl Renderer {
 
     /// A branch target: `0012 // +0012`.
     fn branch_target(&mut self, target_units: u32) {
-        self.hex(target_units, 4);
-        self.s(" // +");
-        self.hex(target_units, 4);
+        let _ = write!(self.out, "{target_units:04x} // +{target_units:04x}");
     }
 
     fn operand(&mut self, insn: &Insn) {
@@ -397,11 +354,7 @@ impl Renderer {
             }
             Insn::ConstInt { dst, value } => {
                 self.op("const", &[*dst]);
-                self.s(", #int ");
-                if *value < 0 {
-                    self.s("-");
-                }
-                self.dec(value.unsigned_abs());
+                let _ = write!(self.out, ", #int {value}");
             }
             Insn::ConstString { dst, idx } => {
                 self.op("const-string", &[*dst]);
@@ -518,9 +471,7 @@ impl Renderer {
 
     fn render_method(&mut self, class_desc: Piece, k: usize, m: &EncodedMethod) {
         let text = self.pool.methods[m.idx.0 as usize];
-        self.s("    #");
-        self.dec_left(k as u64, 15);
-        self.s(": (in ");
+        let _ = write!(self.out, "    #{k:<15}: (in ");
         self.piece(class_desc);
         self.s(")");
         self.nl();
@@ -535,21 +486,25 @@ impl Renderer {
             return;
         };
         self.line("      code          -");
-        self.s("      registers     : ");
-        self.dec(u64::from(code.registers));
+        let _ = write!(self.out, "      registers     : {}", code.registers);
         self.nl();
-        self.s("      ins           : ");
-        self.dec(m.sig.params().len() as u64 + 1);
+        let _ = write!(
+            self.out,
+            "      ins           : {}",
+            m.sig.params().len() + 1
+        );
         self.nl();
-        self.s("      insns size    : ");
-        self.dec(u64::from(code.total_units));
-        self.s(" 16-bit code units");
+        let _ = write!(
+            self.out,
+            "      insns size    : {} 16-bit code units",
+            code.total_units
+        );
         self.nl();
         let method_start = self.abs;
-        self.hex(method_start, 6);
-        self.s(":                                       |[");
-        self.hex(method_start, 6);
-        self.s("] ");
+        let _ = write!(
+            self.out,
+            "{method_start:06x}:                                       |[{method_start:06x}] "
+        );
         // The banner's dotted class name, inner-class `$` flattened.
         let class = m.sig.class().as_str();
         self.out
@@ -578,16 +533,12 @@ impl Renderer {
 
     /// A `    #0              : ` list-entry prefix.
     fn entry(&mut self, i: usize) {
-        self.s("    #");
-        self.dec(i as u64);
-        self.s("              : ");
+        let _ = write!(self.out, "    #{i}              : ");
     }
 
     fn render_class(&mut self, idx: usize, class: &ClassDef) {
         let desc = self.pool.types[class.ty.0 as usize];
-        self.s("Class #");
-        self.dec(idx as u64);
-        self.s("            -");
+        let _ = write!(self.out, "Class #{idx}            -");
         self.nl();
         self.quoted_line("  Class descriptor  : '", desc);
         self.s("  Access flags      : ");
@@ -685,7 +636,7 @@ pub fn dump_image_with_marks(image: &DexImage) -> (String, Vec<ClassMark>) {
     for (i, dex) in image.files().iter().enumerate() {
         r.s("Opened 'classes");
         if i > 0 {
-            r.dec(i as u64 + 1);
+            let _ = write!(r.out, "{}", i + 1);
         }
         r.s(".dex', DEX version '038'");
         r.nl();
@@ -756,20 +707,6 @@ mod tests {
         let s = field_ref_string(&sig);
         assert_eq!(s, "Lcom/studiosol/util/NanoHTTPD;.myPort:I");
         assert_eq!(parse_field_ref(&s), Some(sig));
-    }
-
-    #[test]
-    fn banner_flattens_inner_class_dollar() {
-        let sig = MethodSig::new(
-            "com.connectsdk.service.NetcastTVService$1",
-            "run",
-            vec![],
-            Type::Void,
-        );
-        assert_eq!(
-            banner_name(&sig),
-            "com.connectsdk.service.NetcastTVService.1.run:()V"
-        );
     }
 
     #[test]

@@ -100,10 +100,8 @@ pub struct PoolBuilder {
     proto_map: HashMap<(TypeIdx, Vec<TypeIdx>), u32>,
     pub(crate) fields: Vec<FieldId>,
     field_map: HashMap<FieldSig, u32>,
-    field_sigs: Vec<FieldSig>,
     pub(crate) methods: Vec<MethodId>,
     method_map: HashMap<MethodSig, u32>,
-    method_sigs: Vec<MethodSig>,
 }
 
 impl PoolBuilder {
@@ -188,7 +186,6 @@ impl PoolResolver for PoolBuilder {
         let name = self.intern_string(f.name());
         let i = self.fields.len() as u32;
         self.fields.push(FieldId { class, ty, name });
-        self.field_sigs.push(f.clone());
         self.field_map.insert(f.clone(), i);
         FieldIdx(i)
     }
@@ -202,7 +199,6 @@ impl PoolResolver for PoolBuilder {
         let name = self.intern_string(m.name());
         let i = self.methods.len() as u32;
         self.methods.push(MethodId { class, proto, name });
-        self.method_sigs.push(m.clone());
         self.method_map.insert(m.clone(), i);
         MethodIdx(i)
     }
@@ -284,26 +280,6 @@ impl DexFile {
         self.pools.methods.len()
     }
 
-    /// Resolves a string pool index.
-    pub fn string(&self, idx: StringIdx) -> &str {
-        &self.pools.strings[idx.0 as usize]
-    }
-
-    /// Resolves a type pool index to its descriptor.
-    pub fn type_desc(&self, idx: TypeIdx) -> &str {
-        &self.pools.types[idx.0 as usize]
-    }
-
-    /// Resolves a field pool index to its IR signature.
-    pub fn field_sig(&self, idx: FieldIdx) -> &FieldSig {
-        &self.pools.field_sigs[idx.0 as usize]
-    }
-
-    /// Resolves a method pool index to its IR signature.
-    pub fn method_sig(&self, idx: MethodIdx) -> &MethodSig {
-        &self.pools.method_sigs[idx.0 as usize]
-    }
-
     /// Estimated on-disk size in bytes, following the real DEX layout
     /// arithmetic (header + pools + class defs + code).
     pub fn byte_size(&self) -> u64 {
@@ -371,25 +347,12 @@ impl DexImage {
     /// The split is computed in a single pass by tracking the set of
     /// method references each class contributes (declared methods plus
     /// invoke callees); each sealed chunk is then encoded exactly once.
-    /// A program with no more reference occurrences than the limit can
-    /// never fill a file, so it is encoded as one without tracking refs.
     pub fn encode_with_limit(program: &Program, limit: usize) -> DexImage {
         assert!(limit > 0, "multidex limit must be positive");
-        let classes: Vec<&Class> = program.classes().collect();
-        if classes
-            .iter()
-            .map(|c| method_refs(c).count())
-            .sum::<usize>()
-            <= limit
-        {
-            return DexImage {
-                files: vec![DexFile::encode_classes(&classes)],
-            };
-        }
         let mut files = Vec::new();
         let mut chunk: Vec<&Class> = Vec::new();
         let mut refs: HashSet<&MethodSig> = HashSet::new();
-        for class in classes {
+        for class in program.classes() {
             let new_refs = method_refs(class).filter(|r| !refs.contains(r)).count();
             if !chunk.is_empty() && refs.len() + new_refs > limit {
                 files.push(DexFile::encode_classes(&chunk));

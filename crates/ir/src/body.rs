@@ -46,6 +46,12 @@ impl MethodBody {
         })
     }
 
+    /// Makes room for `additional` more statements. Wire-decoder only:
+    /// it knows a body's statement count before reading them.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.stmts.reserve_exact(additional);
+    }
+
     /// Appends a statement, returning its index.
     pub fn push(&mut self, stmt: Stmt) -> usize {
         self.stmts.push(stmt);

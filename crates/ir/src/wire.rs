@@ -30,7 +30,6 @@ use crate::stmt::{
 };
 use crate::types::{ClassName, FieldSig, MethodSig, Modifiers, Type};
 use crate::Program;
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// Why a wire decode failed. Corrupt input is an expected condition (the
@@ -233,6 +232,13 @@ impl<'a> WireReader<'a> {
 
     /// An unsigned LEB128 varint (at most 10 bytes).
     pub fn get_uvarint(&mut self) -> Result<u64, WireError> {
+        // Most lengths, ids and deltas fit in one byte.
+        if let Some(&byte) = self.buf.get(self.pos) {
+            if byte & 0x80 == 0 {
+                self.pos += 1;
+                return Ok(u64::from(byte));
+            }
+        }
         let mut v: u64 = 0;
         for shift in (0..64).step_by(7) {
             let byte = self.get_u8()?;
@@ -313,11 +319,16 @@ pub fn write_class_name(w: &mut WireWriter, c: &ClassName) {
 
 /// Decodes a class name (must be non-empty).
 pub fn read_class_name(r: &mut WireReader<'_>) -> Result<ClassName, WireError> {
+    class_name_str(r).map(ClassName::new)
+}
+
+/// Reads a class name's text without allocating it.
+fn class_name_str<'a>(r: &mut WireReader<'a>) -> Result<&'a str, WireError> {
     let s = r.get_str()?;
     if s.is_empty() {
         return Err(malformed("empty class name"));
     }
-    Ok(ClassName::new(s))
+    Ok(s)
 }
 
 const TY_VOID: u8 = 0;
@@ -355,22 +366,62 @@ pub fn write_type(w: &mut WireWriter, t: &Type) {
     }
 }
 
+/// The deepest array type the DEX format can express.
+const MAX_ARRAY_DIMS: usize = 255;
+
+/// The element of an encoded type, under any array dimensions.
+enum Elem<'a> {
+    Primitive(Type),
+    /// An object type, by its class name's text.
+    Object(&'a str),
+}
+
+/// Reads one encoded type without allocating: its array depth and its
+/// element. The type grammar lives here; [`read_type`] and
+/// [`skip_type`] are built on it.
+fn type_parts<'a>(r: &mut WireReader<'a>) -> Result<(usize, Elem<'a>), WireError> {
+    let mut dims = 0;
+    loop {
+        let elem = match r.get_u8()? {
+            TY_ARRAY if dims == MAX_ARRAY_DIMS => {
+                return Err(malformed("array type nests deeper than 255"))
+            }
+            TY_ARRAY => {
+                dims += 1;
+                continue;
+            }
+            TY_VOID => Type::Void,
+            TY_BOOLEAN => Type::Boolean,
+            TY_BYTE => Type::Byte,
+            TY_SHORT => Type::Short,
+            TY_CHAR => Type::Char,
+            TY_INT => Type::Int,
+            TY_LONG => Type::Long,
+            TY_FLOAT => Type::Float,
+            TY_DOUBLE => Type::Double,
+            TY_OBJECT => return Ok((dims, Elem::Object(class_name_str(r)?))),
+            tag => return Err(malformed(format!("unknown type tag {tag}"))),
+        };
+        return Ok((dims, Elem::Primitive(elem)));
+    }
+}
+
 /// Decodes a type.
 pub fn read_type(r: &mut WireReader<'_>) -> Result<Type, WireError> {
-    Ok(match r.get_u8()? {
-        TY_VOID => Type::Void,
-        TY_BOOLEAN => Type::Boolean,
-        TY_BYTE => Type::Byte,
-        TY_SHORT => Type::Short,
-        TY_CHAR => Type::Char,
-        TY_INT => Type::Int,
-        TY_LONG => Type::Long,
-        TY_FLOAT => Type::Float,
-        TY_DOUBLE => Type::Double,
-        TY_OBJECT => Type::Object(read_class_name(r)?),
-        TY_ARRAY => Type::Array(Box::new(read_type(r)?)),
-        tag => return Err(malformed(format!("unknown type tag {tag}"))),
-    })
+    let (dims, elem) = type_parts(r)?;
+    let mut ty = match elem {
+        Elem::Primitive(ty) => ty,
+        Elem::Object(class) => Type::Object(ClassName::new(class)),
+    };
+    for _ in 0..dims {
+        ty = Type::Array(Box::new(ty));
+    }
+    Ok(ty)
+}
+
+/// Checks one type exactly as [`read_type`] does, without building it.
+pub fn skip_type(r: &mut WireReader<'_>) -> Result<(), WireError> {
+    type_parts(r).map(drop)
 }
 
 /// Encodes a method signature.
@@ -387,7 +438,7 @@ pub fn write_method_sig(w: &mut WireWriter, m: &MethodSig) {
 /// Decodes a method signature.
 pub fn read_method_sig(r: &mut WireReader<'_>) -> Result<MethodSig, WireError> {
     let class = read_class_name(r)?;
-    let name = r.get_str()?.to_string();
+    let name = r.get_str()?;
     let n = r.get_len(1)?;
     let mut params = Vec::with_capacity(n);
     for _ in 0..n {
@@ -395,6 +446,20 @@ pub fn read_method_sig(r: &mut WireReader<'_>) -> Result<MethodSig, WireError> {
     }
     let ret = read_type(r)?;
     Ok(MethodSig::new(class, name, params, ret))
+}
+
+/// Checks one method signature exactly as [`read_method_sig`] does,
+/// without allocating it: for validators that only need to know the
+/// bytes decode.
+pub fn skip_method_sig(r: &mut WireReader<'_>) -> Result<(), WireError> {
+    class_name_str(r)?;
+    r.get_str()?;
+    let n = r.get_len(1)?;
+    // The parameters, then the return type.
+    for _ in 0..=n {
+        skip_type(r)?;
+    }
+    Ok(())
 }
 
 /// Encodes a field signature.
@@ -407,7 +472,7 @@ pub fn write_field_sig(w: &mut WireWriter, f: &FieldSig) {
 /// Decodes a field signature.
 pub fn read_field_sig(r: &mut WireReader<'_>) -> Result<FieldSig, WireError> {
     let class = read_class_name(r)?;
-    let name = r.get_str()?.to_string();
+    let name = r.get_str()?;
     let ty = read_type(r)?;
     Ok(FieldSig::new(class, name, ty))
 }
@@ -898,6 +963,7 @@ fn read_body(r: &mut WireReader<'_>) -> Result<MethodBody, WireError> {
         body.declare_local(id, ty);
     }
     let stmts = r.get_len(1)?;
+    body.reserve(stmts);
     for _ in 0..stmts {
         body.push(read_stmt(r)?);
     }
@@ -992,7 +1058,6 @@ pub fn read_class(r: &mut WireReader<'_>) -> Result<Class, WireError> {
     }
     let n_methods = r.get_len(1)?;
     let mut methods = Vec::with_capacity(n_methods);
-    let mut seen = BTreeSet::new();
     for _ in 0..n_methods {
         let m = read_method(r)?;
         if m.sig().class() != &name {
@@ -1002,10 +1067,12 @@ pub fn read_class(r: &mut WireReader<'_>) -> Result<Class, WireError> {
                 name
             )));
         }
-        if !seen.insert(m.sig().clone()) {
-            return Err(malformed(format!("duplicate method {}", m.sig())));
-        }
         methods.push(m);
+    }
+    let mut sigs: Vec<&MethodSig> = methods.iter().map(Method::sig).collect();
+    sigs.sort_unstable();
+    if let Some(w) = sigs.windows(2).find(|w| w[0] == w[1]) {
+        return Err(malformed(format!("duplicate method {}", w[0])));
     }
     Ok(Class::from_parts(
         name, superclass, interfaces, modifiers, fields, methods,
@@ -1151,6 +1218,56 @@ mod tests {
             mutated[i] ^= 0xff;
             // Any outcome but a panic is acceptable; most positions error.
             let _ = read_program(&mut WireReader::new(&mutated));
+        }
+    }
+
+    #[test]
+    fn skipping_a_signature_accepts_exactly_what_decoding_does() {
+        let mut w = WireWriter::new();
+        write_method_sig(
+            &mut w,
+            &MethodSig::new(
+                "com.w.Main",
+                "go",
+                vec![Type::Int, Type::array(Type::array(Type::string()))],
+                Type::object("com.w.Result"),
+            ),
+        );
+        let bytes = w.into_bytes();
+        let mut cases = vec![bytes.clone()];
+        cases.extend((0..bytes.len()).map(|cut| bytes[..cut].to_vec()));
+        for i in 0..bytes.len() {
+            for flip in [0x01, 0x80, 0xff] {
+                let mut mutated = bytes.clone();
+                mutated[i] ^= flip;
+                cases.push(mutated);
+            }
+        }
+        for case in &cases {
+            let (mut read, mut skip) = (WireReader::new(case), WireReader::new(case));
+            let decoded = read_method_sig(&mut read);
+            let skipped = skip_method_sig(&mut skip);
+            assert_eq!(decoded.is_ok(), skipped.is_ok(), "{case:?}");
+            if decoded.is_ok() {
+                assert_eq!(read.remaining(), skip.remaining(), "{case:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn array_types_nest_at_most_255_deep() {
+        let nested = |dims: usize| {
+            let mut bytes = vec![TY_ARRAY; dims];
+            bytes.push(TY_INT);
+            bytes
+        };
+        let ty = read_type(&mut WireReader::new(&nested(255))).unwrap();
+        assert!(ty.descriptor().starts_with(&"[".repeat(255)));
+        // Deeper input is malformed, however long: the decoder neither
+        // recurses per level nor builds a value too deep to drop.
+        for dims in [256, 1_000_000] {
+            let err = read_type(&mut WireReader::new(&nested(dims))).unwrap_err();
+            assert!(matches!(err, WireError::Malformed(_)));
         }
     }
 

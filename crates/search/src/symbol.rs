@@ -17,7 +17,7 @@
 //! the snapshot contract: `Sym` `k` always names the `k`-th stored
 //! string, so posting lists serialized in id order need no keys at all.
 
-use backdroid_ir::wire::{WireError, WireReader, WireWriter};
+use backdroid_ir::wire::{fnv1a64_wide, WireError, WireReader, WireWriter};
 
 /// A dense interned-symbol id: index of the string in its
 /// [`SymbolTable`], assigned in first-encounter order.
@@ -194,6 +194,9 @@ impl SymbolTable {
     pub fn read_wire(r: &mut WireReader<'_>) -> Result<SymbolTable, WireError> {
         let n = r.get_len(1)?;
         let mut table = SymbolTable::default();
+        // Size the buckets for all `n` symbols up front, so decoding
+        // never re-slots them.
+        table.rebuild_buckets(((n + 1) * 8 / 7 + 1).next_power_of_two().max(16));
         for i in 0..n {
             let s = r.get_str()?;
             // A duplicate string interns to its earlier id instead of `i`.
@@ -215,7 +218,7 @@ impl SymbolTable {
         let mut seen: Vec<(u64, &str)> = Vec::with_capacity(n);
         for _ in 0..n {
             let s = r.get_str()?;
-            seen.push((fnv_accum(FNV_OFFSET, s.as_bytes()), s));
+            seen.push((fnv1a64_wide(s.as_bytes()), s));
         }
         if !r.is_empty() {
             return Err(WireError::Malformed(

@@ -656,55 +656,79 @@ fn read_spans_part(
     r: &mut WireReader<'_>,
     line_count: usize,
 ) -> Result<(Vec<MethodSpan>, Vec<u32>), WireError> {
-    let malformed = |m: &str| WireError::Malformed(m.to_string());
     let n_spans = r.get_len(1)?;
     let mut spans = Vec::with_capacity(n_spans);
     for _ in 0..n_spans {
         let sig = wire::read_method_sig(r)?;
-        let start_line = r.get_uvarint()? as usize;
-        let end_line = r.get_uvarint()? as usize;
-        if start_line > end_line || end_line > line_count {
-            return Err(malformed("method span outside the dump"));
-        }
+        let (start_line, end_line) = read_span_bounds(r, line_count)?;
         spans.push(MethodSpan {
             sig,
             start_line,
             end_line,
         });
     }
-    let n_map = r.get_len(1)?;
-    if n_map != line_count {
-        return Err(malformed("line map does not cover every line"));
-    }
+    let n_map = read_line_map_len(r, line_count)?;
     let mut line_to_span = Vec::with_capacity(n_map);
     for _ in 0..n_map {
-        let v = r.get_uvarint()?;
-        let slot = if v == 0 {
-            NO_SPAN
-        } else {
-            let idx = v - 1;
-            if idx >= spans.len() as u64 {
-                return Err(malformed("line map references a missing span"));
-            }
-            idx as u32
-        };
-        line_to_span.push(slot);
+        line_to_span.push(read_line_slot(r, n_spans)?);
     }
     Ok((spans, line_to_span))
 }
 
-/// Validates one standalone spans-section blob, returning the span
-/// count. (Span signatures are decoded and dropped — the section is
-/// small next to the arena and postings.)
+/// One span's `[start, end)` line bounds, which must lie in the dump.
+fn read_span_bounds(
+    r: &mut WireReader<'_>,
+    line_count: usize,
+) -> Result<(usize, usize), WireError> {
+    let start_line = r.get_uvarint()? as usize;
+    let end_line = r.get_uvarint()? as usize;
+    if start_line > end_line || end_line > line_count {
+        return Err(WireError::Malformed("method span outside the dump".into()));
+    }
+    Ok((start_line, end_line))
+}
+
+/// The line map's length, which must be one entry per line.
+fn read_line_map_len(r: &mut WireReader<'_>, line_count: usize) -> Result<usize, WireError> {
+    let n_map = r.get_len(1)?;
+    if n_map != line_count {
+        return Err(WireError::Malformed(
+            "line map does not cover every line".into(),
+        ));
+    }
+    Ok(n_map)
+}
+
+/// One line-map entry: the containing span's index, or `NO_SPAN`.
+fn read_line_slot(r: &mut WireReader<'_>, n_spans: usize) -> Result<u32, WireError> {
+    match r.get_uvarint()? {
+        0 => Ok(NO_SPAN),
+        v if v - 1 < n_spans as u64 => Ok((v - 1) as u32),
+        _ => Err(WireError::Malformed(
+            "line map references a missing span".into(),
+        )),
+    }
+}
+
+/// Validates one standalone spans-section blob as [`read_spans_part`]
+/// would, without building the spans or the line map, and returns the
+/// span count.
 fn validate_spans_section(bytes: &[u8], line_count: usize) -> Result<usize, WireError> {
     let mut r = WireReader::new(bytes);
-    let (spans, _) = read_spans_part(&mut r, line_count)?;
+    let n_spans = r.get_len(1)?;
+    for _ in 0..n_spans {
+        wire::skip_method_sig(&mut r)?;
+        read_span_bounds(&mut r, line_count)?;
+    }
+    for _ in 0..read_line_map_len(&mut r, line_count)? {
+        read_line_slot(&mut r, n_spans)?;
+    }
     if !r.is_empty() {
         return Err(WireError::Malformed(
             "trailing bytes after spans section".into(),
         ));
     }
-    Ok(spans.len())
+    Ok(n_spans)
 }
 
 /// Materializes a parked body from its validated section blobs.
@@ -962,6 +986,33 @@ mod tests {
             }
         )
         .is_err());
+    }
+
+    #[test]
+    fn spans_validation_accepts_exactly_what_decoding_does() {
+        let t = indexed();
+        let mut w = WireWriter::new();
+        t.write_spans_section(&mut w);
+        let spans = w.into_bytes();
+        let decodes = |bytes: &[u8]| {
+            let mut r = WireReader::new(bytes);
+            read_spans_part(&mut r, t.line_count()).is_ok() && r.is_empty()
+        };
+        let mut cases: Vec<Vec<u8>> = (0..=spans.len()).map(|cut| spans[..cut].to_vec()).collect();
+        for i in 0..spans.len() {
+            for flip in [0x01, 0x80, 0xff] {
+                let mut mutated = spans.clone();
+                mutated[i] ^= flip;
+                cases.push(mutated);
+            }
+        }
+        for case in &cases {
+            assert_eq!(
+                validate_spans_section(case, t.line_count()).is_ok(),
+                decodes(case),
+                "{case:?}"
+            );
+        }
     }
 
     #[test]
