@@ -238,9 +238,9 @@ impl Renderer {
     }
 
     // `reg` and `hex` format by hand because every instruction line
-    // calls them several times: with `write!` there the whole render
-    // took 2.4-4.5x as long. Lines printed once per method or class
-    // use `write!`.
+    // calls them several times: with `write!` there the render took
+    // about three times as long. Lines printed once per method or
+    // class use `write!`.
 
     /// A register: `v3`.
     fn reg(&mut self, r: Reg) {
