@@ -6,11 +6,7 @@
 //! in these artifacts: the CI `bench-smoke` job diffs sequential against
 //! parallel output, so wall-clock values must stay out.
 
-/// Escapes a string for a JSON string literal. One escaper serves the
-/// whole workspace — the serving layer's protocol renderer owns it, and
-/// the CI jobs diff bench artifacts against serve responses
-/// byte-for-byte, so the two must never drift apart.
-pub use backdroid_service::proto::escape;
+use backdroid_obs::escape_json_into;
 
 /// Renders a finite `f64` stably (6 decimal places, enough for scaled
 /// minutes and rates); non-finite values become `null`.
@@ -34,10 +30,14 @@ impl JsonObject {
         Self::default()
     }
 
-    /// Appends a string field.
+    /// Appends a string field, escaped by the workspace's one JSON
+    /// escaper: the CI jobs diff bench artifacts against serve responses
+    /// byte-for-byte, so the two must never drift apart.
     pub fn str(mut self, key: &str, value: &str) -> Self {
-        self.fields
-            .push(format!("\"{}\":\"{}\"", key, escape(value)));
+        let mut field = format!("\"{key}\":\"");
+        escape_json_into(&mut field, value);
+        field.push('"');
+        self.fields.push(field);
         self
     }
 
@@ -83,8 +83,6 @@ mod tests {
 
     #[test]
     fn escaping_and_shapes() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
         assert_eq!(num(1.5), "1.500000");
         assert_eq!(num(f64::NAN), "null");
         let obj = JsonObject::new()

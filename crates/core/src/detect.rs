@@ -1,8 +1,8 @@
-//! Vulnerability detectors over recovered sink parameter values.
-//!
-//! The evaluation's two sink-based problems (§VI-A): insecure ECB mode in
-//! `Cipher.getInstance(transformation)` and the permissive
-//! `ALLOW_ALL_HOSTNAME_VERIFIER` in `setHostnameVerifier(verifier)`.
+//! Detector verdicts over recovered sink parameter values, and the one
+//! rule the registry cannot express as data (the premium-SMS check).
+//! The paper's two sink-based problems (§VI-A), insecure ECB mode and the
+//! permissive `ALLOW_ALL_HOSTNAME_VERIFIER`, are declarative rules in
+//! [`crate::detector`].
 
 use crate::forward::DataflowValue;
 
@@ -21,94 +21,6 @@ impl Verdict {
     /// Whether the verdict flags a vulnerability.
     pub fn is_vulnerable(&self) -> bool {
         matches!(self, Verdict::Vulnerable(_))
-    }
-}
-
-/// Block ciphers that default to ECB mode when no mode is specified.
-const ECB_DEFAULT_CIPHERS: &[&str] = &["AES", "DES", "DESEDE", "BLOWFISH", "RC2"];
-
-/// Judges a `Cipher.getInstance` transformation string: explicit `/ECB/`
-/// mode, or a bare block-cipher name (which defaults to ECB) \[28\], \[30\].
-pub fn judge_cipher(values: &[DataflowValue]) -> Verdict {
-    let Some(v) = values.first() else {
-        return Verdict::Undetermined;
-    };
-    match v {
-        DataflowValue::Str(s) => {
-            let upper = s.to_uppercase();
-            let mut parts = upper.split('/');
-            let algo = parts.next().unwrap_or("");
-            match parts.next() {
-                Some(mode) => {
-                    if mode == "ECB" {
-                        Verdict::Vulnerable(format!("explicit ECB mode in \"{s}\""))
-                    } else {
-                        Verdict::Safe
-                    }
-                }
-                None => {
-                    if ECB_DEFAULT_CIPHERS.contains(&algo) {
-                        Verdict::Vulnerable(format!(
-                            "bare \"{s}\" defaults to ECB for block ciphers"
-                        ))
-                    } else {
-                        Verdict::Safe
-                    }
-                }
-            }
-        }
-        DataflowValue::Expr(_) | DataflowValue::Unknown => Verdict::Undetermined,
-        _ => Verdict::Undetermined,
-    }
-}
-
-/// Judges a `setHostnameVerifier` argument: the permissive
-/// `ALLOW_ALL_HOSTNAME_VERIFIER` constant or an `AllowAllHostnameVerifier`
-/// instance is vulnerable \[31\], \[33\], \[60\].
-pub fn judge_verifier(values: &[DataflowValue]) -> Verdict {
-    let Some(v) = values.first() else {
-        return Verdict::Undetermined;
-    };
-    match v {
-        DataflowValue::PlatformConst(f) if f.name() == "ALLOW_ALL_HOSTNAME_VERIFIER" => {
-            Verdict::Vulnerable("ALLOW_ALL_HOSTNAME_VERIFIER disables hostname checks".into())
-        }
-        DataflowValue::PlatformConst(_) => Verdict::Safe,
-        DataflowValue::Obj { class, .. } => {
-            let n = class.simple_name();
-            if n.contains("AllowAll") || n.contains("NullHostnameVerifier") {
-                Verdict::Vulnerable(format!("permissive verifier instance {class}"))
-            } else if n.contains("Strict") || n.contains("BrowserCompat") {
-                Verdict::Safe
-            } else {
-                Verdict::Undetermined
-            }
-        }
-        _ => Verdict::Undetermined,
-    }
-}
-
-/// Judges a `new ServerSocket(port)` call: a constant port means the app
-/// opens a TCP listener — the open-port exposure of \[70\] (§VI-D). Ports
-/// below 1024 would not even bind on Android; flag the rest.
-pub fn judge_server_socket(values: &[DataflowValue]) -> Verdict {
-    match values.first() {
-        Some(DataflowValue::Int(port)) if *port >= 1024 && *port <= 65535 => {
-            Verdict::Vulnerable(format!("app opens TCP port {port} to the network"))
-        }
-        Some(DataflowValue::Int(_)) => Verdict::Safe,
-        _ => Verdict::Undetermined,
-    }
-}
-
-/// Judges a `new LocalServerSocket(name)` call: a constant address means
-/// an exposed Unix domain socket (the misuse of \[59\], §VI-D).
-pub fn judge_local_socket(values: &[DataflowValue]) -> Verdict {
-    match values.first() {
-        Some(DataflowValue::Str(name)) => {
-            Verdict::Vulnerable(format!("exposed Unix domain socket \"{name}\""))
-        }
-        _ => Verdict::Undetermined,
     }
 }
 
@@ -132,78 +44,9 @@ pub fn judge_sms(values: &[DataflowValue]) -> Verdict {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use backdroid_ir::{ClassName, FieldSig, Type};
 
     fn s(v: &str) -> Vec<DataflowValue> {
         vec![DataflowValue::Str(v.into())]
-    }
-
-    #[test]
-    fn cipher_explicit_ecb_is_vulnerable() {
-        assert!(judge_cipher(&s("AES/ECB/PKCS5Padding")).is_vulnerable());
-        assert!(judge_cipher(&s("DES/ECB/NoPadding")).is_vulnerable());
-    }
-
-    #[test]
-    fn cipher_bare_block_cipher_defaults_to_ecb() {
-        assert!(judge_cipher(&s("AES")).is_vulnerable());
-        assert!(judge_cipher(&s("DESede")).is_vulnerable());
-        // RSA has no ECB-default concern in this rule set.
-        assert_eq!(judge_cipher(&s("RSA")), Verdict::Safe);
-    }
-
-    #[test]
-    fn cipher_cbc_and_gcm_are_safe() {
-        assert_eq!(judge_cipher(&s("AES/CBC/PKCS5Padding")), Verdict::Safe);
-        assert_eq!(judge_cipher(&s("AES/GCM/NoPadding")), Verdict::Safe);
-    }
-
-    #[test]
-    fn cipher_unknown_value_is_undetermined() {
-        assert_eq!(
-            judge_cipher(&[DataflowValue::Unknown]),
-            Verdict::Undetermined
-        );
-        assert_eq!(judge_cipher(&[]), Verdict::Undetermined);
-        assert_eq!(
-            judge_cipher(&[DataflowValue::Expr("a + b".into())]),
-            Verdict::Undetermined
-        );
-    }
-
-    #[test]
-    fn verifier_allow_all_constant_is_vulnerable() {
-        let allow = DataflowValue::PlatformConst(FieldSig::new(
-            "org.apache.http.conn.ssl.SSLSocketFactory",
-            "ALLOW_ALL_HOSTNAME_VERIFIER",
-            Type::object("org.apache.http.conn.ssl.X509HostnameVerifier"),
-        ));
-        assert!(judge_verifier(&[allow]).is_vulnerable());
-        let strict = DataflowValue::PlatformConst(FieldSig::new(
-            "org.apache.http.conn.ssl.SSLSocketFactory",
-            "STRICT_HOSTNAME_VERIFIER",
-            Type::object("org.apache.http.conn.ssl.X509HostnameVerifier"),
-        ));
-        assert_eq!(judge_verifier(&[strict]), Verdict::Safe);
-    }
-
-    #[test]
-    fn verifier_instances_by_class_name() {
-        let allow = DataflowValue::Obj {
-            class: ClassName::new("org.apache.http.conn.ssl.AllowAllHostnameVerifier"),
-            site: 0,
-        };
-        assert!(judge_verifier(&[allow]).is_vulnerable());
-        let strict = DataflowValue::Obj {
-            class: ClassName::new("org.apache.http.conn.ssl.StrictHostnameVerifier"),
-            site: 0,
-        };
-        assert_eq!(judge_verifier(&[strict]), Verdict::Safe);
-        let custom = DataflowValue::Obj {
-            class: ClassName::new("com.a.MyVerifier"),
-            site: 0,
-        };
-        assert_eq!(judge_verifier(&[custom]), Verdict::Undetermined);
     }
 
     #[test]
@@ -214,28 +57,6 @@ mod tests {
             .unwrap()
             .is_vulnerable());
         assert!(reg.judge("unknown.sink", &s("x")).is_err());
-    }
-
-    #[test]
-    fn server_socket_ports() {
-        assert!(judge_server_socket(&[DataflowValue::Int(8089)]).is_vulnerable());
-        assert_eq!(
-            judge_server_socket(&[DataflowValue::Int(80)]),
-            Verdict::Safe
-        );
-        assert_eq!(
-            judge_server_socket(&[DataflowValue::Unknown]),
-            Verdict::Undetermined
-        );
-    }
-
-    #[test]
-    fn local_socket_names() {
-        assert!(judge_local_socket(&s("debug_port")).is_vulnerable());
-        assert_eq!(
-            judge_local_socket(&[DataflowValue::Unknown]),
-            Verdict::Undetermined
-        );
     }
 
     #[test]

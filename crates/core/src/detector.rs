@@ -17,8 +17,9 @@
 //! The built-in registries preserve the historical sink lists exactly:
 //! [`DetectorRegistry::paper`] flattens to the paper's three sinks (same
 //! order, same ids), and its rules are verdict-for-verdict identical to
-//! the standalone `judge_*` functions — the `detector_registry` property
-//! test fuzzes that equivalence. [`DetectorRegistry::full`] adds the three
+//! the pre-registry `judge_*` functions, which survive as test-only
+//! oracles in the `detector_registry` property test that fuzzes that
+//! equivalence. [`DetectorRegistry::full`] adds the three
 //! post-paper classes (WebView JS-interface exposure, weak PRNG seeding,
 //! `Runtime.exec` command injection).
 

@@ -238,8 +238,7 @@ impl<'p> ForwardAnalysis<'p> {
             return false;
         };
         let mut changed = false;
-        let stmts = body.stmts().to_vec();
-        for stmt in &stmts {
+        for stmt in body.stmts() {
             let Stmt::Identity { local, kind } = stmt else {
                 continue;
             };
@@ -277,16 +276,16 @@ impl<'p> ForwardAnalysis<'p> {
     /// Processes one SSG unit; returns whether any fact changed.
     fn process_unit(&mut self, ssg: &Ssg, uid: usize) -> bool {
         let unit = &ssg.units()[uid];
-        let method = unit.method.clone();
+        let method = &unit.method;
         match &unit.stmt {
             Stmt::Assign { place, rvalue } => {
-                let fact = self.eval_rvalue(&method, rvalue, uid);
+                let fact = self.eval_rvalue(method, rvalue, uid);
                 match place {
-                    Place::Local(l) => self.set_local(&method, *l, fact),
+                    Place::Local(l) => self.set_local(method, *l, fact),
                     Place::InstanceField { base, field } => {
                         let mut changed = false;
                         if let DataflowValue::Obj { site, .. } =
-                            self.eval_value(&method, &Value::Local(*base))
+                            self.eval_value(method, &Value::Local(*base))
                         {
                             let key = (site, field.name().to_string());
                             if self.members.get(&key) != Some(&fact)
@@ -313,8 +312,8 @@ impl<'p> ForwardAnalysis<'p> {
                         }
                     }
                     Place::ArrayElem { base, index } => {
-                        let base_fact = self.eval_value(&method, &Value::Local(*base));
-                        let idx_fact = self.eval_value(&method, index);
+                        let base_fact = self.eval_value(method, &Value::Local(*base));
+                        let idx_fact = self.eval_value(method, index);
                         if let (DataflowValue::Arr { site }, DataflowValue::Int(i)) =
                             (base_fact, idx_fact)
                         {
@@ -329,11 +328,11 @@ impl<'p> ForwardAnalysis<'p> {
                     }
                 }
             }
-            Stmt::Invoke(ie) => self.model_bare_invoke(&method, ie),
+            Stmt::Invoke(ie) => self.model_bare_invoke(method, ie),
             Stmt::Return(Some(v)) => {
-                let fact = self.eval_value(&method, v);
-                if fact != DataflowValue::Unknown && self.rets.get(&method) != Some(&fact) {
-                    self.rets.insert(method, fact);
+                let fact = self.eval_value(method, v);
+                if fact != DataflowValue::Unknown && self.rets.get(method) != Some(&fact) {
+                    self.rets.insert(method.clone(), fact);
                     true
                 } else {
                     false

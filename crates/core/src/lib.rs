@@ -86,7 +86,7 @@ pub use chunks::{
     ChunkStore, DeltaKind, DeltaManifest,
 };
 pub use context::{AppArtifacts, DepTrace, TaskContext};
-pub use detect::{judge_cipher, judge_verifier, Verdict};
+pub use detect::Verdict;
 pub use detector::{DetectorError, DetectorRegistry, DetectorSpec, RuleFn, VerdictRule};
 pub use engine::{
     AppReport, Backdroid, BackdroidOptions, DeltaBase, DeltaStats, PhaseTimings, SinkCacheStats,

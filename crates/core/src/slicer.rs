@@ -76,24 +76,22 @@ struct BackwardSlicer<'c, 'p> {
     config: SlicerConfig,
     ssg: Ssg,
     reachable: bool,
-    /// Deduplicates (method, scan-start, taint digest) frames.
-    seen_frames: HashSet<(MethodSig, usize, String)>,
+    /// Deduplicates (method, scan-start, taint set) frames.
+    seen_frames: HashSet<(MethodSig, usize, TaintSet)>,
 }
 
 impl BackwardSlicer<'_, '_> {
     fn run(&mut self, sink_method: &MethodSig, sink_stmt: usize, spec: &SinkSpec) {
-        let Some(body) = self.ctx.method(sink_method).and_then(|m| m.body()).cloned() else {
+        let Some(body) = self.ctx.method(sink_method).and_then(|m| m.body()) else {
             return;
         };
-        let Some(stmt) = body.stmt(sink_stmt).cloned() else {
+        let Some(stmt) = body.stmt(sink_stmt) else {
             return;
         };
-        let Some(ie) = stmt.invoke_expr().cloned() else {
+        let Some(ie) = stmt.invoke_expr() else {
             return;
         };
-        let sink_unit = self
-            .ssg
-            .add_unit(sink_method.clone(), sink_stmt, stmt.clone());
+        let sink_unit = self.ssg.add_unit(sink_method, sink_stmt, stmt);
         self.ssg.set_sink_unit(sink_unit);
 
         // Taint the tracked sink parameters.
@@ -127,11 +125,13 @@ impl BackwardSlicer<'_, '_> {
         if depth > self.config.max_depth || self.ssg.units().len() > self.config.max_units {
             return;
         }
-        let digest = format!("{taints:?}");
-        if !self.seen_frames.insert((method.clone(), from, digest)) {
+        if !self
+            .seen_frames
+            .insert((method.clone(), from, taints.clone()))
+        {
             return;
         }
-        let Some(body) = self.ctx.method(method).and_then(|m| m.body()).cloned() else {
+        let Some(body) = self.ctx.method(method).and_then(|m| m.body()) else {
             return;
         };
 
@@ -141,17 +141,17 @@ impl BackwardSlicer<'_, '_> {
         let mut leftover_fields: BTreeSet<FieldSig> = BTreeSet::new();
 
         for idx in (0..from).rev() {
-            let stmt = body.stmt(idx).expect("index in range").clone();
-            match &stmt {
+            let stmt = body.stmt(idx).expect("index in range");
+            match stmt {
                 Stmt::Identity { local, kind } if taints.is_tainted(*local) => {
                     // Record which implicit inputs stay tainted past
                     // the head.
                     match kind {
                         IdentityKind::This(_) => {
                             this_tainted = true;
-                            for (b, f) in taints.instance_fields.clone() {
-                                if b == *local {
-                                    leftover_fields.insert(f);
+                            for (b, f) in &taints.instance_fields {
+                                if b == local {
+                                    leftover_fields.insert(f.clone());
                                 }
                             }
                         }
@@ -160,7 +160,7 @@ impl BackwardSlicer<'_, '_> {
                         }
                         IdentityKind::CaughtException => {}
                     }
-                    let u = self.ssg.add_unit(method.clone(), idx, stmt.clone());
+                    let u = self.ssg.add_unit(method, idx, stmt);
                     self.ssg.add_edge(u, last_unit, SsgEdge::Intra);
                     last_unit = u;
                     taints.untaint_local(*local);
@@ -170,7 +170,7 @@ impl BackwardSlicer<'_, '_> {
                     if !relevant {
                         continue;
                     }
-                    let u = self.ssg.add_unit(method.clone(), idx, stmt.clone());
+                    let u = self.ssg.add_unit(method, idx, stmt);
                     self.ssg.add_edge(u, last_unit, SsgEdge::Intra);
                     self.transfer_assign(method, idx, place, rvalue, &mut taints, u, guard, depth);
                     last_unit = u;
@@ -182,7 +182,7 @@ impl BackwardSlicer<'_, '_> {
                     // .append) feed it.
                     let base_tainted = ie.base.is_some_and(|b| taints.is_tainted(b));
                     if base_tainted {
-                        let u = self.ssg.add_unit(method.clone(), idx, stmt.clone());
+                        let u = self.ssg.add_unit(method, idx, stmt);
                         self.ssg.add_edge(u, last_unit, SsgEdge::Intra);
                         for a in &ie.args {
                             if let Value::Local(l) = a {
@@ -203,7 +203,7 @@ impl BackwardSlicer<'_, '_> {
             if let Stmt::Assign {
                 place: Place::ArrayElem { base, .. },
                 rvalue,
-            } = &stmt
+            } = stmt
             {
                 if taints.is_tainted(*base) {
                     for l in rvalue.operand_locals() {
@@ -387,7 +387,7 @@ impl BackwardSlicer<'_, '_> {
             if hit.method.is_clinit() {
                 continue;
             }
-            let Some(body) = self.ctx.method(&hit.method).and_then(|m| m.body()).cloned() else {
+            let Some(body) = self.ctx.method(&hit.method).and_then(|m| m.body()) else {
                 continue;
             };
             for (idx, stmt) in body.stmts().iter().enumerate() {
@@ -401,7 +401,7 @@ impl BackwardSlicer<'_, '_> {
                     continue;
                 }
                 self.ssg.resolve_static(field);
-                let u = self.ssg.add_unit(hit.method.clone(), idx, stmt.clone());
+                let u = self.ssg.add_unit(&hit.method, idx, stmt);
                 self.ssg.add_edge(u, link_unit, SsgEdge::Intra);
                 // Slice the writer's inputs backward within its method.
                 let mut t = TaintSet::default();
@@ -414,7 +414,7 @@ impl BackwardSlicer<'_, '_> {
                         continue;
                     }
                     guard.push(hit.method.clone());
-                    self.walk(&hit.method.clone(), idx, t, u, guard, depth + 1);
+                    self.walk(&hit.method, idx, t, u, guard, depth + 1);
                     guard.pop();
                 }
             }
@@ -447,14 +447,14 @@ impl BackwardSlicer<'_, '_> {
             self.ctx.loops.record(LoopKind::InnerBackward);
             return;
         }
-        let Some(body) = self.ctx.method(&callee).and_then(|m| m.body()).cloned() else {
+        let Some(body) = self.ctx.method(&callee).and_then(|m| m.body()) else {
             return;
         };
         guard.push(callee.clone());
         // Return slice: trace each returned value backward.
         for (idx, stmt) in body.stmts().iter().enumerate() {
             if let Stmt::Return(Some(Value::Local(l))) = stmt {
-                let ret_unit = self.ssg.add_unit(callee.clone(), idx, stmt.clone());
+                let ret_unit = self.ssg.add_unit(&callee, idx, stmt);
                 self.ssg.add_edge(ret_unit, call_unit, SsgEdge::Return);
                 let mut t = TaintSet::default();
                 t.taint_local(*l);
@@ -487,7 +487,7 @@ impl BackwardSlicer<'_, '_> {
                     if *base != this {
                         continue;
                     }
-                    let u = self.ssg.add_unit(callee.clone(), idx, stmt.clone());
+                    let u = self.ssg.add_unit(&callee, idx, stmt);
                     self.ssg.add_edge(call_unit, u, SsgEdge::Call);
                     let mut t = TaintSet::default();
                     for l in rvalue.operand_locals() {
@@ -522,12 +522,7 @@ impl BackwardSlicer<'_, '_> {
             self.ctx.loops.record(LoopKind::CrossBackward);
             return;
         }
-        let Some(body) = self
-            .ctx
-            .method(&edge.caller)
-            .and_then(|m| m.body())
-            .cloned()
-        else {
+        let Some(body) = self.ctx.method(&edge.caller).and_then(|m| m.body()) else {
             // Callers without IR bodies (shouldn't happen for app code)
             // still count for reachability if they are entries.
             if self.ctx.manifest.is_entry_method(&edge.caller) {
@@ -537,14 +532,11 @@ impl BackwardSlicer<'_, '_> {
             return;
         };
         let site = edge.site_stmt.unwrap_or(body.len());
+        let site_stmt = edge.site_stmt.and_then(|s| body.stmt(s));
         // Record the call site and the maintained chain into the SSG.
         let mut link = callee_top_unit;
-        if let Some(site_stmt) = edge.site_stmt.and_then(|s| body.stmt(s).cloned()) {
-            let u = self.ssg.add_unit(
-                edge.caller.clone(),
-                edge.site_stmt.expect("some"),
-                site_stmt,
-            );
+        if let (Some(s), Some(stmt)) = (edge.site_stmt, site_stmt) {
+            let u = self.ssg.add_unit(&edge.caller, s, stmt);
             self.ssg.add_edge(u, callee_top_unit, SsgEdge::Call);
             link = u;
         }
@@ -553,8 +545,8 @@ impl BackwardSlicer<'_, '_> {
                 step.site_stmt,
                 self.ctx.method(&step.method).and_then(|m| m.body()),
             ) {
-                if let Some(stmt) = b.stmt(s).cloned() {
-                    let u = self.ssg.add_unit(step.method.clone(), s, stmt);
+                if let Some(stmt) = b.stmt(s) {
+                    let u = self.ssg.add_unit(&step.method, s, stmt);
                     self.ssg.add_edge(u, link, SsgEdge::Call);
                 }
             }
@@ -563,7 +555,7 @@ impl BackwardSlicer<'_, '_> {
         // Map leftover taints through the call site.
         let mut t = TaintSet::default();
         let mut scan_from = site;
-        match edge.site_stmt.and_then(|i| body.stmt(i)) {
+        match site_stmt {
             // Object-flow edges point at the allocation site: the callee's
             // `this` is the object allocated here. Taint the allocated
             // local (and its fields) and rescan the whole caller, because
@@ -602,7 +594,7 @@ impl BackwardSlicer<'_, '_> {
         }
 
         guard.push(edge.caller.clone());
-        self.walk(&edge.caller.clone(), scan_from, t, link, guard, depth + 1);
+        self.walk(&edge.caller, scan_from, t, link, guard, depth + 1);
         guard.pop();
     }
 
@@ -627,7 +619,7 @@ impl BackwardSlicer<'_, '_> {
                 vec![],
                 backdroid_ir::Type::Void,
             );
-            let Some(body) = self.ctx.method(&sig).and_then(|m| m.body()).cloned() else {
+            let Some(body) = self.ctx.method(&sig).and_then(|m| m.body()) else {
                 continue;
             };
             // Scan the predecessor for writes to the leftover fields.
@@ -642,7 +634,7 @@ impl BackwardSlicer<'_, '_> {
                 if !fields.contains(field) {
                     continue;
                 }
-                let u = self.ssg.add_unit(sig.clone(), idx, stmt.clone());
+                let u = self.ssg.add_unit(&sig, idx, stmt);
                 self.ssg.add_edge(u, link_unit, SsgEdge::Intra);
                 self.ssg.add_entry(sig.clone());
                 self.reachable = true;
@@ -652,7 +644,7 @@ impl BackwardSlicer<'_, '_> {
                 }
                 if !t.is_empty() && !guard.would_loop(&sig) {
                     guard.push(sig.clone());
-                    self.walk(&sig.clone(), idx, t, u, guard, depth + 1);
+                    self.walk(&sig, idx, t, u, guard, depth + 1);
                     guard.pop();
                 }
             }
@@ -670,8 +662,8 @@ impl BackwardSlicer<'_, '_> {
             let Some(clinit) = class.clinit() else {
                 continue;
             };
-            let sig = clinit.sig().clone();
-            let Some(body) = clinit.body().cloned() else {
+            let sig = clinit.sig();
+            let Some(body) = clinit.body() else {
                 continue;
             };
             // Only relevant statements enter the static track.
@@ -697,7 +689,7 @@ impl BackwardSlicer<'_, '_> {
                         local_taints.insert(l);
                     }
                 }
-                let u = self.ssg.add_unit(sig.clone(), idx, stmt.clone());
+                let u = self.ssg.add_unit(sig, idx, stmt);
                 track_units.push(u);
             }
             if !track_units.is_empty() {

@@ -7,6 +7,7 @@
 //! *static track* holding off-path `<clinit>` statements added on demand.
 
 use backdroid_ir::{FieldSig, LocalId, MethodSig, Stmt};
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// A node wrapping one raw typed statement (the paper's `SSGUnit`).
@@ -35,7 +36,7 @@ pub enum SsgEdge {
 }
 
 /// The per-method taint set of the hierarchical taint map.
-#[derive(Clone, Debug, Default, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct TaintSet {
     /// Tainted locals.
     pub locals: BTreeSet<LocalId>,
@@ -131,22 +132,22 @@ impl Ssg {
         }
     }
 
-    /// Adds (or finds) the unit for `(method, stmt_idx)`, storing the raw
-    /// statement on first insertion. Returns the unit id.
-    pub fn add_unit(&mut self, method: MethodSig, stmt_idx: usize, stmt: Stmt) -> usize {
-        let key = (method.clone(), stmt_idx);
-        if let Some(&id) = self.index.get(&key) {
-            return id;
+    /// Adds (or finds) the unit for `(method, stmt_idx)`, copying the raw
+    /// statement on first insertion only. Returns the unit id.
+    pub fn add_unit(&mut self, method: &MethodSig, stmt_idx: usize, stmt: &Stmt) -> usize {
+        match self.index.entry((method.clone(), stmt_idx)) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let id = self.units.len();
+                self.units.push(SsgUnit {
+                    id,
+                    method: method.clone(),
+                    stmt_idx,
+                    stmt: stmt.clone(),
+                });
+                *e.insert(id)
+            }
         }
-        let id = self.units.len();
-        self.units.push(SsgUnit {
-            id,
-            method,
-            stmt_idx,
-            stmt,
-        });
-        self.index.insert(key, id);
-        id
     }
 
     /// Marks a unit as the sink call site.
@@ -317,8 +318,8 @@ mod tests {
     #[test]
     fn unit_dedup() {
         let mut ssg = Ssg::new(sig("sinkApi"));
-        let a = ssg.add_unit(sig("m"), 3, Stmt::Nop);
-        let b = ssg.add_unit(sig("m"), 3, Stmt::Nop);
+        let a = ssg.add_unit(&sig("m"), 3, &Stmt::Nop);
+        let b = ssg.add_unit(&sig("m"), 3, &Stmt::Nop);
         assert_eq!(a, b);
         assert_eq!(ssg.units().len(), 1);
         assert_eq!(ssg.unit_id(&sig("m"), 3), Some(a));
@@ -328,8 +329,8 @@ mod tests {
     #[test]
     fn edges_dedup_and_tails() {
         let mut ssg = Ssg::new(sig("sinkApi"));
-        let a = ssg.add_unit(sig("m"), 0, Stmt::Nop);
-        let b = ssg.add_unit(sig("m"), 1, Stmt::Nop);
+        let a = ssg.add_unit(&sig("m"), 0, &Stmt::Nop);
+        let b = ssg.add_unit(&sig("m"), 1, &Stmt::Nop);
         ssg.add_edge(a, b, SsgEdge::Intra);
         ssg.add_edge(a, b, SsgEdge::Intra);
         assert_eq!(ssg.edges().len(), 1);
@@ -377,8 +378,8 @@ mod tests {
     #[test]
     fn static_track_excluded_from_tails() {
         let mut ssg = Ssg::new(sig("sinkApi"));
-        let a = ssg.add_unit(sig("<clinit>"), 0, Stmt::Nop);
-        let b = ssg.add_unit(sig("m"), 0, Stmt::Nop);
+        let a = ssg.add_unit(&sig("<clinit>"), 0, &Stmt::Nop);
+        let b = ssg.add_unit(&sig("m"), 0, &Stmt::Nop);
         ssg.push_static_track(a);
         assert_eq!(ssg.tails(), vec![b]);
         assert_eq!(ssg.static_track(), &[a]);
@@ -387,8 +388,8 @@ mod tests {
     #[test]
     fn dot_rendering_contains_all_units_and_edges() {
         let mut ssg = Ssg::new(sig("sinkApi"));
-        let a = ssg.add_unit(sig("m"), 0, Stmt::Nop);
-        let b = ssg.add_unit(sig("onCreate"), 1, Stmt::Return(None));
+        let a = ssg.add_unit(&sig("m"), 0, &Stmt::Nop);
+        let b = ssg.add_unit(&sig("onCreate"), 1, &Stmt::Return(None));
         ssg.add_edge(a, b, SsgEdge::Call);
         ssg.set_sink_unit(a);
         ssg.add_entry(sig("onCreate"));
@@ -525,15 +526,15 @@ mod app_ssg_tests {
     fn merge_deduplicates_shared_units() {
         // Two per-sink SSGs sharing a common upstream statement.
         let mut a = Ssg::new(sig("sinkA"));
-        let shared_a = a.add_unit(sig("helper"), 5, Stmt::Nop);
-        let sink_a = a.add_unit(sig("m1"), 1, Stmt::Nop);
+        let shared_a = a.add_unit(&sig("helper"), 5, &Stmt::Nop);
+        let sink_a = a.add_unit(&sig("m1"), 1, &Stmt::Nop);
         a.add_edge(shared_a, sink_a, SsgEdge::Intra);
         a.set_sink_unit(sink_a);
         a.add_entry(sig("onCreate"));
 
         let mut b = Ssg::new(sig("sinkB"));
-        let shared_b = b.add_unit(sig("helper"), 5, Stmt::Nop);
-        let sink_b = b.add_unit(sig("m2"), 2, Stmt::Nop);
+        let shared_b = b.add_unit(&sig("helper"), 5, &Stmt::Nop);
+        let sink_b = b.add_unit(&sig("m2"), 2, &Stmt::Nop);
         b.add_edge(shared_b, sink_b, SsgEdge::Intra);
         b.set_sink_unit(sink_b);
         b.add_entry(sig("onCreate"));

@@ -35,22 +35,61 @@ pub use metrics::{
 };
 pub use trace::{SpanRecord, TraceBuilder, Tracer};
 
-/// Escapes a string for embedding in a JSON string literal: quotes,
-/// backslashes, and control characters. Local to this crate — the
-/// serving layer has its own escaper and the two are never mixed in one
-/// document.
+/// Appends `s` to `out`, escaped for a JSON string literal: quotes,
+/// backslashes, `\n`, `\r`, `\t`, and every other control character
+/// below U+0020 as `\u00xx`. Everything else, non-ASCII included, is
+/// copied as is.
+///
+/// The workspace's one JSON escaper: the metrics and trace renderers
+/// here, the serving layer's reply renderer and the bench artifacts all
+/// go through it, so documents that CI diffs against each other cannot
+/// drift apart.
+pub fn escape_json_into(out: &mut String, s: &str) {
+    const HEX: &[u8; 16] = b"0123456789abcdef";
+    // Every byte that needs escaping is ASCII, so each is a char
+    // boundary and the unescaped runs between them slice cleanly.
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                out.push_str("\\u00");
+                out.push(char::from(HEX[usize::from(b >> 4)]));
+                out.push(char::from(HEX[usize::from(b & 0xf)]));
+            }
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+}
+
+/// [`escape_json_into`] into a new `String`.
 pub(crate) fn escape_json(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    escape_json_into(&mut out, s);
     out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn escapes_quotes_backslashes_and_control_characters() {
+        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape_json("\r\t"), "\\r\\t");
+        assert_eq!(escape_json("\u{1}\u{1f} \u{7f}"), "\\u0001\\u001f \u{7f}");
+        assert_eq!(escape_json("ünï€😀"), "ünï€😀");
+        let mut out = String::from("[");
+        escape_json_into(&mut out, "x\"");
+        assert_eq!(out, "[x\\\"", "appends to what is there");
+    }
 }

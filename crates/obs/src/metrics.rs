@@ -16,7 +16,7 @@
 //! machine-independent *bucket* positions, which is what the committed
 //! benchmark baselines band).
 
-use crate::escape_json;
+use crate::escape_json_into;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -381,7 +381,7 @@ impl RegistrySnapshot {
                 out.push(',');
             }
             out.push('"');
-            out.push_str(&escape_json(name));
+            escape_json_into(&mut out, name);
             out.push_str("\":");
             match value {
                 MetricValue::Counter(v) => {

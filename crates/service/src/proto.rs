@@ -30,7 +30,8 @@
 use crate::service::{AppAnalysis, ServiceError};
 use backdroid_appgen::workload::{WorkloadOp, WorkloadRequest};
 use backdroid_core::{SinkReport, Verdict};
-use backdroid_obs::RegistrySnapshot;
+use backdroid_obs::{escape_json_into, RegistrySnapshot};
+use std::fmt::{self, Write as _};
 
 // ---------------------------------------------------------------------
 // JSON reading
@@ -301,32 +302,46 @@ fn parse_object(b: &[u8], pos: &mut usize) -> Result<Json, String> {
 // JSON writing
 // ---------------------------------------------------------------------
 
-/// Escapes a string for a JSON string literal.
-pub fn escape(s: &str) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+/// A `fmt::Write` adapter that JSON-escapes everything written through
+/// it, so `Display` and `Debug` text is escaped as it is formatted,
+/// without an intermediate `String`.
+struct Escaping<'a>(&'a mut String);
+
+impl fmt::Write for Escaping<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        escape_json_into(self.0, s);
+        Ok(())
     }
-    out
 }
 
-fn str_field(key: &str, value: &str) -> String {
-    format!("\"{}\":\"{}\"", key, escape(value))
+/// Appends `s` as a JSON string literal.
+fn push_string(out: &mut String, s: &str) {
+    out.push('"');
+    escape_json_into(out, s);
+    out.push('"');
 }
 
-fn arr(items: impl IntoIterator<Item = String>) -> String {
-    format!("[{}]", items.into_iter().collect::<Vec<_>>().join(","))
+/// Appends formatted text as a JSON string literal.
+fn push_formatted(out: &mut String, text: fmt::Arguments<'_>) {
+    out.push('"');
+    let _ = Escaping(out).write_fmt(text);
+    out.push('"');
+}
+
+/// Appends `items` as a JSON array, each element written by `push`.
+fn push_array<T>(
+    out: &mut String,
+    items: impl IntoIterator<Item = T>,
+    mut push: impl FnMut(&mut String, T),
+) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push(out, item);
+    }
+    out.push(']');
 }
 
 // ---------------------------------------------------------------------
@@ -535,19 +550,21 @@ pub fn workload_request_line(id: u64, req: &WorkloadRequest) -> String {
                 req.app
             )
         }
-        WorkloadOp::Query(classes) => format!(
-            "{{\"id\":{id},\"op\":\"query\",\"app\":\"{}\",\"sinks\":{}{deadline}}}",
-            req.app,
-            arr(classes.iter().map(|c| format!("\"{}\"", escape(c))))
-        ),
-        WorkloadOp::Batch(extra) => {
-            let apps = std::iter::once(req.app)
-                .chain(extra.iter().copied())
-                .map(|a| format!("\"{a}\""));
+        WorkloadOp::Query(classes) => {
+            let mut sinks = String::new();
+            push_array(&mut sinks, classes, |out, c| push_string(out, c));
             format!(
-                "{{\"id\":{id},\"op\":\"batch\",\"apps\":{}{deadline}}}",
-                arr(apps)
+                "{{\"id\":{id},\"op\":\"query\",\"app\":\"{}\",\"sinks\":{sinks}{deadline}}}",
+                req.app
             )
+        }
+        WorkloadOp::Batch(extra) => {
+            let mut apps = String::new();
+            let ids = std::iter::once(req.app).chain(extra.iter().copied());
+            push_array(&mut apps, ids, |out, a| {
+                let _ = write!(out, "\"{a}\"");
+            });
+            format!("{{\"id\":{id},\"op\":\"batch\",\"apps\":{apps}{deadline}}}")
         }
     }
 }
@@ -556,52 +573,60 @@ pub fn workload_request_line(id: u64, req: &WorkloadRequest) -> String {
 // Responses
 // ---------------------------------------------------------------------
 
-fn verdict_fields(verdict: &Verdict) -> String {
-    match verdict {
-        Verdict::Vulnerable(reason) => format!(
-            "{},{}",
-            str_field("verdict", "vulnerable"),
-            str_field("reason", reason)
-        ),
-        Verdict::Safe => str_field("verdict", "safe"),
-        Verdict::Undetermined => str_field("verdict", "undetermined"),
+/// Reply bytes reserved per sink report: the benchmark corpus averages
+/// about 350, so most replies are written without growing the buffer.
+const REPORT_BYTES: usize = 384;
+
+/// Bytes to reserve for an analysis body, before any report.
+const BODY_BYTES: usize = 192;
+
+/// Appends one sink report object.
+fn push_sink_report(out: &mut String, r: &SinkReport) {
+    out.push_str("{\"sink\":");
+    push_string(out, &r.sink_id);
+    out.push_str(",\"method\":");
+    push_formatted(out, format_args!("{}", r.site_method));
+    let _ = write!(
+        out,
+        ",\"stmt\":{},\"reachable\":{},",
+        r.stmt_idx, r.reachable
+    );
+    match &r.verdict {
+        Verdict::Vulnerable(reason) => {
+            out.push_str("\"verdict\":\"vulnerable\",\"reason\":");
+            push_string(out, reason);
+        }
+        Verdict::Safe => out.push_str("\"verdict\":\"safe\""),
+        Verdict::Undetermined => out.push_str("\"verdict\":\"undetermined\""),
     }
+    out.push_str(",\"entries\":");
+    push_array(out, &r.entries, |out, e| {
+        push_formatted(out, format_args!("{e}"))
+    });
+    out.push_str(",\"values\":");
+    push_array(out, &r.param_values, |out, v| {
+        push_formatted(out, format_args!("{v:?}"))
+    });
+    let _ = write!(out, ",\"ssg_units\":{}}}", r.ssg_units);
 }
 
-fn sink_report_json(r: &SinkReport) -> String {
-    format!(
-        "{{{},{},\"stmt\":{},\"reachable\":{},{},\"entries\":{},\"values\":{},\"ssg_units\":{}}}",
-        str_field("sink", &r.sink_id),
-        str_field("method", &r.site_method.to_string()),
-        r.stmt_idx,
-        r.reachable,
-        verdict_fields(&r.verdict),
-        arr(r
-            .entries
-            .iter()
-            .map(|e| format!("\"{}\"", escape(&e.to_string())))),
-        arr(r
-            .param_values
-            .iter()
-            .map(|v| format!("\"{}\"", escape(&format!("{v:?}"))))),
-        r.ssg_units,
-    )
-}
-
-/// The deterministic body shared by single-app responses and batch
-/// items: app identity, counts, and the per-sink reports. Excludes
+/// Appends the deterministic body shared by single-app responses and
+/// batch items: app identity, counts, and the per-sink reports. Excludes
 /// wall-clock time, engine-wide cache counters, and fetch outcome.
-fn analysis_fields(a: &AppAnalysis) -> String {
-    format!(
-        "{},{},\"located\":{},\"skipped\":{},\"sinks_analyzed\":{},\"vulnerable\":{},\"reports\":{}",
-        str_field("app", &a.app_id),
-        str_field("name", &a.app_name),
+fn push_analysis_fields(out: &mut String, a: &AppAnalysis) {
+    out.push_str("\"app\":");
+    push_string(out, &a.app_id);
+    out.push_str(",\"name\":");
+    push_string(out, &a.app_name);
+    let _ = write!(
+        out,
+        ",\"located\":{},\"skipped\":{},\"sinks_analyzed\":{},\"vulnerable\":{},\"reports\":",
         a.report.sink_cache.located,
         a.report.sink_cache.skipped,
         a.report.sinks_analyzed(),
         a.report.vulnerable_sinks().len(),
-        arr(a.report.sink_reports.iter().map(sink_report_json)),
-    )
+    );
+    push_array(out, &a.report.sink_reports, push_sink_report);
 }
 
 /// Renders a single-app response (`op` is echoed: `"analyze"`,
@@ -609,30 +634,45 @@ fn analysis_fields(a: &AppAnalysis) -> String {
 /// three, which is what lets CI byte-diff a delta-warm server against a
 /// from-scratch one).
 pub fn render_analysis(id: u64, op: &str, a: &AppAnalysis) -> String {
-    format!(
-        "{{\"id\":{id},{},{}}}",
-        str_field("op", op),
-        analysis_fields(a)
-    )
+    let mut out = String::with_capacity(BODY_BYTES + REPORT_BYTES * a.report.sink_reports.len());
+    let _ = write!(out, "{{\"id\":{id},\"op\":");
+    push_string(&mut out, op);
+    out.push(',');
+    push_analysis_fields(&mut out, a);
+    out.push('}');
+    out
 }
 
 /// Renders a batch response: one result object (or error object) per
 /// requested app, in request order.
 pub fn render_batch(id: u64, items: &[Result<AppAnalysis, ServiceError>]) -> String {
-    let rendered = items.iter().map(|item| match item {
-        Ok(a) => format!("{{{}}}", analysis_fields(a)),
-        Err(e) => format!("{{{}}}", str_field("error", &e.to_string())),
+    let reports: usize = items
+        .iter()
+        .map(|item| item.as_ref().map_or(0, |a| a.report.sink_reports.len()))
+        .sum();
+    let mut out = String::with_capacity(BODY_BYTES * (items.len() + 1) + REPORT_BYTES * reports);
+    let _ = write!(out, "{{\"id\":{id},\"op\":\"batch\",\"results\":");
+    push_array(&mut out, items, |out, item| {
+        out.push('{');
+        match item {
+            Ok(a) => push_analysis_fields(out, a),
+            Err(e) => {
+                out.push_str("\"error\":");
+                push_formatted(out, format_args!("{e}"));
+            }
+        }
+        out.push('}');
     });
-    format!(
-        "{{\"id\":{id},{},\"results\":{}}}",
-        str_field("op", "batch"),
-        arr(rendered)
-    )
+    out.push('}');
+    out
 }
 
 /// Renders an error response.
 pub fn render_error(id: u64, message: &str) -> String {
-    format!("{{\"id\":{id},{}}}", str_field("error", message))
+    let mut out = format!("{{\"id\":{id},\"error\":");
+    push_string(&mut out, message);
+    out.push('}');
+    out
 }
 
 /// Renders the deterministic deadline error **with the measured queue
@@ -641,10 +681,7 @@ pub fn render_error(id: u64, message: &str) -> String {
 /// stay excluded from replay-diffed traces (they always were: expiry
 /// itself is timing-dependent).
 pub fn render_deadline_error(id: u64, queue_wait_ms: u64) -> String {
-    format!(
-        "{{\"id\":{id},{},\"queue_wait_ms\":{queue_wait_ms}}}",
-        str_field("error", "deadline exceeded")
-    )
+    format!("{{\"id\":{id},\"error\":\"deadline exceeded\",\"queue_wait_ms\":{queue_wait_ms}}}")
 }
 
 /// Renders a metrics response: the aggregate registry snapshot plus the
@@ -656,16 +693,16 @@ pub fn render_metrics(
     aggregate: &RegistrySnapshot,
     shards: &[Option<RegistrySnapshot>],
 ) -> String {
-    let per_shard = arr(shards.iter().map(|s| match s {
-        Some(snap) => snap.render_json(),
-        None => "null".into(),
-    }));
-    format!(
-        "{{\"id\":{id},{},\"aggregate\":{},\"shards\":{}}}",
-        str_field("op", "metrics"),
-        aggregate.render_json(),
-        per_shard,
-    )
+    let mut out = format!(
+        "{{\"id\":{id},\"op\":\"metrics\",\"aggregate\":{},\"shards\":",
+        aggregate.render_json()
+    );
+    push_array(&mut out, shards, |out, s| match s {
+        Some(snap) => out.push_str(&snap.render_json()),
+        None => out.push_str("null"),
+    });
+    out.push('}');
+    out
 }
 
 /// Renders a stats response: the service's request counters plus the
@@ -674,14 +711,13 @@ pub fn render_metrics(
 pub fn render_stats(id: u64, stats: &crate::service::ServiceStats) -> String {
     let s = &stats.store;
     format!(
-        "{{\"id\":{id},{},\"requests\":{},\"analyze\":{},\"query\":{},\"batch\":{},\
+        "{{\"id\":{id},\"op\":\"stats\",\"requests\":{},\"analyze\":{},\"query\":{},\"batch\":{},\
          \"errors\":{},\"peak_in_flight\":{},\"store\":{{\"hits\":{},\"misses\":{},\
          \"coalesced\":{},\"loads\":{},\"load_failures\":{},\"evictions\":{},\
          \"bytes_evicted\":{},\"disk_hits\":{},\"disk_misses\":{},\
          \"disk_invalidations\":{},\"disk_writes\":{},\"disk_bytes_written\":{},\
          \"disk_write_failures\":{},\"resident_bytes\":{},\"resident_apps\":{},\
          \"peak_resident_bytes\":{}}}}}",
-        str_field("op", "stats"),
         stats.requests,
         stats.analyze_requests,
         stats.query_requests,
@@ -711,16 +747,14 @@ pub fn render_stats(id: u64, stats: &crate::service::ServiceStats) -> String {
 /// the ground-truth delta class counts — all pure functions of (current
 /// version, seed), so update traces replay byte-for-byte.
 pub fn render_put_version(id: u64, o: &crate::service::PutVersionOutcome) -> String {
-    format!(
-        "{{\"id\":{id},{},{},\"version\":{},\"classes_changed\":{},\"classes_added\":{},\
-         \"classes_removed\":{}}}",
-        str_field("op", "put_version"),
-        str_field("app", &o.app_id),
-        o.version,
-        o.classes_changed,
-        o.classes_added,
-        o.classes_removed,
-    )
+    let mut out = format!("{{\"id\":{id},\"op\":\"put_version\",\"app\":");
+    push_string(&mut out, &o.app_id);
+    let _ = write!(
+        out,
+        ",\"version\":{},\"classes_changed\":{},\"classes_added\":{},\"classes_removed\":{}}}",
+        o.version, o.classes_changed, o.classes_added, o.classes_removed,
+    );
+    out
 }
 
 // ---------------------------------------------------------------------
@@ -863,7 +897,8 @@ mod tests {
     #[test]
     fn escape_round_trips_through_the_parser() {
         let nasty = "line1\nline2\t\"quoted\" back\\slash \u{1} ünïcode";
-        let rendered = format!("\"{}\"", escape(nasty));
+        let mut rendered = String::new();
+        push_string(&mut rendered, nasty);
         assert_eq!(parse_json(&rendered).unwrap(), Json::Str(nasty.into()));
     }
 

@@ -6,9 +6,7 @@
 //! `Undetermined`.
 
 use backdroid_appgen::{AppSpec, Mechanism, Scenario, SinkKind};
-use backdroid_core::detect::{
-    judge_cipher, judge_local_socket, judge_server_socket, judge_sms, judge_verifier,
-};
+use backdroid_core::detect::judge_sms;
 use backdroid_core::{
     Backdroid, BackdroidOptions, BackendChoice, DataflowValue, DetectorError, DetectorRegistry,
     Verdict,
@@ -18,6 +16,93 @@ use proptest::prelude::*;
 
 /// A legacy verdict oracle: one of the pre-registry `judge_*` functions.
 type LegacyJudge = fn(&[DataflowValue]) -> Verdict;
+
+/// Block ciphers that default to ECB mode when no mode is specified.
+const ECB_DEFAULT_CIPHERS: &[&str] = &["AES", "DES", "DESEDE", "BLOWFISH", "RC2"];
+
+/// Judges a `Cipher.getInstance` transformation string: explicit `/ECB/`
+/// mode, or a bare block-cipher name (which defaults to ECB) \[28\], \[30\].
+fn judge_cipher(values: &[DataflowValue]) -> Verdict {
+    let Some(v) = values.first() else {
+        return Verdict::Undetermined;
+    };
+    match v {
+        DataflowValue::Str(s) => {
+            let upper = s.to_uppercase();
+            let mut parts = upper.split('/');
+            let algo = parts.next().unwrap_or("");
+            match parts.next() {
+                Some(mode) => {
+                    if mode == "ECB" {
+                        Verdict::Vulnerable(format!("explicit ECB mode in \"{s}\""))
+                    } else {
+                        Verdict::Safe
+                    }
+                }
+                None => {
+                    if ECB_DEFAULT_CIPHERS.contains(&algo) {
+                        Verdict::Vulnerable(format!(
+                            "bare \"{s}\" defaults to ECB for block ciphers"
+                        ))
+                    } else {
+                        Verdict::Safe
+                    }
+                }
+            }
+        }
+        _ => Verdict::Undetermined,
+    }
+}
+
+/// Judges a `setHostnameVerifier` argument: the permissive
+/// `ALLOW_ALL_HOSTNAME_VERIFIER` constant or an `AllowAllHostnameVerifier`
+/// instance is vulnerable \[31\], \[33\], \[60\].
+fn judge_verifier(values: &[DataflowValue]) -> Verdict {
+    let Some(v) = values.first() else {
+        return Verdict::Undetermined;
+    };
+    match v {
+        DataflowValue::PlatformConst(f) if f.name() == "ALLOW_ALL_HOSTNAME_VERIFIER" => {
+            Verdict::Vulnerable("ALLOW_ALL_HOSTNAME_VERIFIER disables hostname checks".into())
+        }
+        DataflowValue::PlatformConst(_) => Verdict::Safe,
+        DataflowValue::Obj { class, .. } => {
+            let n = class.simple_name();
+            if n.contains("AllowAll") || n.contains("NullHostnameVerifier") {
+                Verdict::Vulnerable(format!("permissive verifier instance {class}"))
+            } else if n.contains("Strict") || n.contains("BrowserCompat") {
+                Verdict::Safe
+            } else {
+                Verdict::Undetermined
+            }
+        }
+        _ => Verdict::Undetermined,
+    }
+}
+
+/// Judges a `new ServerSocket(port)` call: a constant port means the app
+/// opens a TCP listener — the open-port exposure of \[70\] (§VI-D). Ports
+/// below 1024 would not even bind on Android; flag the rest.
+fn judge_server_socket(values: &[DataflowValue]) -> Verdict {
+    match values.first() {
+        Some(DataflowValue::Int(port)) if *port >= 1024 && *port <= 65535 => {
+            Verdict::Vulnerable(format!("app opens TCP port {port} to the network"))
+        }
+        Some(DataflowValue::Int(_)) => Verdict::Safe,
+        _ => Verdict::Undetermined,
+    }
+}
+
+/// Judges a `new LocalServerSocket(name)` call: a constant address means
+/// an exposed Unix domain socket (the misuse of \[59\], §VI-D).
+fn judge_local_socket(values: &[DataflowValue]) -> Verdict {
+    match values.first() {
+        Some(DataflowValue::Str(name)) => {
+            Verdict::Vulnerable(format!("exposed Unix domain socket \"{name}\""))
+        }
+        _ => Verdict::Undetermined,
+    }
+}
 
 /// The pre-existing sink ids and their legacy judge functions — the
 /// oracles the registry path must reproduce exactly.
@@ -90,6 +175,75 @@ fn dataflow_value() -> impl Strategy<Value = DataflowValue> {
         value_str().prop_map(DataflowValue::Expr),
         Just(DataflowValue::Unknown),
     ]
+}
+
+fn strs(v: &str) -> Vec<DataflowValue> {
+    vec![DataflowValue::Str(v.into())]
+}
+
+/// The oracles themselves hold the paper's verdicts on hand-picked
+/// values, so the fuzzed equivalence below pins the registry to them.
+#[test]
+fn legacy_oracles_give_the_paper_verdicts() {
+    for v in ["AES/ECB/PKCS5Padding", "DES/ECB/NoPadding", "AES", "DESede"] {
+        assert!(judge_cipher(&strs(v)).is_vulnerable(), "{v}");
+    }
+    // RSA has no ECB-default concern in this rule set.
+    for v in ["RSA", "AES/CBC/PKCS5Padding", "AES/GCM/NoPadding"] {
+        assert_eq!(judge_cipher(&strs(v)), Verdict::Safe, "{v}");
+    }
+    for values in [
+        vec![DataflowValue::Unknown],
+        vec![],
+        vec![DataflowValue::Expr("a + b".into())],
+    ] {
+        assert_eq!(judge_cipher(&values), Verdict::Undetermined);
+    }
+
+    let factory_const = |name: &str| {
+        DataflowValue::PlatformConst(FieldSig::new(
+            "org.apache.http.conn.ssl.SSLSocketFactory",
+            name,
+            Type::object("org.apache.http.conn.ssl.X509HostnameVerifier"),
+        ))
+    };
+    let instance = |class: &str| DataflowValue::Obj {
+        class: ClassName::new(class),
+        site: 0,
+    };
+    assert!(judge_verifier(&[factory_const("ALLOW_ALL_HOSTNAME_VERIFIER")]).is_vulnerable());
+    assert_eq!(
+        judge_verifier(&[factory_const("STRICT_HOSTNAME_VERIFIER")]),
+        Verdict::Safe
+    );
+    assert!(judge_verifier(&[instance(
+        "org.apache.http.conn.ssl.AllowAllHostnameVerifier"
+    )])
+    .is_vulnerable());
+    assert_eq!(
+        judge_verifier(&[instance("org.apache.http.conn.ssl.StrictHostnameVerifier")]),
+        Verdict::Safe
+    );
+    assert_eq!(
+        judge_verifier(&[instance("com.a.MyVerifier")]),
+        Verdict::Undetermined
+    );
+
+    assert!(judge_server_socket(&[DataflowValue::Int(8089)]).is_vulnerable());
+    assert_eq!(
+        judge_server_socket(&[DataflowValue::Int(80)]),
+        Verdict::Safe
+    );
+    assert_eq!(
+        judge_server_socket(&[DataflowValue::Unknown]),
+        Verdict::Undetermined
+    );
+
+    assert!(judge_local_socket(&strs("debug_port")).is_vulnerable());
+    assert_eq!(
+        judge_local_socket(&[DataflowValue::Unknown]),
+        Verdict::Undetermined
+    );
 }
 
 proptest! {

@@ -1,0 +1,228 @@
+//! Byte goldens for the reply renderer: `render_analysis`,
+//! `render_batch` and `render_put_version`, each pinned as a
+//! `wire::fnv1a64_wide` fingerprint recorded from a known-good build.
+//!
+//! Every equivalence suite renders both of its sides with the same
+//! renderer (served ≡ direct, delta ≡ scratch, sharded ≡ unsharded), so a
+//! renderer change that moves a byte, or an analysis change that moves a
+//! verdict, would pass all of them. These constants fail on any such
+//! shift. A change that means to alter the reply format must update them
+//! deliberately.
+
+use backdroid_appgen::benchset::{bench_app, BenchsetConfig};
+use backdroid_appgen::fixtures::{fixture_count, snapshot_fixture};
+use backdroid_appgen::AndroidApp;
+use backdroid_core::{Backdroid, DataflowValue, SinkReport, Verdict};
+use backdroid_ir::wire::fnv1a64_wide;
+use backdroid_ir::{ClassName, FieldSig, MethodSig, Type};
+use backdroid_service::proto::{
+    parse_json, render_analysis, render_batch, render_put_version, Json,
+};
+use backdroid_service::service::{AppAnalysis, PutVersionOutcome, ServiceError};
+use backdroid_service::Fetch;
+use std::fmt::Write as _;
+
+/// Analyzes `app` with `Backdroid::analyze` on default options.
+fn analysis(app_id: &str, app: &AndroidApp) -> AppAnalysis {
+    AppAnalysis {
+        app_id: app_id.to_string(),
+        app_name: app.manifest.package().to_string(),
+        report: Backdroid::default().analyze(&app.program, &app.manifest),
+        fetch: Fetch::Miss,
+    }
+}
+
+fn print(reply: &str) -> u64 {
+    fnv1a64_wide(reply.as_bytes())
+}
+
+/// Compares fingerprints with the recorded table, printing the whole
+/// computed table on mismatch so a deliberate format change can be
+/// re-recorded in one step.
+fn check(label: &str, got: &[u64], want: &[u64]) {
+    if got != want {
+        let mut table = String::new();
+        for p in got {
+            let _ = writeln!(table, "    0x{p:016x},");
+        }
+        panic!("{label}: reply bytes changed; computed table:\n{table}");
+    }
+}
+
+#[test]
+fn snapshot_fixture_replies_match_recorded_bytes() {
+    let got: Vec<u64> = (0..fixture_count())
+        .map(|i| {
+            let a = analysis(&i.to_string(), &snapshot_fixture(i));
+            print(&render_analysis(i as u64, "analyze", &a))
+        })
+        .collect();
+    check("snapshot fixtures", &got, FIXTURES);
+}
+
+#[test]
+fn bench_app_replies_match_recorded_bytes() {
+    let cfg = BenchsetConfig::sized(8, 0.04);
+    let mut vulnerable = 0;
+    let got: Vec<u64> = (0..cfg.count)
+        .map(|i| {
+            let a = analysis(&i.to_string(), &bench_app(i, cfg).app);
+            vulnerable += a.report.vulnerable_sinks().len();
+            print(&render_analysis(100 + i as u64, "query", &a))
+        })
+        .collect();
+    assert!(vulnerable > 0, "the corpus must pin some verdicts");
+    check("bench apps", &got, BENCH_APPS);
+}
+
+#[test]
+fn batch_and_put_version_replies_match_recorded_bytes() {
+    let cfg = BenchsetConfig::sized(8, 0.04);
+    let items = vec![
+        Ok(analysis("2", &bench_app(2, cfg).app)),
+        Err(ServiceError::Load("app index 99 out of range".into())),
+        Ok(analysis("f0", &snapshot_fixture(0))),
+        Err(ServiceError::UnknownDetector("we\"ird\\id".into())),
+    ];
+    let put = PutVersionOutcome {
+        app_id: "7\t\"x\"".into(),
+        version: 3,
+        classes_changed: 4,
+        classes_added: 1,
+        classes_removed: 0,
+    };
+    check(
+        "batch + put_version",
+        &[
+            print(&render_batch(41, &items)),
+            print(&render_put_version(42, &put)),
+        ],
+        BATCH_AND_PUT,
+    );
+}
+
+/// Every string the hand-built reply carries needs at least one escape
+/// or is non-ASCII.
+const NASTY: &str = "q\"b\\n\nr\rt\tc\u{1} ünï€😀";
+
+/// A hand-built analysis covering every `DataflowValue` variant, all
+/// three verdicts, empty and non-empty `entries`/`values`, and every
+/// escape the renderer emits.
+fn hand_built() -> AppAnalysis {
+    let mut a = analysis("0", &snapshot_fixture(0));
+    a.app_id = format!("id {NASTY}");
+    a.app_name = format!("name {NASTY}");
+    a.report.sink_cache.located = 9;
+    a.report.sink_cache.skipped = 2;
+    let class = ClassName::new(format!("com.gold.Ünï\"c\\{NASTY}"));
+    let site = MethodSig::new(
+        class.clone(),
+        format!("m\t{NASTY}"),
+        vec![Type::Int, Type::string(), Type::array(Type::Byte)],
+        Type::Void,
+    );
+    let entry = MethodSig::new("com.gold.Entry", "onCreate", vec![], Type::Void);
+    let field = FieldSig::new(class.clone(), format!("F\r{NASTY}"), Type::string());
+    a.report.sink_reports = vec![
+        SinkReport {
+            sink_id: format!("sink {NASTY}"),
+            site_method: site.clone(),
+            stmt_idx: 3,
+            reachable: true,
+            entries: vec![entry.clone(), site.clone()],
+            param_values: vec![
+                DataflowValue::Int(-42),
+                DataflowValue::Str(NASTY.into()),
+                DataflowValue::Class(class.clone()),
+                DataflowValue::Null,
+                DataflowValue::PlatformConst(field),
+                DataflowValue::Obj {
+                    class: class.clone(),
+                    site: 7,
+                },
+                DataflowValue::Arr { site: 11 },
+                DataflowValue::Expr(format!("a + {NASTY}")),
+                DataflowValue::Unknown,
+            ],
+            verdict: Verdict::Vulnerable(format!("reason {NASTY}")),
+            ssg_units: 17,
+        },
+        SinkReport {
+            sink_id: "safe".into(),
+            site_method: entry.clone(),
+            stmt_idx: 0,
+            reachable: true,
+            entries: vec![entry],
+            param_values: Vec::new(),
+            verdict: Verdict::Safe,
+            ssg_units: 1,
+        },
+        SinkReport {
+            sink_id: "undetermined".into(),
+            site_method: site,
+            stmt_idx: 12,
+            reachable: false,
+            entries: Vec::new(),
+            param_values: vec![DataflowValue::Unknown],
+            verdict: Verdict::Undetermined,
+            ssg_units: 0,
+        },
+    ];
+    a
+}
+
+#[test]
+fn hand_built_reply_matches_recorded_bytes() {
+    let a = hand_built();
+    let reply = render_analysis(u64::MAX, "analyze_delta", &a);
+    let parsed = parse_json(&reply).expect("the reply is valid JSON");
+    assert_eq!(
+        parsed.get("name").and_then(Json::as_str),
+        Some(a.app_name.as_str()),
+        "escaped strings round-trip through the parser"
+    );
+    let reports = parsed
+        .get("reports")
+        .and_then(Json::as_arr)
+        .expect("reports array");
+    assert_eq!(reports.len(), 3);
+    let reason = reports[0].get("reason").and_then(Json::as_str);
+    assert_eq!(reason, Some(format!("reason {NASTY}").as_str()));
+    check("hand-built", &[print(&reply)], HAND_BUILT);
+}
+
+const FIXTURES: &[u64] = &[
+    0xee3c12d88e706c4a,
+    0xc5d856e2e6c5685c,
+    0x8ff8ad71bfa814d2,
+    0x3acf328d9d786a8d,
+    0x76d2e7958c07c1fa,
+    0x49a9e0901e65695c,
+    0x642a080c634fa0e9,
+    0x2bc42f6a5dc0cd95,
+    0x8308a32e10b1979f,
+    0x0fbf2e435c4cb677,
+    0x6d0792f98366066b,
+    0x30450ba9ec4b0c6d,
+    0xd2804c199e31c839,
+    0xf289d60078f77bad,
+    0x85a0badaf9c1bab9,
+    0xf757a771af3b0627,
+    0x1c558c4493c1ec5e,
+    0x404e5e6de577f353,
+];
+
+const BENCH_APPS: &[u64] = &[
+    0x2d475922bf0a3d0b,
+    0xa316177655625206,
+    0x034c3c228bbd6100,
+    0x3e22fc014c3444de,
+    0xd86bfaf339032804,
+    0x9834d30b9575dd39,
+    0x3c8c67df46675603,
+    0x795f93d2e6de0afe,
+];
+
+const BATCH_AND_PUT: &[u64] = &[0xe50065fb2a995c65, 0x11ee6defd2f68e7a];
+
+const HAND_BUILT: &[u64] = &[0xf88a5bf3a9b2cd3e];
