@@ -2,7 +2,10 @@
 //! backtracking) across scenario shapes.
 
 use backdroid_appgen::{AppSpec, Mechanism, Scenario, SinkKind};
-use backdroid_core::{locate_sinks, slice_sink, AppArtifacts, DetectorRegistry, SlicerConfig};
+use backdroid_core::{
+    locate_sinks, slice_sink, AppArtifacts, BackendChoice, DetectorRegistry, SlicerConfig,
+};
+use backdroid_search::BytecodeText;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 fn bench_slicing(c: &mut Criterion) {
@@ -24,8 +27,12 @@ fn bench_slicing(c: &mut Criterion) {
                 || {
                     // Fresh artifacts per batch: every timed run slices
                     // against a cold search cache.
-                    let artifacts =
-                        AppArtifacts::from_dump(app.program.clone(), app.manifest.clone(), &dump);
+                    let artifacts = AppArtifacts::from_parts(
+                        app.program.clone(),
+                        app.manifest.clone(),
+                        BytecodeText::index(&dump),
+                        BackendChoice::default(),
+                    );
                     let sites = locate_sinks(&mut artifacts.task(), &registry, false);
                     (artifacts, sites)
                 },

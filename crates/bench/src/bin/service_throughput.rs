@@ -47,27 +47,18 @@
 
 use backdroid_appgen::benchset::BenchsetConfig;
 use backdroid_appgen::workload::{self, WorkloadConfig, WorkloadOp};
-use backdroid_bench::harness::arg_value;
+use backdroid_bench::harness::{arg_value, parsed_arg};
 use backdroid_bench::json::{array, JsonObject};
 use backdroid_bench::{
     backend_from_args, intra_threads_from_args, json_path_from_args, percentile, Baseline,
 };
 use backdroid_obs::RegistrySnapshot;
 use backdroid_service::proto::workload_request_line;
+use backdroid_service::store::hit_rate;
 use backdroid_service::{Responder, Service, ServiceConfig, ShardPool, ShardPoolConfig};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-fn parsed_arg<T: std::str::FromStr>(flag: &str, default: T) -> T {
-    match arg_value(flag) {
-        Some(v) => v.parse::<T>().unwrap_or_else(|_| {
-            eprintln!("error: {flag} {v:?} is invalid");
-            std::process::exit(2)
-        }),
-        None => default,
-    }
-}
 
 /// One serving tier decoded from a registry histogram: how many
 /// analyses landed in it, their exact mean (histograms carry the exact
@@ -137,7 +128,7 @@ fn main() {
     // registry afterwards. Sharded runs also attribute each request to
     // its routed shard.
     let started = Instant::now();
-    let (samples, stats, shard_counts, errors, snap) = if shards > 0 {
+    let (samples, shard_counts, errors, snap) = if shards > 0 {
         let pool = ShardPool::new(
             ShardPoolConfig {
                 shards,
@@ -185,7 +176,6 @@ fn main() {
             );
         }
         pool.drain();
-        let stats = pool.stats();
         // Aggregate registry (live shards + retired + pool counters)
         // must be captured before shutdown tears the shards down.
         let snap = pool.metrics();
@@ -198,7 +188,7 @@ fn main() {
             errors += err as u64;
         }
         let samples: Vec<f64> = results.into_iter().map(|(_, ms, _)| ms).collect();
-        (samples, stats, shard_counts, errors, snap)
+        (samples, shard_counts, errors, snap)
     } else {
         let service = Service::over_benchset(bench, service_cfg);
         let next = AtomicUsize::new(0);
@@ -236,11 +226,10 @@ fn main() {
                 });
             }
         });
-        let stats = service.stats();
         let snap = service.metrics().snapshot();
         let errors = snap.value("service_errors_total");
         let samples = samples.into_inner().expect("samples poisoned");
-        (samples, stats, Vec::new(), errors, snap)
+        (samples, Vec::new(), errors, snap)
     };
     let wall_s = started.elapsed().as_secs_f64();
 
@@ -261,7 +250,8 @@ fn main() {
         .unwrap_or(0.0);
     let p50 = percentile(&samples, 50.0);
     let p99 = percentile(&samples, 99.0);
-    let store = stats.store;
+    let v = |name: &str| snap.value(name);
+    let peak_resident_bytes = v("store_peak_resident_bytes");
     // The budget the peak is judged against: per shard in sharded mode
     // (aggregated peaks are summed the same way).
     let budget_bytes = budget_mb * 1024 * 1024 * shards.max(1) as u64;
@@ -317,30 +307,32 @@ fn main() {
     );
     println!(
         "  store: {} loads, {} hits, {} coalesced, {} evictions ({} B evicted)",
-        store.loads, store.hits, store.coalesced, store.evictions, store.bytes_evicted
+        v("store_loads_total"),
+        v("store_hits_total"),
+        v("store_coalesced_total"),
+        v("store_evictions_total"),
+        v("store_bytes_evicted_total"),
     );
     if snapshot_dir.is_some() {
         println!(
             "  disk tier: {} hits, {} misses, {} invalidations, {} writes ({} B written, {} failures)",
-            store.disk_hits,
-            store.disk_misses,
-            store.disk_invalidations,
-            store.disk_writes,
-            store.disk_bytes_written,
-            store.disk_write_failures,
+            v("store_disk_hits_total"),
+            v("store_disk_misses_total"),
+            v("store_disk_invalidations_total"),
+            v("store_disk_writes_total"),
+            v("store_disk_bytes_written_total"),
+            v("store_disk_write_failures_total"),
         );
     }
     println!(
-        "  residency: peak {} B of {} B budget ({} apps resident at exit), hit rate {:.1}%",
-        store.peak_resident_bytes,
-        budget_bytes,
-        store.resident_apps,
-        100.0 * store.hit_rate(),
+        "  residency: peak {peak_resident_bytes} B of {budget_bytes} B budget ({} apps resident at exit), hit rate {:.1}%",
+        v("store_resident_apps"),
+        100.0 * hit_rate(&snap),
     );
     match queue_wait {
         Some(h) if h.count > 0 => println!(
             "  queue: peak in-flight {} ({} errors), wait n={} mean={:.1} us p99<={} us (bucket {})",
-            stats.peak_in_flight,
+            v("service_peak_in_flight"),
             errors,
             h.count,
             h.mean(),
@@ -349,7 +341,8 @@ fn main() {
         ),
         _ => println!(
             "  queue: peak in-flight {} ({} errors)",
-            stats.peak_in_flight, errors
+            v("service_peak_in_flight"),
+            errors
         ),
     }
 
@@ -378,16 +371,16 @@ fn main() {
             .int("warm", warm.n)
             .int("coalesced", coalesced.n)
             .int("errors", errors)
-            .int("loads", store.loads)
-            .int("hits", store.hits)
-            .int("evictions", store.evictions)
-            .int("bytes_evicted", store.bytes_evicted)
-            .int("disk_hits", store.disk_hits)
-            .int("disk_misses", store.disk_misses)
-            .int("disk_invalidations", store.disk_invalidations)
-            .int("disk_bytes_written", store.disk_bytes_written)
-            .int("peak_resident_bytes", store.peak_resident_bytes)
-            .int("peak_in_flight", stats.peak_in_flight)
+            .int("loads", v("store_loads_total"))
+            .int("hits", v("store_hits_total"))
+            .int("evictions", v("store_evictions_total"))
+            .int("bytes_evicted", v("store_bytes_evicted_total"))
+            .int("disk_hits", v("store_disk_hits_total"))
+            .int("disk_misses", v("store_disk_misses_total"))
+            .int("disk_invalidations", v("store_disk_invalidations_total"))
+            .int("disk_bytes_written", v("store_disk_bytes_written_total"))
+            .int("peak_resident_bytes", peak_resident_bytes)
+            .int("peak_in_flight", v("service_peak_in_flight"))
             .float("queue_wait_p99_buckets", queue_wait_p99_buckets)
             .raw(
                 "shard_requests",
@@ -413,11 +406,8 @@ fn main() {
     // warm hits on this workload, and cold loads always exist — an
     // empty bucket is itself a failure, never a silently skipped check.
     let mut failed = false;
-    if store.peak_resident_bytes > budget_bytes {
-        eprintln!(
-            "FAIL: store exceeded its budget ({} B > {} B)",
-            store.peak_resident_bytes, budget_bytes
-        );
+    if peak_resident_bytes > budget_bytes {
+        eprintln!("FAIL: store exceeded its budget ({peak_resident_bytes} B > {budget_bytes} B)");
         failed = true;
     }
     // Baseline for the residency comparison: cold parses when the run
@@ -480,11 +470,11 @@ fn main() {
     // the band applies to both CI configs of this bin.
     let mut metrics: Vec<(&str, f64)> = vec![
         ("errors", errors as f64),
-        ("hit_rate", store.hit_rate()),
+        ("hit_rate", hit_rate(&snap)),
         (
             "budget_utilization",
             if budget_bytes > 0 {
-                store.peak_resident_bytes as f64 / budget_bytes as f64
+                peak_resident_bytes as f64 / budget_bytes as f64
             } else {
                 0.0
             },
@@ -503,13 +493,10 @@ fn main() {
     }
     if warm_cold_checked {
         eprintln!(
-            "OK: budget respected ({} <= {}), warm {:.3} ms < {tier_label} {:.2} ms",
-            store.peak_resident_bytes, budget_bytes, warm.mean_ms, tier_base.mean_ms
+            "OK: budget respected ({peak_resident_bytes} <= {budget_bytes}), warm {:.3} ms < {tier_label} {:.2} ms",
+            warm.mean_ms, tier_base.mean_ms
         );
     } else {
-        eprintln!(
-            "OK: budget respected ({} <= {})",
-            store.peak_resident_bytes, budget_bytes
-        );
+        eprintln!("OK: budget respected ({peak_resident_bytes} <= {budget_bytes})");
     }
 }

@@ -36,21 +36,11 @@
 //! postings parity — against a committed `BENCH_*.json` envelope).
 
 use backdroid_appgen::benchset::{bench_app, BenchsetConfig};
-use backdroid_bench::harness::arg_value;
+use backdroid_bench::harness::parsed_arg;
 use backdroid_bench::json::JsonObject;
 use backdroid_bench::{backend_from_args, json_path_from_args, Baseline};
 use backdroid_core::{AppArtifacts, Backdroid, BackdroidOptions};
 use std::time::Instant;
-
-fn parsed_arg<T: std::str::FromStr>(flag: &str, default: T) -> T {
-    match arg_value(flag) {
-        Some(v) => v.parse::<T>().unwrap_or_else(|_| {
-            eprintln!("error: {flag} {v:?} is invalid");
-            std::process::exit(2)
-        }),
-        None => default,
-    }
-}
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");

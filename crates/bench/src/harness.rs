@@ -36,6 +36,7 @@
 
 use backdroid_appgen::benchset::{bench_app, BenchApp, BenchsetConfig, Profile};
 use backdroid_core::{AppArtifacts, Backdroid, BackdroidOptions, BackendChoice};
+use backdroid_search::BytecodeText;
 use backdroid_wholeapp::amandroid::{analyze, AmandroidConfig, Outcome};
 use backdroid_wholeapp::paper_minutes;
 use serde::Serialize;
@@ -94,6 +95,18 @@ pub fn arg_value(flag: &str) -> Option<String> {
         }
     }
     None
+}
+
+/// The value of `--flag` parsed as `T`, or `default` when the flag is
+/// absent. An unparseable value is a hard usage error (exit code 2).
+pub fn parsed_arg<T: std::str::FromStr>(flag: &str, default: T) -> T {
+    match arg_value(flag) {
+        Some(v) => v.parse::<T>().unwrap_or_else(|_| {
+            eprintln!("error: {flag} {v:?} is invalid");
+            std::process::exit(2)
+        }),
+        None => default,
+    }
 }
 
 /// A present flag with an unparseable value is a hard usage error —
@@ -376,8 +389,12 @@ pub fn run_backdroid_with(
     let start = Instant::now();
     let dump = app.dump();
     let dump_lines = dump.lines().count() as u64;
-    let artifacts =
-        AppArtifacts::from_dump_backend(app.program.clone(), app.manifest.clone(), &dump, backend);
+    let artifacts = AppArtifacts::from_parts(
+        app.program.clone(),
+        app.manifest.clone(),
+        BytecodeText::index(&dump),
+        backend,
+    );
     let tool = Backdroid::with_options(BackdroidOptions {
         backend,
         intra_threads,

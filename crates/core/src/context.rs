@@ -167,12 +167,6 @@ impl AppArtifacts {
         (artifacts, next_cache, reused)
     }
 
-    /// Builds the artifacts over an already-disassembled dump (lets tests
-    /// and the benchmark harness reuse a dump across runs).
-    pub fn from_dump(program: Program, manifest: Manifest, dump: &str) -> Self {
-        Self::from_dump_backend(program, manifest, dump, BackendChoice::default())
-    }
-
     /// Reassembles artifacts from already-built parts — the restore path
     /// of the snapshot layer (see [`crate::snapshot`]): the text arrives
     /// fully indexed from disk, so no DEX encode, disassembly, or
@@ -213,22 +207,6 @@ impl AppArtifacts {
             manifest,
             engine: SearchEngine::with_backend(text, backend),
             chunk_manifest: cell,
-        }
-    }
-
-    /// Builds the artifacts over an existing dump with an explicit
-    /// search-backend choice.
-    pub fn from_dump_backend(
-        program: Program,
-        manifest: Manifest,
-        dump: &str,
-        backend: BackendChoice,
-    ) -> Self {
-        AppArtifacts {
-            program: LazyProgram::ready(program),
-            manifest,
-            engine: SearchEngine::with_backend(BytecodeText::index(dump), backend),
-            chunk_manifest: OnceLock::new(),
         }
     }
 

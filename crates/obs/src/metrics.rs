@@ -314,8 +314,8 @@ pub enum MetricValue {
 /// A point-in-time copy of a registry, sorted by metric name. Snapshots
 /// from different registries (per-shard services) can be folded together
 /// with [`RegistrySnapshot::absorb`] to form an aggregate view — the
-/// single render path both the wire `metrics` op and the stderr stat
-/// dumps go through.
+/// one source the wire `stats` and `metrics` ops and the stderr
+/// summaries all read.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct RegistrySnapshot {
     entries: Vec<(String, MetricValue)>,
@@ -353,9 +353,10 @@ impl RegistrySnapshot {
 
     /// Folds another snapshot in: counters and gauges add, histograms
     /// merge bucketwise, names only in `other` are copied over. Gauges
-    /// add (rather than take either side) so per-shard resident bytes
-    /// and peaks aggregate the same way the legacy `absorb` on the
-    /// stats structs did.
+    /// add rather than take either side: summed per-shard resident
+    /// bytes are the fleet's residency, and summed per-shard peaks are
+    /// an upper bound on its true simultaneous peak (the shards' peaks
+    /// need not coincide).
     pub fn absorb(&mut self, other: &RegistrySnapshot) {
         for (name, theirs) in &other.entries {
             match self.entries.binary_search_by(|(n, _)| n.cmp(name)) {

@@ -30,6 +30,7 @@ use backdroid_appgen::workload::{self, WorkloadConfig};
 use backdroid_core::BackendChoice;
 use backdroid_service::proto::{self, parse_json, parse_request, workload_request_line, Json};
 use backdroid_service::shard::execute_request;
+use backdroid_service::store::hit_rate;
 use backdroid_service::transport::{write_frame, Endpoint, FrameReader, OrderedEmitter};
 use backdroid_service::{Responder, Service, ServiceConfig, ShardPool, ShardPoolConfig};
 use std::io::{BufRead, Read, Write};
@@ -231,14 +232,14 @@ fn main() {
         if let Some(path) = &trace_out {
             write_trace(&pool, path, has_flag("--trace-norm"));
         }
-        print_pool_stats(&pool);
+        print_pool_summary(&pool);
         pool.shutdown();
         return;
     }
 
     let service = Service::over_benchset(bench, service_cfg);
     serve(&service, workers);
-    print_service_stats(&service);
+    print_service_summary(&service);
 }
 
 /// Writes the pool's span ring to `path` at EOF — raw JSONL, or the
@@ -263,82 +264,88 @@ fn write_trace(pool: &ShardPool, path: &std::path::Path, normalized: bool) {
     }
 }
 
-fn print_service_stats(service: &Service) {
-    let stats = service.stats();
+fn print_service_summary(service: &Service) {
+    let snap = service.metrics().snapshot();
+    let v = |name: &str| snap.value(name);
     eprintln!(
         "requests={} (analyze={} query={} batch={}) errors={} peak_in_flight={}",
-        stats.requests,
-        stats.analyze_requests,
-        stats.query_requests,
-        stats.batch_requests,
-        stats.errors,
-        stats.peak_in_flight,
+        v("service_requests_total"),
+        v("service_analyze_total"),
+        v("service_query_total"),
+        v("service_batch_total"),
+        v("service_errors_total"),
+        v("service_peak_in_flight"),
     );
-    let s = stats.store;
     eprintln!(
         "store: hits={} misses={} coalesced={} loads={} evictions={} \
          resident={}B/{}B peak={}B hit_rate={:.3}",
-        s.hits,
-        s.misses,
-        s.coalesced,
-        s.loads,
-        s.evictions,
-        s.resident_bytes,
+        v("store_hits_total"),
+        v("store_misses_total"),
+        v("store_coalesced_total"),
+        v("store_loads_total"),
+        v("store_evictions_total"),
+        v("store_resident_bytes"),
         service.store().budget_bytes(),
-        s.peak_resident_bytes,
-        s.hit_rate(),
+        v("store_peak_resident_bytes"),
+        hit_rate(&snap),
     );
     if service.store().disk_tier().is_some() {
         eprintln!(
             "disk: hits={} misses={} invalidations={} writes={} bytes_written={} write_failures={}",
-            s.disk_hits,
-            s.disk_misses,
-            s.disk_invalidations,
-            s.disk_writes,
-            s.disk_bytes_written,
-            s.disk_write_failures,
+            v("store_disk_hits_total"),
+            v("store_disk_misses_total"),
+            v("store_disk_invalidations_total"),
+            v("store_disk_writes_total"),
+            v("store_disk_bytes_written_total"),
+            v("store_disk_write_failures_total"),
         );
     }
 }
 
-fn print_pool_stats(pool: &ShardPool) {
-    let p = pool.pool_stats();
+fn print_pool_summary(pool: &ShardPool) {
+    let agg = pool.metrics();
+    let shards = pool.shard_metrics();
+    let v = |name: &str| agg.value(name);
     eprintln!(
         "pool: shards={} alive={} rerouted={} deadline_expired={} no_shard_errors={} \
          kills={} restarts={}",
-        p.shards, p.alive, p.rerouted, p.deadline_expired, p.no_shard_errors, p.kills, p.restarts,
+        pool.shard_count(),
+        shards.iter().filter(|s| s.is_some()).count(),
+        v("pool_rerouted_total"),
+        v("pool_deadline_expired_total"),
+        v("pool_no_shard_errors_total"),
+        v("pool_kills_total"),
+        v("pool_restarts_total"),
     );
-    let agg = pool.stats();
-    let s = agg.store;
     eprintln!(
         "aggregate: requests={} (analyze={} query={} batch={}) errors={} hits={} misses={} \
          coalesced={} loads={} evictions={} disk_hits={} disk_writes={} hit_rate={:.3}",
-        agg.requests,
-        agg.analyze_requests,
-        agg.query_requests,
-        agg.batch_requests,
-        agg.errors,
-        s.hits,
-        s.misses,
-        s.coalesced,
-        s.loads,
-        s.evictions,
-        s.disk_hits,
-        s.disk_writes,
-        s.hit_rate(),
+        v("service_requests_total"),
+        v("service_analyze_total"),
+        v("service_query_total"),
+        v("service_batch_total"),
+        v("service_errors_total"),
+        v("store_hits_total"),
+        v("store_misses_total"),
+        v("store_coalesced_total"),
+        v("store_loads_total"),
+        v("store_evictions_total"),
+        v("store_disk_hits_total"),
+        v("store_disk_writes_total"),
+        hit_rate(&agg),
     );
-    for i in 0..pool.shard_count() {
-        match pool.shard_stats(i) {
+    for (i, shard) in shards.iter().enumerate() {
+        match shard {
             Some(s) => eprintln!(
                 "shard {i}: requests={} errors={} hits={} misses={} loads={} disk_hits={} \
                  resident_apps={}",
-                s.requests,
-                s.errors,
-                s.store.hits,
-                s.store.misses,
-                s.store.loads,
-                s.store.disk_hits,
-                s.store.resident_apps,
+                s.value("service_requests_total"),
+                s.value("service_errors_total"),
+                s.value("store_hits_total"),
+                s.value("store_misses_total"),
+                s.value("store_loads_total"),
+                s.value("store_disk_hits_total"),
+                s.value("store_resident_apps"),
             ),
             None => eprintln!("shard {i}: down"),
         }

@@ -12,8 +12,8 @@
 //!   pattern as the search engine's command cache, one layer up).
 //! * [`Service`] answers full analyses, per-detector queries, and
 //!   batched multi-app requests against the store, through the existing
-//!   `Backdroid::analyze_artifacts` + `intra_threads` machinery, with
-//!   atomically aggregated [`ServiceStats`].
+//!   `Backdroid::analyze_artifacts` + `intra_threads` machinery,
+//!   counting every request in its metrics registry (below).
 //! * [`proto`] is the line-delimited JSON protocol the `backdroid-serve`
 //!   binary speaks on stdin/stdout — deterministic responses that CI
 //!   diffs byte-for-byte across worker counts, backends, and budgets.
@@ -26,8 +26,9 @@
 //!   speak — one JSONL line per frame, responses 1:1 in request order.
 //! * **Observability** — every layer publishes into a
 //!   [`backdroid_obs::MetricsRegistry`] (store tiers, request counters,
-//!   per-tier latency and phase histograms, pool queue waits), exposed
-//!   over the wire by the `metrics` op, and the pool can record
+//!   per-tier latency and phase histograms, pool queue waits), the one
+//!   copy of every count: the `stats` and `metrics` ops and the stderr
+//!   summaries all read it back by metric name. The pool can record
 //!   per-request span traces whose normalized export replays
 //!   byte-identically at any shard count.
 //!
@@ -66,9 +67,7 @@ pub mod store;
 pub mod transport;
 
 pub use proto::{Op, Reply};
-pub use service::{
-    AppAnalysis, PutVersionOutcome, Service, ServiceConfig, ServiceError, ServiceStats,
-};
-pub use shard::{PoolStats, Responder, ShardPool, ShardPoolConfig};
-pub use store::{AppStore, DiskTier, Fetch, StoreStats};
+pub use service::{AppAnalysis, PutVersionOutcome, Service, ServiceConfig, ServiceError};
+pub use shard::{Responder, ShardPool, ShardPoolConfig};
+pub use store::{AppStore, DiskTier, Fetch};
 pub use transport::{Endpoint, FrameReader, OrderedEmitter};

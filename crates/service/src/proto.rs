@@ -392,14 +392,16 @@ pub enum Op {
     /// Operator-facing: counters depend on scheduling and on which tier
     /// served each request, so traces meant for byte-identical replay
     /// diffs must not include this op. A sharded server renders the
-    /// aggregate across every shard (live + retired).
+    /// aggregate across every shard (live + retired), once every request
+    /// submitted ahead of this one has been answered.
     Stats,
     /// Full metrics-registry snapshot: every counter, gauge, and
     /// histogram (with derivable p50/p90/p99), as one aggregate object
     /// plus the per-shard views (`null` for dead shards; a single entry
     /// on an unsharded server). Operator-facing like [`Op::Stats`]
     /// — the values depend on scheduling and tiers, so replay-diffed
-    /// traces must not include this op either.
+    /// traces must not include this op either. A sharded server answers
+    /// it once every request submitted ahead of it has been answered.
     Metrics,
     /// Admin op: take shard N down (queue re-routed, memory tier
     /// dropped). Produces **no output** and is a no-op on an unsharded
@@ -685,9 +687,8 @@ pub fn render_deadline_error(id: u64, queue_wait_ms: u64) -> String {
 }
 
 /// Renders a metrics response: the aggregate registry snapshot plus the
-/// per-shard views (`null` where a shard is dead). Both are rendered by
-/// [`RegistrySnapshot::render_json`] — the same single render path the
-/// stderr stat dumps decode from.
+/// per-shard views (`null` where a shard is dead), both rendered by
+/// [`RegistrySnapshot::render_json`].
 pub fn render_metrics(
     id: u64,
     aggregate: &RegistrySnapshot,
@@ -705,42 +706,53 @@ pub fn render_metrics(
     out
 }
 
-/// Renders a stats response: the service's request counters plus the
-/// store's per-tier counters (memory hits, disk hits/misses/
-/// invalidations, bytes written). Operator-facing, not replay-stable.
-pub fn render_stats(id: u64, stats: &crate::service::ServiceStats) -> String {
-    let s = &stats.store;
-    format!(
-        "{{\"id\":{id},\"op\":\"stats\",\"requests\":{},\"analyze\":{},\"query\":{},\"batch\":{},\
-         \"errors\":{},\"peak_in_flight\":{},\"store\":{{\"hits\":{},\"misses\":{},\
-         \"coalesced\":{},\"loads\":{},\"load_failures\":{},\"evictions\":{},\
-         \"bytes_evicted\":{},\"disk_hits\":{},\"disk_misses\":{},\
-         \"disk_invalidations\":{},\"disk_writes\":{},\"disk_bytes_written\":{},\
-         \"disk_write_failures\":{},\"resident_bytes\":{},\"resident_apps\":{},\
-         \"peak_resident_bytes\":{}}}}}",
-        stats.requests,
-        stats.analyze_requests,
-        stats.query_requests,
-        stats.batch_requests,
-        stats.errors,
-        stats.peak_in_flight,
-        s.hits,
-        s.misses,
-        s.coalesced,
-        s.loads,
-        s.load_failures,
-        s.evictions,
-        s.bytes_evicted,
-        s.disk_hits,
-        s.disk_misses,
-        s.disk_invalidations,
-        s.disk_writes,
-        s.disk_bytes_written,
-        s.disk_write_failures,
-        s.resident_bytes,
-        s.resident_apps,
-        s.peak_resident_bytes,
-    )
+/// The `stats` reply's fields as `(JSON key, metric name)`, in wire
+/// order. The first [`STATS_SERVICE_FIELDS`] rows are the service's
+/// request counters; the rest render inside the nested `"store"` object.
+const STATS_FIELDS: [(&str, &str); 22] = [
+    ("requests", "service_requests_total"),
+    ("analyze", "service_analyze_total"),
+    ("query", "service_query_total"),
+    ("batch", "service_batch_total"),
+    ("errors", "service_errors_total"),
+    ("peak_in_flight", "service_peak_in_flight"),
+    ("hits", "store_hits_total"),
+    ("misses", "store_misses_total"),
+    ("coalesced", "store_coalesced_total"),
+    ("loads", "store_loads_total"),
+    ("load_failures", "store_load_failures_total"),
+    ("evictions", "store_evictions_total"),
+    ("bytes_evicted", "store_bytes_evicted_total"),
+    ("disk_hits", "store_disk_hits_total"),
+    ("disk_misses", "store_disk_misses_total"),
+    ("disk_invalidations", "store_disk_invalidations_total"),
+    ("disk_writes", "store_disk_writes_total"),
+    ("disk_bytes_written", "store_disk_bytes_written_total"),
+    ("disk_write_failures", "store_disk_write_failures_total"),
+    ("resident_bytes", "store_resident_bytes"),
+    ("resident_apps", "store_resident_apps"),
+    ("peak_resident_bytes", "store_peak_resident_bytes"),
+];
+
+/// How many leading [`STATS_FIELDS`] rows sit outside the `"store"` object.
+const STATS_SERVICE_FIELDS: usize = 6;
+
+/// Renders a stats response from a registry snapshot: the service's
+/// request counters plus the store's per-tier counters (memory hits,
+/// disk hits/misses/invalidations, bytes written), one field per
+/// `STATS_FIELDS` row. Operator-facing, not replay-stable.
+pub fn render_stats(id: u64, snapshot: &RegistrySnapshot) -> String {
+    let mut out = format!("{{\"id\":{id},\"op\":\"stats\"");
+    for (i, (key, metric)) in STATS_FIELDS.iter().enumerate() {
+        let sep = if i == STATS_SERVICE_FIELDS {
+            ",\"store\":{"
+        } else {
+            ","
+        };
+        let _ = write!(out, "{sep}\"{key}\":{}", snapshot.value(metric));
+    }
+    out.push_str("}}");
+    out
 }
 
 /// Renders a put_version acknowledgement: the new version number plus
@@ -787,12 +799,12 @@ pub enum Reply {
         /// Per-app outcomes, in request order.
         items: Vec<Result<AppAnalysis, ServiceError>>,
     },
-    /// Service + store counter snapshot.
+    /// Service + store counters, read from a registry snapshot.
     Stats {
         /// The request id, echoed.
         id: u64,
-        /// The counters to render.
-        stats: crate::service::ServiceStats,
+        /// The snapshot to read the counters from.
+        snapshot: RegistrySnapshot,
     },
     /// Metrics-registry snapshots: the aggregate plus per-shard views.
     Metrics {
@@ -839,7 +851,7 @@ impl Reply {
         match self {
             Reply::Analysis { id, op, analysis } => Some(render_analysis(*id, op, analysis)),
             Reply::Batch { id, items } => Some(render_batch(*id, items)),
-            Reply::Stats { id, stats } => Some(render_stats(*id, stats)),
+            Reply::Stats { id, snapshot } => Some(render_stats(*id, snapshot)),
             Reply::Metrics {
                 id,
                 aggregate,
@@ -1030,7 +1042,16 @@ mod tests {
     fn stats_op_parses_and_renders_valid_json() {
         let r = parse_request("{\"id\":9,\"op\":\"stats\"}").unwrap();
         assert_eq!(r.op, Op::Stats);
-        let line = render_stats(9, &crate::service::ServiceStats::default());
+        let service = crate::Service::new(crate::ServiceConfig::default(), |id: &str| {
+            Err(format!("no app {id}"))
+        });
+        let snapshot = service.metrics().snapshot();
+        // `RegistrySnapshot::value` reads 0 for an absent name, so a
+        // misspelled row would render 0 silently.
+        for (_, metric) in STATS_FIELDS {
+            assert!(snapshot.get(metric).is_some(), "{metric} is not registered");
+        }
+        let line = render_stats(9, &snapshot);
         let v = parse_json(&line).unwrap();
         assert_eq!(v.get("id").and_then(Json::as_u64), Some(9));
         assert_eq!(v.get("op").and_then(Json::as_str), Some("stats"));

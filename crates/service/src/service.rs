@@ -10,14 +10,14 @@
 //! determinism contract `backdroid-serve` and the CI service-smoke leg
 //! enforce byte-for-byte against golden direct-analysis runs.
 
-use crate::store::{AppStore, Fetch, StoreStats};
+use crate::store::{AppStore, Fetch};
 use backdroid_appgen::benchset::{bench_app, BenchsetConfig};
 use backdroid_appgen::mutate_version;
 use backdroid_core::{
     apply_delta, AppArtifacts, AppReport, Backdroid, BackdroidOptions, BackendChoice,
     ChunkManifest, ChunkStore, DeltaBase, DeltaStats, DetectorRegistry,
 };
-use backdroid_obs::{Counter, Gauge, Histogram, MetricsRegistry, RegistrySnapshot};
+use backdroid_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use backdroid_search::TokenCache;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -118,57 +118,6 @@ pub struct AppAnalysis {
     /// Never rendered into responses: with concurrent workers it depends
     /// on scheduling.
     pub fetch: Fetch,
-}
-
-/// Snapshot of the service's request counters plus the store's.
-#[derive(Clone, Copy, PartialEq, Debug, Default)]
-pub struct ServiceStats {
-    /// Requests accepted (analyze + query + batch).
-    pub requests: u64,
-    /// Full-registry single-app analyses.
-    pub analyze_requests: u64,
-    /// Sink-class-restricted single-app queries.
-    pub query_requests: u64,
-    /// Batched multi-app requests.
-    pub batch_requests: u64,
-    /// Requests that returned an error.
-    pub errors: u64,
-    /// Largest number of requests ever in flight at once (queue depth).
-    pub peak_in_flight: u64,
-    /// The app store's counters and residency.
-    pub store: StoreStats,
-}
-
-impl ServiceStats {
-    /// Reads the service-level counters (and, via
-    /// [`StoreStats::from_metrics`], the store's) back out of a registry
-    /// snapshot — the one decode path every stats view shares.
-    pub fn from_metrics(snap: &RegistrySnapshot) -> ServiceStats {
-        ServiceStats {
-            requests: snap.value("service_requests_total"),
-            analyze_requests: snap.value("service_analyze_total"),
-            query_requests: snap.value("service_query_total"),
-            batch_requests: snap.value("service_batch_total"),
-            errors: snap.value("service_errors_total"),
-            peak_in_flight: snap.value("service_peak_in_flight"),
-            store: StoreStats::from_metrics(snap),
-        }
-    }
-
-    /// Folds another service's counters into this one (see
-    /// [`StoreStats::absorb`] for the aggregation semantics) — used by
-    /// the shard pool to answer the `stats` op with fleet-wide totals.
-    /// `peak_in_flight` sums, an upper bound on true simultaneous
-    /// depth across shards.
-    pub fn absorb(&mut self, other: &ServiceStats) {
-        self.requests += other.requests;
-        self.analyze_requests += other.analyze_requests;
-        self.query_requests += other.query_requests;
-        self.batch_requests += other.batch_requests;
-        self.errors += other.errors;
-        self.peak_in_flight += other.peak_in_flight;
-        self.store.absorb(&other.store);
-    }
 }
 
 /// The service's registry handles: request counters, queue-depth
@@ -302,8 +251,9 @@ pub struct Service {
 impl std::fmt::Debug for Service {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Service")
-            .field("stats", &self.stats())
-            .finish()
+            .field("store", &self.store)
+            .field("batch_threads", &self.batch_threads)
+            .finish_non_exhaustive()
     }
 }
 
@@ -367,7 +317,7 @@ impl Service {
         })
     }
 
-    /// The underlying app store (budget, residency, LRU order, stats).
+    /// The underlying app store (budget, residency, LRU order).
     pub fn store(&self) -> &AppStore {
         &self.store
     }
@@ -619,11 +569,6 @@ impl Service {
         &self.registry
     }
 
-    /// Counter snapshot (service + store), decoded from the registry.
-    pub fn stats(&self) -> ServiceStats {
-        ServiceStats::from_metrics(&self.registry.snapshot())
-    }
-
     fn begin_request(&self, kind: &Counter) -> InFlightGuard<'_> {
         let c = &self.counters;
         c.requests.inc();
@@ -719,9 +664,9 @@ mod tests {
         assert_eq!(b.fetch, Fetch::Hit);
         assert_eq!(a.app_name, b.app_name);
         assert_eq!(a.report.sink_reports, b.report.sink_reports);
-        let stats = service.stats();
-        assert_eq!(stats.analyze_requests, 2);
-        assert_eq!(stats.store.loads, 1);
+        let stats = service.metrics().snapshot();
+        assert_eq!(stats.value("service_analyze_total"), 2);
+        assert_eq!(stats.value("store_loads_total"), 1);
     }
 
     #[test]
@@ -753,13 +698,16 @@ mod tests {
     #[test]
     fn unknown_detector_ids_error_deterministically() {
         let service = small_service(u64::MAX);
-        let before = service.stats().errors;
+        let before = service.metrics().snapshot().value("service_errors_total");
         let err = service
             .query_detectors("0", &["crypto", "sms"])
             .unwrap_err();
         assert_eq!(err, ServiceError::UnknownDetector("sms".into()));
         assert_eq!(err.to_string(), "unknown detector id \"sms\"");
-        assert_eq!(service.stats().errors, before + 1);
+        assert_eq!(
+            service.metrics().snapshot().value("service_errors_total"),
+            before + 1
+        );
         // Deterministic: asking again yields the identical error.
         assert_eq!(
             service
@@ -783,7 +731,11 @@ mod tests {
             results[2].as_ref().unwrap().report.sink_reports,
             "same app twice in one batch agrees with itself"
         );
-        assert_eq!(service.stats().store.loads, 3, "three distinct apps");
+        assert_eq!(
+            service.metrics().snapshot().value("store_loads_total"),
+            3,
+            "three distinct apps"
+        );
     }
 
     #[test]
@@ -799,7 +751,10 @@ mod tests {
         ));
         let batch = service.analyze_batch(&[]);
         assert!(matches!(batch[0], Err(ServiceError::BadRequest(_))));
-        assert_eq!(service.stats().errors, 3);
+        assert_eq!(
+            service.metrics().snapshot().value("service_errors_total"),
+            3
+        );
     }
 
     /// Replays the same update chain on a fresh service and returns a

@@ -28,7 +28,7 @@
 //! tiers enforce exactly that.
 
 use crate::proto::{parse_json, parse_request, Json, Op, Reply, Request};
-use crate::service::{Service, ServiceStats};
+use crate::service::Service;
 use backdroid_ir::wire::fnv1a64;
 use backdroid_obs::{Counter, Histogram, MetricsRegistry, RegistrySnapshot, TraceBuilder, Tracer};
 use std::collections::{HashSet, VecDeque};
@@ -71,28 +71,6 @@ impl Default for ShardPoolConfig {
             trace_capacity: 0,
         }
     }
-}
-
-/// Pool-level counters (everything the per-shard [`ServiceStats`] can't
-/// see): routing, admission, and lifecycle events.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub struct PoolStats {
-    /// Configured shard count.
-    pub shards: u64,
-    /// Shards currently alive.
-    pub alive: u64,
-    /// Jobs enqueued on a non-primary shard because the primary was
-    /// dead (includes queue re-routes after a kill).
-    pub rerouted: u64,
-    /// Requests answered with a deterministic deadline error because
-    /// they were still queued when their deadline passed.
-    pub deadline_expired: u64,
-    /// Requests that found no live shard at all.
-    pub no_shard_errors: u64,
-    /// `kill_shard` calls that took a live shard down.
-    pub kills: u64,
-    /// `restart_shard` calls that brought a dead shard back.
-    pub restarts: u64,
 }
 
 /// One queued request.
@@ -147,8 +125,12 @@ struct PoolInner {
     /// the queue-wait histogram. Folded into the aggregate `metrics`
     /// view alongside the shards' own registries.
     registry: Arc<MetricsRegistry>,
+    /// Jobs enqueued on a non-primary shard because the primary was
+    /// dead (includes queue re-routes after a kill).
     rerouted: Counter,
+    /// Jobs still queued when their deadline passed.
     deadline_expired: Counter,
+    /// Requests that found no live shard at all.
     no_shard_errors: Counter,
     kills: Counter,
     restarts: Counter,
@@ -172,8 +154,10 @@ pub struct ShardPool {
 impl std::fmt::Debug for ShardPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardPool")
-            .field("pool", &self.pool_stats())
-            .finish()
+            .field("shards", &self.shard_count())
+            .field("workers_per_shard", &self.inner.workers_per_shard)
+            .field("queue_capacity", &self.inner.queue_capacity)
+            .finish_non_exhaustive()
     }
 }
 
@@ -314,7 +298,7 @@ pub fn execute_request_traced(
         }
         Op::Stats => Reply::Stats {
             id: req.id,
-            stats: service.stats(),
+            snapshot: service.metrics().snapshot(),
         },
         Op::Metrics => {
             let snap = service.metrics().snapshot();
@@ -403,11 +387,13 @@ impl ShardPool {
         (fnv1a64(app_id.as_bytes()) % self.inner.shards.len() as u64) as usize
     }
 
-    /// Submits one input line. Parse errors, `stats`, and the admin ops
-    /// are answered on the calling thread; per-app jobs (analyze, query,
-    /// batch, put_version, analyze_delta) are routed to their shard's
-    /// queue (blocking while it is full). Every submission produces
-    /// exactly one `respond(seq, …)` call.
+    /// Submits one input line. Parse errors, `stats`, `metrics` and the
+    /// admin ops are answered on the calling thread; per-app jobs
+    /// (analyze, query, batch, put_version, analyze_delta) are routed to
+    /// their shard's queue (blocking while it is full). `stats` and
+    /// `metrics` first [`drain`](ShardPool::drain) the pool, so their
+    /// counters cover every request submitted ahead of them. Every
+    /// submission produces exactly one `respond(seq, …)` call.
     pub fn submit_line(&self, seq: u64, line: &str, respond: &Responder) {
         let line = line.trim();
         if line.is_empty() {
@@ -428,13 +414,15 @@ impl ShardPool {
         };
         match &req.op {
             Op::Stats => {
+                self.drain();
                 let reply = Reply::Stats {
                     id: req.id,
-                    stats: self.stats(),
+                    snapshot: self.metrics(),
                 };
                 respond(seq, reply.encode());
             }
             Op::Metrics => {
+                self.drain();
                 let reply = Reply::Metrics {
                     id: req.id,
                     aggregate: self.metrics(),
@@ -593,15 +581,6 @@ impl ShardPool {
         }
     }
 
-    /// Aggregated service + store counters: the retired totals of every
-    /// killed shard plus the live shards' current counters — what the
-    /// JSONL `stats` op renders, so tier hit rates stay meaningful
-    /// across the whole pool. Decoded from the aggregate registry
-    /// snapshot, the same single path the `metrics` op renders.
-    pub fn stats(&self) -> ServiceStats {
-        ServiceStats::from_metrics(&self.metrics())
-    }
-
     /// The fleet-wide aggregate registry snapshot: retired (killed)
     /// shards, every live shard, and the pool's own `pool_*` counters
     /// and queue-wait histogram, folded with
@@ -642,33 +621,6 @@ impl ShardPool {
     /// `trace_capacity > 0`.
     pub fn tracer(&self) -> Option<&Arc<Tracer>> {
         self.inner.tracer.as_ref()
-    }
-
-    /// One live shard's own counters (`None` while it is dead) — the
-    /// per-shard view `service_throughput --shards` reports.
-    pub fn shard_stats(&self, idx: usize) -> Option<ServiceStats> {
-        self.inner
-            .shards
-            .get(idx)?
-            .lock()
-            .service
-            .as_ref()
-            .map(|s| s.stats())
-    }
-
-    /// Routing/admission/lifecycle counters, read back off the pool's
-    /// registry handles.
-    pub fn pool_stats(&self) -> PoolStats {
-        let inner = &self.inner;
-        PoolStats {
-            shards: inner.shards.len() as u64,
-            alive: inner.shards.iter().filter(|s| s.lock().alive).count() as u64,
-            rerouted: inner.rerouted.get(),
-            deadline_expired: inner.deadline_expired.get(),
-            no_shard_errors: inner.no_shard_errors.get(),
-            kills: inner.kills.get(),
-            restarts: inner.restarts.get(),
-        }
     }
 
     /// Stops every worker after its current request and joins them.
@@ -879,6 +831,11 @@ mod tests {
         (responder, seen)
     }
 
+    /// Live shards: a shard holds a service exactly while it is alive.
+    fn alive(p: &ShardPool) -> usize {
+        p.shard_metrics().iter().filter(|s| s.is_some()).count()
+    }
+
     #[test]
     fn routes_are_stable_and_cover_all_shards() {
         let p = pool(4);
@@ -924,12 +881,15 @@ mod tests {
             .as_ref()
             .unwrap()
             .contains("\"app\":\"1\""));
-        let ps = p.pool_stats();
-        assert_eq!((ps.kills, ps.alive), (1, 2));
-        assert!(ps.rerouted >= 1, "the dead primary was probed past");
+        let agg = p.metrics();
+        assert_eq!((agg.value("pool_kills_total"), alive(&p)), (1, 2));
+        assert!(
+            agg.value("pool_rerouted_total") >= 1,
+            "the dead primary was probed past"
+        );
         assert!(p.restart_shard(victim));
         assert!(!p.restart_shard(victim), "second restart is a no-op");
-        assert_eq!(p.pool_stats().alive, 3);
+        assert_eq!(alive(&p), 3);
         // Same request id, so the rendered line must be byte-identical.
         p.submit_line(1, "{\"id\":0,\"op\":\"analyze\",\"app\":\"1\"}", &responder);
         p.drain();
@@ -962,8 +922,8 @@ mod tests {
             v.get("queue_wait_ms").and_then(Json::as_u64).is_some(),
             "the error carries the measured queue wait: {line}"
         );
-        assert_eq!(p.pool_stats().deadline_expired, 1);
         let agg = p.metrics();
+        assert_eq!(agg.value("pool_deadline_expired_total"), 1);
         let hist = agg.histogram("pool_queue_wait_us").expect("wait histogram");
         assert_eq!(hist.count, 1, "every dequeued job records its wait");
     }
@@ -971,7 +931,7 @@ mod tests {
     #[test]
     fn stats_aggregate_across_kill_and_restart() {
         let p = pool(2);
-        let (responder, _seen) = collecting_responder();
+        let (responder, seen) = collecting_responder();
         for seq in 0..6u64 {
             let line = format!(
                 "{{\"id\":{seq},\"op\":\"analyze\",\"app\":\"{}\"}}",
@@ -979,17 +939,25 @@ mod tests {
             );
             p.submit_line(seq, &line, &responder);
         }
+        // No drain first: the stats op waits for the requests ahead of it.
+        p.submit_line(6, "{\"id\":6,\"op\":\"stats\"}", &responder);
+        let line = seen.lock().unwrap()[&6].clone().expect("a stats line");
+        assert!(line.contains("\"requests\":6,"), "{line}");
         p.drain();
-        let before = p.stats();
-        assert_eq!(before.requests, 6);
+        let before = p.metrics();
+        assert_eq!(before.value("service_requests_total"), 6);
         p.kill_shard(0);
         p.restart_shard(0);
-        let after = p.stats();
+        let after = p.metrics();
         assert_eq!(
-            after.requests, 6,
+            after.value("service_requests_total"),
+            6,
             "retired counters keep the aggregate monotonic across restarts"
         );
-        assert_eq!(after.analyze_requests, before.analyze_requests);
+        assert_eq!(
+            after.value("service_analyze_total"),
+            before.value("service_analyze_total")
+        );
     }
 
     #[test]

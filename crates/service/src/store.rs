@@ -16,8 +16,9 @@
 //!   then). [`AppStore::resident_bytes`] can therefore never observe an
 //!   over-budget store.
 //! * **Single-flight**: for any interleaving of concurrent `get`s, the
-//!   loader runs exactly once per cold app; `StoreStats::loads` counts
-//!   loader executions and `coalesced` the requests that waited on one.
+//!   loader runs exactly once per cold app; `store_misses_total` counts
+//!   loader executions and `store_coalesced_total` the requests that
+//!   waited on one.
 //! * **Determinism**: sizes come from
 //!   [`AppArtifacts::estimated_bytes`], a pure function of the app, so
 //!   a given request order always produces the same eviction sequence —
@@ -157,108 +158,20 @@ impl DiskTier {
     }
 }
 
-/// Snapshot of the store's monotonic counters plus its current residency.
-#[derive(Clone, Copy, PartialEq, Debug, Default)]
-pub struct StoreStats {
-    /// Requests served from a resident image.
-    pub hits: u64,
-    /// Requests that found the image cold and ran the loader.
-    pub misses: u64,
-    /// Requests that piggybacked on another request's in-flight load.
-    pub coalesced: u64,
-    /// Images produced and inserted: loader executions plus snapshot
-    /// restores ([`StoreStats::disk_hits`] counts the restores alone).
-    pub loads: u64,
-    /// Loader executions that failed.
-    pub load_failures: u64,
-    /// Images evicted to stay under the byte budget.
-    pub evictions: u64,
-    /// Total estimated bytes of evicted images.
-    pub bytes_evicted: u64,
-    /// Cold requests served by deserializing an on-disk snapshot
-    /// instead of re-parsing (zero when no disk tier is configured).
-    pub disk_hits: u64,
-    /// Cold requests that found no snapshot on disk and ran the loader.
-    pub disk_misses: u64,
-    /// Snapshots found unusable — truncated, checksum mismatch, or a
-    /// different format version — deleted, and re-parsed from source.
-    pub disk_invalidations: u64,
-    /// Snapshots written (on first load, and by eviction spilling when
-    /// a victim's snapshot went missing).
-    pub disk_writes: u64,
-    /// Total snapshot bytes written to the disk tier.
-    pub disk_bytes_written: u64,
-    /// Snapshot writes that failed (full disk, permissions). Non-fatal:
-    /// the image is still served from memory.
-    pub disk_write_failures: u64,
-    /// Largest resident total ever observed after an insertion settled
-    /// (never exceeds the budget — the store evicts before it reports).
-    pub peak_resident_bytes: u64,
-    /// Estimated bytes currently resident.
-    pub resident_bytes: u64,
-    /// Images currently resident.
-    pub resident_apps: u64,
-}
-
-impl StoreStats {
-    /// Folds another store's counters into this one — how a sharded
-    /// server aggregates its per-shard stores into the fleet view the
-    /// JSONL `stats` op reports. Monotonic counters and residency sum
-    /// exactly; `peak_resident_bytes` sums too, making the aggregate an
-    /// **upper bound** on true simultaneous fleet residency (per-shard
-    /// peaks need not coincide).
-    pub fn absorb(&mut self, other: &StoreStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.coalesced += other.coalesced;
-        self.loads += other.loads;
-        self.load_failures += other.load_failures;
-        self.evictions += other.evictions;
-        self.bytes_evicted += other.bytes_evicted;
-        self.disk_hits += other.disk_hits;
-        self.disk_misses += other.disk_misses;
-        self.disk_invalidations += other.disk_invalidations;
-        self.disk_writes += other.disk_writes;
-        self.disk_bytes_written += other.disk_bytes_written;
-        self.disk_write_failures += other.disk_write_failures;
-        self.peak_resident_bytes += other.peak_resident_bytes;
-        self.resident_bytes += other.resident_bytes;
-        self.resident_apps += other.resident_apps;
-    }
-
-    /// Reads the `store_*` metrics out of a registry snapshot — the one
-    /// render path every stats view (the wire `stats` op, the stderr
-    /// dumps, shard aggregation) goes through, so they can never drift.
-    pub fn from_metrics(snap: &RegistrySnapshot) -> StoreStats {
-        StoreStats {
-            hits: snap.value("store_hits_total"),
-            misses: snap.value("store_misses_total"),
-            coalesced: snap.value("store_coalesced_total"),
-            loads: snap.value("store_loads_total"),
-            load_failures: snap.value("store_load_failures_total"),
-            evictions: snap.value("store_evictions_total"),
-            bytes_evicted: snap.value("store_bytes_evicted_total"),
-            disk_hits: snap.value("store_disk_hits_total"),
-            disk_misses: snap.value("store_disk_misses_total"),
-            disk_invalidations: snap.value("store_disk_invalidations_total"),
-            disk_writes: snap.value("store_disk_writes_total"),
-            disk_bytes_written: snap.value("store_disk_bytes_written_total"),
-            disk_write_failures: snap.value("store_disk_write_failures_total"),
-            peak_resident_bytes: snap.value("store_peak_resident_bytes"),
-            resident_bytes: snap.value("store_resident_bytes"),
-            resident_apps: snap.value("store_resident_apps"),
-        }
-    }
-
-    /// Warm-hit fraction over all completed requests, in `[0, 1]`.
-    /// Disk hits count as requests but not as (memory-)warm hits.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses + self.disk_hits + self.coalesced;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
+/// Warm-hit fraction over all completed store requests in a registry
+/// snapshot, in `[0, 1]`: memory hits over hits, misses, disk hits and
+/// coalesced waits. Disk hits count as requests but not as (memory-)warm
+/// hits.
+pub fn hit_rate(snap: &RegistrySnapshot) -> f64 {
+    let hits = snap.value("store_hits_total");
+    let total = hits
+        + snap.value("store_misses_total")
+        + snap.value("store_disk_hits_total")
+        + snap.value("store_coalesced_total");
+    if total == 0 {
+        0.0
+    } else {
+        hits as f64 / total as f64
     }
 }
 
@@ -297,18 +210,22 @@ struct StoreInner {
     tick: u64,
 }
 
-/// The store's counters, backed by `store_*` metrics in a shared
-/// [`MetricsRegistry`] (the observability migration of the old bare
-/// `AtomicU64` struct — same increments, same values, but exportable
-/// through the `metrics` op and the registry renderers).
+/// The store's handles on its `store_*` metrics in a shared
+/// [`MetricsRegistry`]. The registry is the only copy of these values:
+/// the `stats` and `metrics` ops and the stderr summaries all read them
+/// back from a [`RegistrySnapshot`] by name.
 struct Counters {
     hits: Counter,
+    /// Loader executions (cold requests no snapshot could serve).
     misses: Counter,
     coalesced: Counter,
+    /// Images produced: loader executions plus snapshot restores.
     loads: Counter,
     load_failures: Counter,
     evictions: Counter,
     bytes_evicted: Counter,
+    /// Largest resident total after an insertion settled (never above
+    /// the budget: the store evicts before it publishes).
     peak_resident_bytes: Gauge,
     resident_bytes: Gauge,
     resident_apps: Gauge,
@@ -377,8 +294,8 @@ impl std::fmt::Debug for AppStore {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AppStore")
             .field("budget_bytes", &self.budget_bytes)
-            .field("stats", &self.stats())
-            .finish()
+            .field("disk", &self.disk)
+            .finish_non_exhaustive()
     }
 }
 
@@ -485,13 +402,6 @@ impl AppStore {
             .collect();
         ids.sort();
         ids.into_iter().map(|(_, k)| k).collect()
-    }
-
-    /// Counter snapshot plus current residency — read back out of the
-    /// metrics registry, the single source every stats view shares
-    /// (see [`StoreStats::from_metrics`]).
-    pub fn stats(&self) -> StoreStats {
-        StoreStats::from_metrics(&self.registry.snapshot())
     }
 
     /// Returns the resident image for `app_id`, loading it single-flight
@@ -799,12 +709,19 @@ mod tests {
         assert_eq!(store.get("c").unwrap().1, Fetch::Miss);
         assert_eq!(store.lru_order(), vec!["a".to_string(), "c".to_string()]);
         assert!(!store.contains("b"));
-        let stats = store.stats();
-        assert_eq!((stats.hits, stats.misses, stats.loads), (1, 3, 3));
-        assert_eq!(stats.evictions, 1);
-        assert_eq!(stats.bytes_evicted, bytes);
-        assert!(stats.resident_bytes <= store.budget_bytes());
-        assert!(stats.peak_resident_bytes <= store.budget_bytes());
+        let stats = store.metrics().snapshot();
+        assert_eq!(
+            (
+                stats.value("store_hits_total"),
+                stats.value("store_misses_total"),
+                stats.value("store_loads_total")
+            ),
+            (1, 3, 3)
+        );
+        assert_eq!(stats.value("store_evictions_total"), 1);
+        assert_eq!(stats.value("store_bytes_evicted_total"), bytes);
+        assert!(stats.value("store_resident_bytes") <= store.budget_bytes());
+        assert!(stats.value("store_peak_resident_bytes") <= store.budget_bytes());
     }
 
     #[test]
@@ -815,11 +732,11 @@ mod tests {
             assert_eq!(fetch, Fetch::Miss, "nothing is ever resident");
             assert!(artifacts.program().method_count() > 0);
         }
-        let stats = store.stats();
-        assert_eq!(stats.loads, 3);
-        assert_eq!(stats.evictions, 3);
-        assert_eq!(stats.resident_bytes, 0);
-        assert_eq!(stats.peak_resident_bytes, 0);
+        let stats = store.metrics().snapshot();
+        assert_eq!(stats.value("store_loads_total"), 3);
+        assert_eq!(stats.value("store_evictions_total"), 3);
+        assert_eq!(stats.value("store_resident_bytes"), 0);
+        assert_eq!(stats.value("store_peak_resident_bytes"), 0);
     }
 
     #[test]
@@ -827,10 +744,10 @@ mod tests {
         let store = AppStore::new(u64::MAX, tiny_loader(3));
         assert!(store.get("missing").is_err());
         assert!(store.get("missing").is_err(), "failure is retried");
-        let stats = store.stats();
-        assert_eq!(stats.load_failures, 2);
-        assert_eq!(stats.loads, 0);
-        assert_eq!(stats.resident_apps, 0);
+        let stats = store.metrics().snapshot();
+        assert_eq!(stats.value("store_load_failures_total"), 2);
+        assert_eq!(stats.value("store_loads_total"), 0);
+        assert_eq!(stats.value("store_resident_apps"), 0);
     }
 
     /// A scratch directory under the target-adjacent temp root, removed
@@ -868,14 +785,26 @@ mod tests {
             second.to_snapshot(),
             "parsed and restored images snapshot identically"
         );
-        let stats = store.stats();
+        let stats = store.metrics().snapshot();
         assert_eq!(
-            (stats.misses, stats.disk_hits, stats.disk_misses),
+            (
+                stats.value("store_misses_total"),
+                stats.value("store_disk_hits_total"),
+                stats.value("store_disk_misses_total")
+            ),
             (1, 1, 1)
         );
-        assert_eq!(stats.disk_writes, 1, "single-flight write on first load");
-        assert!(stats.disk_bytes_written > 0);
-        assert_eq!(stats.loads, 2, "both requests produced an image");
+        assert_eq!(
+            stats.value("store_disk_writes_total"),
+            1,
+            "single-flight write on first load"
+        );
+        assert!(stats.value("store_disk_bytes_written_total") > 0);
+        assert_eq!(
+            stats.value("store_loads_total"),
+            2,
+            "both requests produced an image"
+        );
     }
 
     #[test]
@@ -893,9 +822,13 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let (_, fetch) = store.get("a").unwrap();
         assert_eq!(fetch, Fetch::Miss, "corrupt snapshot must not serve");
-        let stats = store.stats();
-        assert_eq!(stats.disk_invalidations, 1);
-        assert_eq!(stats.disk_writes, 2, "reparse re-wrote the snapshot");
+        let stats = store.metrics().snapshot();
+        assert_eq!(stats.value("store_disk_invalidations_total"), 1);
+        assert_eq!(
+            stats.value("store_disk_writes_total"),
+            2,
+            "reparse re-wrote the snapshot"
+        );
 
         // Bump the version field: same invalidation path.
         let mut bytes = std::fs::read(&path).unwrap();
@@ -903,7 +836,13 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let (_, fetch) = store.get("a").unwrap();
         assert_eq!(fetch, Fetch::Miss);
-        assert_eq!(store.stats().disk_invalidations, 2);
+        assert_eq!(
+            store
+                .metrics()
+                .snapshot()
+                .value("store_disk_invalidations_total"),
+            2
+        );
 
         // A stale older format (a leftover version-1 file from before
         // the sectioned layout): invalidate and reparse, never serve.
@@ -912,14 +851,26 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         let (_, fetch) = store.get("a").unwrap();
         assert_eq!(fetch, Fetch::Miss, "stale-version snapshot must not serve");
-        assert_eq!(store.stats().disk_invalidations, 3);
+        assert_eq!(
+            store
+                .metrics()
+                .snapshot()
+                .value("store_disk_invalidations_total"),
+            3
+        );
 
         // Truncate: same again.
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() / 3]).unwrap();
         let (_, fetch) = store.get("a").unwrap();
         assert_eq!(fetch, Fetch::Miss);
-        assert_eq!(store.stats().disk_invalidations, 4);
+        assert_eq!(
+            store
+                .metrics()
+                .snapshot()
+                .value("store_disk_invalidations_total"),
+            4
+        );
 
         // The re-written snapshot serves again.
         assert_eq!(store.get("a").unwrap().1, Fetch::Disk);
@@ -979,10 +930,15 @@ mod tests {
             }
         });
         assert_eq!(calls.load(Ordering::SeqCst), 1, "single-flight");
-        let stats = store.stats();
-        assert_eq!(stats.loads, 1);
-        assert_eq!(stats.hits + stats.misses + stats.coalesced, n);
-        assert_eq!(stats.misses, 1);
+        let stats = store.metrics().snapshot();
+        assert_eq!(stats.value("store_loads_total"), 1);
+        assert_eq!(
+            stats.value("store_hits_total")
+                + stats.value("store_misses_total")
+                + stats.value("store_coalesced_total"),
+            n
+        );
+        assert_eq!(stats.value("store_misses_total"), 1);
     }
 
     #[test]

@@ -69,15 +69,15 @@ fn main() {
         );
     }
 
-    let stats = service.stats();
+    let stats = service.metrics().snapshot();
     println!(
         "service stats: {} requests, store {} loads / {} hits ({}/{} bytes resident, {} evictions)",
-        stats.requests,
-        stats.store.loads,
-        stats.store.hits,
-        stats.store.resident_bytes,
+        stats.value("service_requests_total"),
+        stats.value("store_loads_total"),
+        stats.value("store_hits_total"),
+        stats.value("store_resident_bytes"),
         service.store().budget_bytes(),
-        stats.store.evictions
+        stats.value("store_evictions_total")
     );
-    assert!(stats.store.resident_bytes <= service.store().budget_bytes());
+    assert!(stats.value("store_resident_bytes") <= service.store().budget_bytes());
 }

@@ -99,23 +99,26 @@ fn main() {
         lines.len()
     );
 
-    let pool_stats = pool.pool_stats();
-    let agg = pool.stats();
+    // One registry snapshot folds every shard, live and retired; a shard
+    // has its own snapshot exactly while it is alive.
+    let agg = pool.metrics();
+    let alive = pool.shard_metrics().iter().filter(|s| s.is_some()).count();
     println!(
-        "pool: {} shards ({} alive), {} rerouted, {} kills, {} restarts",
-        pool_stats.shards,
-        pool_stats.alive,
-        pool_stats.rerouted,
-        pool_stats.kills,
-        pool_stats.restarts
+        "pool: {} shards ({alive} alive), {} rerouted, {} kills, {} restarts",
+        pool.shard_count(),
+        agg.value("pool_rerouted_total"),
+        agg.value("pool_kills_total"),
+        agg.value("pool_restarts_total")
     );
     println!(
         "aggregate store: {} loads, {} hits, {} disk hits (disk-warm restarts)",
-        agg.store.loads, agg.store.hits, agg.store.disk_hits
+        agg.value("store_loads_total"),
+        agg.value("store_hits_total"),
+        agg.value("store_disk_hits_total")
     );
-    assert_eq!(pool_stats.kills, 1);
-    assert_eq!(pool_stats.restarts, 1);
-    assert_eq!(pool_stats.alive, 3);
+    assert_eq!(agg.value("pool_kills_total"), 1);
+    assert_eq!(agg.value("pool_restarts_total"), 1);
+    assert_eq!(alive, 3);
 
     pool.shutdown();
     let _ = std::fs::remove_dir_all(&snapshot_dir);

@@ -12,7 +12,7 @@
 use backdroid_appgen::benchset::{bench_app, BenchsetConfig};
 use backdroid_appgen::fixtures::{fixture_count, snapshot_fixture};
 use backdroid_appgen::AndroidApp;
-use backdroid_core::AppArtifacts;
+use backdroid_core::{AppArtifacts, BackendChoice};
 use backdroid_dex::{dump_image, dump_image_with_marks, DexImage};
 use backdroid_ir::wire::fnv1a64_wide;
 use backdroid_ir::{
@@ -20,6 +20,7 @@ use backdroid_ir::{
     MethodBuilder, MethodSig, Modifiers, Place, Program, Rvalue, Stmt, Type, Value,
 };
 use backdroid_manifest::Manifest;
+use backdroid_search::BytecodeText;
 use std::fmt::Write as _;
 
 /// `(dump, marks, snapshot)` fingerprints of one build.
@@ -34,7 +35,12 @@ fn prints(app: &AndroidApp, image: &DexImage) -> Prints {
     for m in &marks {
         let _ = writeln!(mark_text, "{} {} {}", m.name, m.line_start, m.line_end);
     }
-    let artifacts = AppArtifacts::from_dump(app.program.clone(), app.manifest.clone(), &dump);
+    let artifacts = AppArtifacts::from_parts(
+        app.program.clone(),
+        app.manifest.clone(),
+        BytecodeText::index(&dump),
+        BackendChoice::default(),
+    );
     (
         fnv1a64_wide(dump.as_bytes()),
         fnv1a64_wide(mark_text.as_bytes()),

@@ -4,7 +4,7 @@
 //! across the merged dump.
 
 use backdroid_appgen::{AppSpec, Mechanism, Scenario, SinkKind};
-use backdroid_core::{Backdroid, DetectorRegistry};
+use backdroid_core::{AppArtifacts, Backdroid, BackendChoice, DetectorRegistry};
 use backdroid_dex::{dump_image, DexImage};
 use backdroid_ir::{MethodSig, Type};
 use backdroid_search::{BytecodeText, SearchCmd, SearchEngine};
@@ -73,8 +73,12 @@ fn search_spans_dex_boundaries() {
 fn full_pipeline_on_multidex_dump() {
     let (app, image) = multidex_app();
     let dump = dump_image(&image);
-    let artifacts =
-        backdroid_core::AppArtifacts::from_dump(app.program.clone(), app.manifest.clone(), &dump);
+    let artifacts = AppArtifacts::from_parts(
+        app.program.clone(),
+        app.manifest.clone(),
+        BytecodeText::index(&dump),
+        BackendChoice::default(),
+    );
     let report = Backdroid::new().analyze_artifacts(&artifacts);
     assert_eq!(
         report.vulnerable_sinks().len(),

@@ -1,6 +1,8 @@
 //! Byte goldens for the reply renderer: `render_analysis`,
 //! `render_batch` and `render_put_version`, each pinned as a
-//! `wire::fnv1a64_wide` fingerprint recorded from a known-good build.
+//! `wire::fnv1a64_wide` fingerprint recorded from a known-good build,
+//! and the `stats` reply of a plain service and of a shard pool, pinned
+//! as literal lines.
 //!
 //! Every equivalence suite renders both of its sides with the same
 //! renderer (served ≡ direct, delta ≡ scratch, sharded ≡ unsharded), so a
@@ -16,11 +18,15 @@ use backdroid_core::{Backdroid, DataflowValue, SinkReport, Verdict};
 use backdroid_ir::wire::fnv1a64_wide;
 use backdroid_ir::{ClassName, FieldSig, MethodSig, Type};
 use backdroid_service::proto::{
-    parse_json, render_analysis, render_batch, render_put_version, Json,
+    parse_json, parse_request, render_analysis, render_batch, render_put_version, Json,
 };
 use backdroid_service::service::{AppAnalysis, PutVersionOutcome, ServiceError};
-use backdroid_service::Fetch;
+use backdroid_service::shard::execute_request;
+use backdroid_service::{Fetch, Responder, Service, ServiceConfig, ShardPool, ShardPoolConfig};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
 
 /// Analyzes `app` with `Backdroid::analyze` on default options.
 fn analysis(app_id: &str, app: &AndroidApp) -> AppAnalysis {
@@ -190,6 +196,100 @@ fn hand_built_reply_matches_recorded_bytes() {
     assert_eq!(reason, Some(format!("reason {NASTY}").as_str()));
     check("hand-built", &[print(&reply)], HAND_BUILT);
 }
+
+/// The requests both `stats` goldens replay, one at a time: analyses and
+/// queries that miss, hit and (under the small budget) evict and restore
+/// from disk, a batch of distinct apps, and an out-of-range app id that
+/// fails to load.
+const STATS_TRACE: &[&str] = &[
+    r#"{"id":1,"op":"analyze","app":"0"}"#,
+    r#"{"id":2,"op":"analyze","app":"1"}"#,
+    r#"{"id":3,"op":"query","app":"0","sinks":["crypto"]}"#,
+    r#"{"id":4,"op":"analyze","app":"2"}"#,
+    r#"{"id":5,"op":"batch","apps":["3","0","1"]}"#,
+    r#"{"id":6,"op":"analyze","app":"99"}"#,
+    r#"{"id":7,"op":"query","app":"2","sinks":["ssl"]}"#,
+    r#"{"id":8,"op":"analyze","app":"0"}"#,
+    r#"{"id":9,"op":"analyze","app":"3"}"#,
+];
+
+/// A fresh, process-unique snapshot directory.
+fn stats_dir(label: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "backdroid-stats-golden-{label}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Four small apps (about 180 KiB resident each), a snapshot directory
+/// and a budget of about two images. One batch thread: concurrent loads
+/// would settle in scheduling order and move the eviction sequence.
+fn stats_service(dir: &Path) -> Service {
+    Service::over_benchset(
+        BenchsetConfig::sized(4, 0.04),
+        ServiceConfig {
+            budget_bytes: 400 * 1024,
+            batch_threads: 1,
+            snapshot_dir: Some(dir.to_path_buf()),
+            ..ServiceConfig::default()
+        },
+    )
+}
+
+#[test]
+fn service_reply_to_stats_matches_recorded_line() {
+    let dir = stats_dir("service");
+    let service = stats_service(&dir);
+    let run = |line: &str| execute_request(&service, &parse_request(line).unwrap());
+    for line in STATS_TRACE {
+        run(line).expect("every traced op replies");
+    }
+    let reply = run(r#"{"id":90,"op":"stats"}"#).expect("stats replies");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(reply, SERVICE_STATS);
+}
+
+#[test]
+fn shard_pool_reply_to_stats_matches_recorded_line() {
+    let dir = stats_dir("pool");
+    let factory_dir = dir.clone();
+    let pool = ShardPool::new(
+        ShardPoolConfig {
+            shards: 2,
+            workers_per_shard: 1,
+            ..ShardPoolConfig::default()
+        },
+        move |_| stats_service(&factory_dir),
+    );
+    let replies: Arc<Mutex<BTreeMap<u64, Option<String>>>> = Arc::default();
+    let sink = Arc::clone(&replies);
+    let responder: Responder = Arc::new(move |seq, line| {
+        sink.lock().unwrap().insert(seq, line);
+    });
+    // One line at a time: the shards share the snapshot directory, so
+    // two shards loading one app at once would race to write it.
+    for (seq, line) in STATS_TRACE.iter().enumerate() {
+        pool.submit_line(seq as u64, line, &responder);
+        pool.drain();
+    }
+    // Killing a shard retires its counters into the pool's total.
+    assert!(pool.kill_shard(0));
+    assert!(pool.restart_shard(0));
+    let seq = STATS_TRACE.len() as u64;
+    pool.submit_line(seq, r#"{"id":91,"op":"stats"}"#, &responder);
+    pool.drain();
+    let reply = replies.lock().unwrap()[&seq]
+        .clone()
+        .expect("stats replies");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(reply, POOL_STATS);
+}
+
+const SERVICE_STATS: &str = r#"{"id":90,"op":"stats","requests":9,"analyze":6,"query":2,"batch":1,"errors":1,"peak_in_flight":1,"store":{"hits":1,"misses":5,"coalesced":0,"loads":9,"load_failures":1,"evictions":7,"bytes_evicted":1324125,"disk_hits":5,"disk_misses":5,"disk_invalidations":0,"disk_writes":4,"disk_bytes_written":576474,"disk_write_failures":0,"resident_bytes":306733,"resident_apps":2,"peak_resident_bytes":396488}}"#;
+
+const POOL_STATS: &str = r#"{"id":91,"op":"stats","requests":9,"analyze":6,"query":2,"batch":1,"errors":1,"peak_in_flight":2,"store":{"hits":3,"misses":5,"coalesced":0,"loads":7,"load_failures":1,"evictions":3,"bytes_evicted":499968,"disk_hits":3,"disk_misses":5,"disk_invalidations":0,"disk_writes":4,"disk_bytes_written":576474,"disk_write_failures":0,"resident_bytes":734402,"resident_apps":4,"peak_resident_bytes":751777}}"#;
 
 const FIXTURES: &[u64] = &[
     0xee3c12d88e706c4a,

@@ -44,7 +44,11 @@ fn eviction_respects_budget_and_lru_order() {
     for id in ["a", "b", "c"] {
         assert_eq!(store.get(id).unwrap().1, Fetch::Miss);
     }
-    assert_eq!(store.stats().evictions, 0, "three images fit");
+    assert_eq!(
+        store.metrics().snapshot().value("store_evictions_total"),
+        0,
+        "three images fit"
+    );
     assert_eq!(store.lru_order(), ["a", "b", "c"]);
 
     // Touch `a`: it becomes most recent, `b` is now the LRU victim.
@@ -62,10 +66,10 @@ fn eviction_respects_budget_and_lru_order() {
         assert_eq!(store.resident_apps(), 3);
     }
     assert_eq!(store.lru_order(), ["e", "f", "g"]);
-    let stats = store.stats();
-    assert_eq!(stats.evictions, 4);
-    assert_eq!(stats.bytes_evicted, image_bytes * 4);
-    assert!(stats.peak_resident_bytes <= budget);
+    let stats = store.metrics().snapshot();
+    assert_eq!(stats.value("store_evictions_total"), 4);
+    assert_eq!(stats.value("store_bytes_evicted_total"), image_bytes * 4);
+    assert!(stats.value("store_peak_resident_bytes") <= budget);
 }
 
 #[test]
@@ -103,11 +107,13 @@ fn single_flight_loads_each_app_exactly_once_under_fuzzed_bursts() {
             apps.len(),
             "seed {seed}: every app must load exactly once"
         );
-        let stats = store.stats();
-        assert_eq!(stats.loads, apps.len() as u64);
-        assert_eq!(stats.misses, apps.len() as u64);
+        let stats = store.metrics().snapshot();
+        assert_eq!(stats.value("store_loads_total"), apps.len() as u64);
+        assert_eq!(stats.value("store_misses_total"), apps.len() as u64);
         assert_eq!(
-            stats.hits + stats.misses + stats.coalesced,
+            stats.value("store_hits_total")
+                + stats.value("store_misses_total")
+                + stats.value("store_coalesced_total"),
             (threads * gets_per_thread) as u64
         );
     }

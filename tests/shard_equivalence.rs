@@ -179,6 +179,6 @@ fn stats_and_admin_lines_splice_cleanly_into_traces() {
         answers, golden,
         "admin ops must be invisible in the data-plane stream"
     );
-    assert!(pool.pool_stats().kills >= 1);
+    assert!(pool.metrics().value("pool_kills_total") >= 1);
     pool.shutdown();
 }

@@ -78,6 +78,11 @@ fn slot_responder(slots: &Arc<Mutex<Vec<Option<Option<String>>>>>) -> Responder 
     })
 }
 
+/// Live shards: a shard holds a service exactly while it is alive.
+fn alive(pool: &ShardPool) -> usize {
+    pool.shard_metrics().iter().filter(|s| s.is_some()).count()
+}
+
 #[test]
 fn killing_a_shard_mid_burst_loses_nothing_and_restarts_disk_warm() {
     let scratch = ScratchDir::new("mid-burst");
@@ -158,10 +163,10 @@ fn killing_a_shard_mid_burst_loses_nothing_and_restarts_disk_warm() {
     pool.submit_line(probe_seq as u64, &analyze_line(400, 0), &responder);
     pool.drain();
     assert!(
-        pool.pool_stats().rerouted >= 1,
+        pool.metrics().value("pool_rerouted_total") >= 1,
         "requests for the dead shard's apps must be rerouted"
     );
-    assert_eq!(pool.pool_stats().alive, 2);
+    assert_eq!(alive(&pool), 2);
 
     // Restart: the shard must come back alive — and because its fresh
     // store shares the snapshot directory, its first-touch loads are
@@ -171,10 +176,14 @@ fn killing_a_shard_mid_burst_loses_nothing_and_restarts_disk_warm() {
         !pool.restart_shard(victim),
         "restarting a live shard is a no-op"
     );
-    let fresh = pool
-        .shard_stats(victim)
+    let fresh = pool.shard_metrics()[victim]
+        .clone()
         .expect("restarted shard reports stats");
-    assert_eq!(fresh.store.loads, 0, "fresh store starts empty");
+    assert_eq!(
+        fresh.value("store_loads_total"),
+        0,
+        "fresh store starts empty"
+    );
 
     let tail: Vec<String> = (0..bench.count)
         .map(|app| analyze_line(500 + app as u64, app))
@@ -184,15 +193,16 @@ fn killing_a_shard_mid_burst_loses_nothing_and_restarts_disk_warm() {
     }
     pool.drain();
 
-    let after = pool
-        .shard_stats(victim)
+    let after = pool.shard_metrics()[victim]
+        .clone()
         .expect("restarted shard reports stats");
     assert!(
-        after.store.disk_hits > 0,
+        after.value("store_disk_hits_total") > 0,
         "restarted shard must load from the shared snapshot tier, got {after:?}"
     );
     assert_eq!(
-        after.store.disk_misses, 0,
+        after.value("store_disk_misses_total"),
+        0,
         "every app the victim re-loads was snapshotted before the kill"
     );
 
@@ -223,11 +233,15 @@ fn killing_a_shard_mid_burst_loses_nothing_and_restarts_disk_warm() {
     }
     drop(slots);
 
-    let stats = pool.pool_stats();
-    assert_eq!(stats.kills, 1);
-    assert_eq!(stats.restarts, 1);
-    assert_eq!(stats.alive, 3);
-    assert_eq!(stats.no_shard_errors, 0, "two shards always survived");
+    let stats = pool.metrics();
+    assert_eq!(stats.value("pool_kills_total"), 1);
+    assert_eq!(stats.value("pool_restarts_total"), 1);
+    assert_eq!(alive(&pool), 3);
+    assert_eq!(
+        stats.value("pool_no_shard_errors_total"),
+        0,
+        "two shards always survived"
+    );
     pool.shutdown();
 }
 
@@ -260,7 +274,7 @@ fn killing_every_shard_yields_deterministic_errors_not_hangs() {
         )],
         "a fully-dead pool must answer, deterministically, not hang"
     );
-    assert_eq!(pool.pool_stats().no_shard_errors, 1);
+    assert_eq!(pool.metrics().value("pool_no_shard_errors_total"), 1);
     pool.shutdown();
 }
 

@@ -179,23 +179,35 @@ fn service_responses_are_identical_across_all_three_tiers() {
     // Tier 1: cold parses, snapshots written.
     let cold_service = Service::over_benchset(bench, cfg.clone());
     let cold = render(&cold_service);
-    let s = cold_service.stats().store;
-    assert_eq!(s.disk_hits, 0, "empty dir: nothing to restore");
-    assert_eq!(s.disk_writes, 3, "one single-flight write per distinct app");
-    assert!(s.disk_bytes_written > 0);
+    let s = cold_service.metrics().snapshot();
+    assert_eq!(
+        s.value("store_disk_hits_total"),
+        0,
+        "empty dir: nothing to restore"
+    );
+    assert_eq!(
+        s.value("store_disk_writes_total"),
+        3,
+        "one single-flight write per distinct app"
+    );
+    assert!(s.value("store_disk_bytes_written_total") > 0);
 
     // Tier 2: a fresh service over the populated directory — every
     // first-touch load is a snapshot restore, zero re-parses.
     let disk_service = Service::over_benchset(bench, cfg.clone());
     let disk = render(&disk_service);
-    let s = disk_service.stats().store;
-    assert_eq!(s.disk_hits, 3, "all first-touch loads restored from disk");
-    assert_eq!(s.misses, 0, "no app was re-parsed");
+    let s = disk_service.metrics().snapshot();
+    assert_eq!(
+        s.value("store_disk_hits_total"),
+        3,
+        "all first-touch loads restored from disk"
+    );
+    assert_eq!(s.value("store_misses_total"), 0, "no app was re-parsed");
 
     // Tier 3: the same resident service again — memory hits only.
     let memory = render(&disk_service);
-    let s = disk_service.stats().store;
-    assert_eq!(s.loads, 3, "nothing new was produced");
+    let s = disk_service.metrics().snapshot();
+    assert_eq!(s.value("store_loads_total"), 3, "nothing new was produced");
 
     assert_eq!(cold, disk, "cold-parse vs disk-warm responses");
     assert_eq!(cold, memory, "cold-parse vs memory-warm responses");
@@ -231,10 +243,18 @@ fn service_survives_snapshot_corruption_with_identical_output() {
         golden_line,
         "reparse fallback must not change the response"
     );
-    let s = recovering.stats().store;
-    assert_eq!(s.disk_invalidations, 1);
-    assert_eq!(s.misses, 1, "the corrupt snapshot forced one reparse");
-    assert_eq!(s.disk_writes, 1, "and the snapshot was re-written");
+    let s = recovering.metrics().snapshot();
+    assert_eq!(s.value("store_disk_invalidations_total"), 1);
+    assert_eq!(
+        s.value("store_misses_total"),
+        1,
+        "the corrupt snapshot forced one reparse"
+    );
+    assert_eq!(
+        s.value("store_disk_writes_total"),
+        1,
+        "and the snapshot was re-written"
+    );
     // The re-written snapshot is valid again.
     let again = Service::over_benchset(
         bench,
@@ -245,5 +265,5 @@ fn service_survives_snapshot_corruption_with_identical_output() {
         },
     );
     again.analyze_app("1").unwrap();
-    assert_eq!(again.stats().store.disk_hits, 1);
+    assert_eq!(again.metrics().snapshot().value("store_disk_hits_total"), 1);
 }

@@ -146,7 +146,7 @@ fn manifest_only_requests_never_materialize_the_text_section() {
     ));
     // The unknown-detector error fails before any image is fetched, and
     // the stats snapshot reads only counters — neither touches text.
-    let _ = service.stats();
+    let _ = service.metrics().snapshot();
     let (image, _) = service.store().get("0").unwrap();
     let text = image.engine().text();
     assert!(
