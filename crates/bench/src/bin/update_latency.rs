@@ -5,24 +5,27 @@
 //! and times each version twice:
 //!
 //! * **delta-warm** — what `put_version` + `analyze_delta` pay: rebuild
-//!   the image through the per-class token cache (only touched classes
-//!   re-tokenize), then a delta run that replays prior verdicts for
-//!   every sink the update provably cannot have affected;
+//!   the image, posting lists included, then a delta run that replays
+//!   prior verdicts for every sink the update provably cannot have
+//!   affected;
 //! * **cold** — a from-scratch image build plus a full analysis of the
 //!   same version, the cost an update would incur without the
 //!   incremental path.
 //!
 //! Each side splits into a **build** phase (encode + dump + index — the
-//! publish cost, paid once per version and nearly identical on both
-//! paths) and an **analysis** phase (what every request after the
-//! publish pays). The incremental win concentrates in the analysis
-//! phase, so that ratio (`wall_analysis_speedup`) is the headline band;
-//! the end-to-end ratio (`wall_update_speedup`) is banded too and must
-//! not regress below the cold path.
+//! publish cost, paid once per version) and an **analysis** phase (what
+//! every request after the publish pays). The warm build also forces
+//! the posting lists, which `put_version` builds when it writes the
+//! snapshot to a disk tier; the cold side leaves them to its first
+//! query, so they land in its analysis phase. The incremental win
+//! concentrates in the analysis phase, so that ratio
+//! (`wall_analysis_speedup`) is the headline band; the end-to-end ratio
+//! (`wall_update_speedup`) is banded too and must not regress below the
+//! cold path.
 //!
 //! The two paths must agree verdict-for-verdict at every version
 //! (counted as `mismatches`, banded at exactly 0), and the speedups plus
-//! the reuse rates (chunks, tokens, sink verdicts) form the
+//! the reuse rates (chunks, sink verdicts) form the
 //! machine-independent envelope committed in `BENCH_update_latency.json`
 //! and checked by `--baseline` in CI.
 //!
@@ -36,7 +39,7 @@ use backdroid_bench::harness::parsed_arg;
 use backdroid_bench::json::JsonObject;
 use backdroid_bench::{backend_from_args, json_path_from_args, Baseline};
 use backdroid_core::{AppArtifacts, Backdroid, BackdroidOptions, ChunkManifest};
-use backdroid_search::{BackendChoice, TokenCache};
+use backdroid_search::BackendChoice;
 use std::time::Instant;
 
 fn main() {
@@ -66,8 +69,6 @@ fn main() {
     let mut updates_run = 0u64;
     let mut chunks_reused = 0u64;
     let mut chunks_total = 0u64;
-    let mut tokens_reused = 0u64;
-    let mut classes_total = 0u64;
     let mut sinks_reused = 0u64;
     let mut sinks_total = 0u64;
 
@@ -75,12 +76,7 @@ fn main() {
         let ba = bench_app(i, bench);
         let manifest = ba.app.manifest;
         let mut program = ba.app.program;
-        let (mut old, mut cache, _) = AppArtifacts::with_backend_cached(
-            program.clone(),
-            manifest.clone(),
-            backend,
-            &TokenCache::default(),
-        );
+        let mut old = AppArtifacts::with_backend(program.clone(), manifest.clone(), backend);
         // The serving layer captures the base on the first delta request;
         // here it is part of setup, not of either timed path.
         let (_, mut base) = tool.analyze_artifacts_traced(&old);
@@ -95,8 +91,8 @@ fn main() {
                 (delta.unchanged.len() + delta.changed.len() + delta.added.len()) as u64;
 
             let t0 = Instant::now();
-            let (new, next_cache, tok_reused) =
-                AppArtifacts::with_backend_cached(next.clone(), manifest.clone(), backend, &cache);
+            let new = AppArtifacts::with_backend(next.clone(), manifest.clone(), backend);
+            new.engine().text().search_index();
             warm_build_ms += t0.elapsed().as_secs_f64() * 1_000.0;
             let t0 = Instant::now();
             let (warm_report, new_base, stats) = tool.analyze_delta(&old, Some(&base), &new);
@@ -113,8 +109,6 @@ fn main() {
                 eprintln!("MISMATCH: app {i} update {step}: delta diverged from cold");
                 mismatches += 1;
             }
-            tokens_reused += tok_reused as u64;
-            classes_total += next_cache.len() as u64;
             sinks_reused += stats.sinks_reused as u64;
             sinks_total += (stats.sinks_reused + stats.sinks_reanalyzed) as u64;
             fallbacks += stats.full_fallback as u64;
@@ -123,7 +117,6 @@ fn main() {
             program = next;
             old = new;
             base = new_base;
-            cache = next_cache;
         }
     }
 
@@ -160,9 +153,8 @@ fn main() {
     );
     println!("  speedup: {analysis_speedup:.1}x analysis phase, {speedup:.2}x end-to-end");
     println!(
-        "  reuse: chunks {:.2}, tokens {:.2}, sink verdicts {:.2} | full fallbacks {fallbacks}/{updates_run}",
+        "  reuse: chunks {:.2}, sink verdicts {:.2} | full fallbacks {fallbacks}/{updates_run}",
         ratio(chunks_reused, chunks_total),
-        ratio(tokens_reused, classes_total),
         ratio(sinks_reused, sinks_total)
     );
     println!("  mismatches: {mismatches}");
@@ -175,7 +167,6 @@ fn main() {
             .int("mismatches", mismatches as u64)
             .int("delta_full_fallbacks", fallbacks)
             .float("chunk_reuse_rate", ratio(chunks_reused, chunks_total))
-            .float("token_reuse_rate", ratio(tokens_reused, classes_total))
             .float("sink_reuse_rate", ratio(sinks_reused, sinks_total))
             .float("wall_warm_ms_per_update", warm_ms / n)
             .float("wall_cold_ms_per_update", cold_ms / n)
@@ -209,7 +200,6 @@ fn main() {
         ("mismatches", mismatches as f64),
         ("fallback_rate", ratio(fallbacks, updates_run)),
         ("chunk_reuse_rate", ratio(chunks_reused, chunks_total)),
-        ("token_reuse_rate", ratio(tokens_reused, classes_total)),
         ("sink_reuse_rate", ratio(sinks_reused, sinks_total)),
         ("wall_analysis_speedup", analysis_speedup),
         ("wall_update_speedup", speedup),

@@ -15,7 +15,7 @@
 //! | `search_backend_bench`  | linear-vs-indexed search backend cost + equivalence |
 //! | `service_throughput`    | serving-layer throughput: req/s, cold-parse vs disk-warm vs memory-warm latency tiers, store evictions |
 //! | `snapshot_bench`        | snapshot layer: parse vs serialize vs restore cost, round-trip exactness |
-//! | `update_latency`        | incremental update path: delta-warm vs cold per-version cost, verdict/chunk/token reuse, delta ≡ from-scratch |
+//! | `update_latency`        | incremental update path: delta-warm vs cold per-version cost, verdict/chunk reuse, delta ≡ from-scratch |
 //!
 //! Run with `cargo run --release -p backdroid-bench --bin <name>`. Common
 //! flags (parsed by [`harness`]):

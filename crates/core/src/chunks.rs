@@ -26,8 +26,8 @@
 //!   fields, modifiers, and method signatures — just different
 //!   statements) allow the analysis engine to replay prior sink
 //!   verdicts selectively; anything structural forces a full
-//!   re-analysis (still cheap, because chunks and the token cache
-//!   still carry the unchanged classes).
+//!   re-analysis (the chunk store still supplies the unchanged
+//!   classes).
 //!
 //! The invariant the whole path maintains (enforced by
 //! `tests/delta_equivalence.rs` alongside `parallel_equivalence` and
@@ -198,8 +198,8 @@ pub enum DeltaKind {
         changed_methods: BTreeSet<MethodSig>,
     },
     /// Anything else — classes or members added/removed/re-typed.
-    /// Verdict reuse is off; the delta path still wins through chunk
-    /// and token-cache reuse, and re-analysis is byte-identical to a
+    /// Verdict reuse is off; the update still takes unchanged classes
+    /// from the chunk store, and re-analysis is byte-identical to a
     /// cold run by determinism.
     Structural,
 }

@@ -12,13 +12,13 @@
 //! share the index, caches, and statistics), and the task's private loop
 //! counters.
 
-use crate::chunks::{chunk_key, ChunkManifest};
+use crate::chunks::ChunkManifest;
 use crate::loops::LoopStats;
-use backdroid_dex::{dump_image, dump_image_with_marks, DexImage};
+use backdroid_dex::{dump_image, DexImage};
 use backdroid_ir::wire::{self, WireReader};
 use backdroid_ir::{Class, ClassName, Method, MethodSig, Program};
 use backdroid_manifest::Manifest;
-use backdroid_search::{BackendChoice, BytecodeText, ClassSegment, SearchEngine, TokenCache};
+use backdroid_search::{BackendChoice, BytecodeText, SearchEngine};
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -129,42 +129,6 @@ impl AppArtifacts {
             engine,
             chunk_manifest: OnceLock::new(),
         }
-    }
-
-    /// Builds the artifacts for a **new version** of an app whose prior
-    /// version's per-class token streams are cached: classes whose
-    /// chunk keys appear in `cache` skip tokenization entirely, and the
-    /// resulting index is **byte-identical** to a from-scratch build
-    /// (one shared code path scans and replays — see
-    /// [`BytecodeText::index_with_token_cache`]).
-    ///
-    /// Returns the artifacts, the new version's token cache (for the
-    /// *next* update), and how many classes were served from `cache`.
-    pub fn with_backend_cached(
-        program: Program,
-        manifest: Manifest,
-        backend: BackendChoice,
-        cache: &TokenCache,
-    ) -> (Self, TokenCache, usize) {
-        let image = DexImage::encode(&program);
-        let (dump, marks) = dump_image_with_marks(&image);
-        let segments: Vec<ClassSegment> = marks
-            .iter()
-            .map(|m| ClassSegment {
-                key: chunk_key(program.class(&m.name).expect("mark names a program class")),
-                start: m.line_start,
-                end: m.line_end,
-            })
-            .collect();
-        let (text, next_cache, reused) =
-            BytecodeText::index_with_token_cache(&dump, &segments, cache);
-        let artifacts = AppArtifacts {
-            program: LazyProgram::ready(program),
-            manifest,
-            engine: SearchEngine::with_backend(text, backend),
-            chunk_manifest: OnceLock::new(),
-        };
-        (artifacts, next_cache, reused)
     }
 
     /// Reassembles artifacts from already-built parts — the restore path

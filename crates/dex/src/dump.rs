@@ -80,18 +80,11 @@ pub fn class_descriptor(name: &ClassName) -> String {
     format!("L{};", name.as_str().replace('.', "/"))
 }
 
-/// The number of newlines in `s`.
-fn newlines(s: &str) -> u32 {
-    s.bytes().filter(|&b| b == b'\n').count() as u32
-}
-
-/// Where one pool entry's text sits in a [`PoolText`] arena, and how
-/// many newlines it embeds (string literals can carry some).
+/// Where one pool entry's text sits in a [`PoolText`] arena.
 #[derive(Clone, Copy)]
 struct Piece {
     start: u32,
     end: u32,
-    newlines: u32,
 }
 
 /// A method pool entry's text: `Lcom/a/B;.run:(I)V`, its name and its
@@ -187,16 +180,13 @@ impl PoolText {
         Piece {
             start: start as u32,
             end: self.arena.len() as u32,
-            newlines: newlines(&self.arena[start..]),
         }
     }
 }
 
-/// Writes the dump of a whole image into one buffer, counting lines as
-/// it writes them.
+/// Writes the dump of a whole image into one buffer.
 struct Renderer {
     out: String,
-    lines: u32,
     /// The pool text of the file being rendered.
     pool: PoolText,
     /// Fake absolute file offset, advanced per code unit.
@@ -212,7 +202,6 @@ impl Renderer {
     /// Ends the current line.
     fn nl(&mut self) {
         self.out.push('\n');
-        self.lines += 1;
     }
 
     /// A whole line of template text.
@@ -234,7 +223,6 @@ impl Renderer {
     fn piece(&mut self, p: Piece) {
         self.out
             .push_str(&self.pool.arena[p.start as usize..p.end as usize]);
-        self.lines += p.newlines;
     }
 
     // `reg` and `hex` format by hand because every instruction line
@@ -509,7 +497,6 @@ impl Renderer {
         let class = m.sig.class().as_str();
         self.out
             .extend(class.chars().map(|c| if c == '$' { '.' } else { c }));
-        self.lines += newlines(class);
         self.s(".");
         self.piece(text.name);
         self.s(":");
@@ -585,26 +572,6 @@ impl Renderer {
     }
 }
 
-/// Disassembles all dex files of a (merged multidex) image into one
-/// plaintext, as BackDroid's preprocessing step does (paper §III step 1).
-pub fn dump_image(image: &DexImage) -> String {
-    dump_image_with_marks(image).0
-}
-
-/// One class's extent within a [`dump_image`] plaintext: lines
-/// `[line_start, line_end)` are exactly the class's rendered block
-/// (banner through trailing blank line). The `Opened 'classesN.dex'`
-/// header lines sit between marks and belong to no class.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct ClassMark {
-    /// The class rendered in this line range.
-    pub name: ClassName,
-    /// First line of the class block (0-based, inclusive).
-    pub line_start: u32,
-    /// One past the last line of the class block (exclusive).
-    pub line_end: u32,
-}
-
 /// An estimate of an image's dump size from its class, field, method
 /// and instruction counts, on the high side (generated apps render 80–93%
 /// of it), so the output buffer is allocated once.
@@ -619,20 +586,14 @@ fn dump_capacity(image: &DexImage) -> usize {
     bytes
 }
 
-/// Like [`dump_image`], but also reports each class's line extent.
-///
-/// The plaintext is byte-identical to [`dump_image`]'s; the marks let
-/// the incremental indexer attribute token scans to classes without
-/// re-parsing the dump (class blocks can contain adversarial string
-/// constants, so textual boundary sniffing is not trustworthy).
-pub fn dump_image_with_marks(image: &DexImage) -> (String, Vec<ClassMark>) {
+/// Disassembles all dex files of a (merged multidex) image into one
+/// plaintext, as BackDroid's preprocessing step does (paper §III step 1).
+pub fn dump_image(image: &DexImage) -> String {
     let mut r = Renderer {
         out: String::with_capacity(dump_capacity(image)),
-        lines: 0,
         pool: PoolText::default(),
         abs: 0,
     };
-    let mut marks = Vec::new();
     for (i, dex) in image.files().iter().enumerate() {
         r.s("Opened 'classes");
         if i > 0 {
@@ -643,16 +604,10 @@ pub fn dump_image_with_marks(image: &DexImage) -> (String, Vec<ClassMark>) {
         r.pool = PoolText::new(dex.pools());
         r.abs = 0x1000;
         for (idx, class) in dex.class_defs().iter().enumerate() {
-            let line_start = r.lines;
             r.render_class(idx, class);
-            marks.push(ClassMark {
-                name: class.name.clone(),
-                line_start,
-                line_end: r.lines,
-            });
         }
     }
-    (r.out, marks)
+    r.out
 }
 
 #[cfg(test)]
@@ -742,29 +697,6 @@ mod tests {
         let a = dump_image(&crate::model::DexImage::encode(&p));
         let b = dump_image(&crate::model::DexImage::encode(&p));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn marks_count_newlines_inside_string_constants() {
-        let mut p = Program::new();
-        for (name, literal) in [("com.a.First", "one\ntwo\n"), ("com.a.Second", "plain")] {
-            let class = ClassName::new(name);
-            let mut m = MethodBuilder::public_static(&class, "m", vec![], Type::Void);
-            m.assign_const(backdroid_ir::Const::str(literal));
-            m.ret_void();
-            p.add_class(ClassBuilder::new(name).method(m.build()).build());
-        }
-        let (text, marks) = dump_image_with_marks(&crate::model::DexImage::encode(&p));
-        let line_starts: Vec<usize> = std::iter::once(0)
-            .chain(text.match_indices('\n').map(|(i, _)| i + 1))
-            .collect();
-        assert_eq!(marks.len(), 2);
-        for m in &marks {
-            let block = &text[line_starts[m.line_start as usize]..line_starts[m.line_end as usize]];
-            assert!(block.starts_with("Class #"), "{m:?} starts mid-block");
-            assert!(block.contains(&format!("'{}'", class_descriptor(&m.name))));
-        }
-        assert_eq!(marks[1].line_end as usize, line_starts.len() - 1);
     }
 
     #[test]

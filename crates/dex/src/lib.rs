@@ -33,8 +33,8 @@ pub mod insn;
 pub mod model;
 
 pub use dump::{
-    class_descriptor, dump_image, dump_image_with_marks, field_ref_string, method_ref_string,
-    parse_field_ref, parse_method_ref, ClassMark,
+    class_descriptor, dump_image, field_ref_string, method_ref_string, parse_field_ref,
+    parse_method_ref,
 };
 pub use insn::{CodeItem, FieldIdx, Insn, MethodIdx, PoolResolver, Reg, StringIdx, TypeIdx};
 pub use model::{ClassDef, DexFile, DexImage, EncodedField, EncodedMethod, MULTIDEX_METHOD_LIMIT};

@@ -62,161 +62,6 @@ pub struct SearchIndex {
     owners: Vec<u32>,
 }
 
-/// One class block's cached token scan, positioned relative to the
-/// block's first line. Everything [`SearchIndex::build`] derives from a
-/// class's dump lines is a pure function of the class IR (pool-index
-/// comments, absolute offsets, and class-index banners never produce
-/// tokens), so a scan cached under the class's content-hash chunk key
-/// can be replayed into any later dump of the same class — the
-/// incremental re-index path of a version update.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
-pub struct ClassTokens {
-    /// Number of dump lines in the block.
-    line_count: u32,
-    /// Owner registrations (`Class descriptor` header lines) at their
-    /// local line, in scan order. Normally exactly one per block, but
-    /// string constants containing embedded newlines can fabricate
-    /// extra header-shaped lines — recording them all keeps the replay
-    /// faithful to a fresh scan even then.
-    regs: Vec<(u32, ClassName)>,
-    /// Token emissions in scan order: (local line, namespaced token).
-    events: Vec<(u32, String)>,
-}
-
-impl ClassTokens {
-    /// Approximate resident bytes, for cache budgeting.
-    pub fn resident_bytes(&self) -> u64 {
-        let ev: usize = self.events.iter().map(|(_, t)| t.len() + 28).sum();
-        let regs: usize = self.regs.iter().map(|(_, c)| c.as_str().len() + 28).sum();
-        (ev + regs + 16) as u64
-    }
-}
-
-/// Cached class scans keyed by content-hash chunk key. Entries are
-/// `Arc`-shared so a warm entry carries across versions without copying.
-pub type TokenCache = std::collections::HashMap<u64, std::sync::Arc<ClassTokens>>;
-
-/// One class block inside a dump, with the content key its cached scan
-/// is filed under: lines `[start, end)` (see
-/// [`backdroid_dex::dump_image_with_marks`]).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct ClassSegment {
-    /// Content-hash chunk key of the class (its wire-encoded IR).
-    pub key: u64,
-    /// First line of the block (inclusive).
-    pub start: u32,
-    /// One past the last line of the block (exclusive).
-    pub end: u32,
-}
-
-/// The single scan/accumulate path shared by the fresh build and the
-/// cache-replay build — one code path so the two cannot drift apart.
-struct Builder {
-    symbols: SymbolTable,
-    lists: Vec<Vec<u32>>,
-    classes: Vec<ClassName>,
-    owners: Vec<u32>,
-    current_owner: u32,
-}
-
-impl Builder {
-    fn new() -> Builder {
-        Builder {
-            symbols: SymbolTable::new(),
-            lists: Vec::new(),
-            classes: Vec::new(),
-            owners: Vec::new(),
-            current_owner: NO_OWNER,
-        }
-    }
-
-    /// Posts one token occurrence at `line` (global index), interning
-    /// the concatenation of `parts`.
-    fn post(&mut self, parts: &[&str], line: u32) {
-        let sym = self.symbols.intern(parts) as usize;
-        if sym == self.lists.len() {
-            self.lists.push(Vec::new());
-        }
-        let list = &mut self.lists[sym];
-        if list.last() != Some(&line) {
-            list.push(line);
-        }
-    }
-
-    /// Registers a class section owner.
-    fn register(&mut self, c: ClassName) {
-        self.classes.push(c);
-        self.current_owner = (self.classes.len() - 1) as u32;
-    }
-
-    /// Scans one line exactly as the fresh build does, optionally
-    /// recording the scan (registrations + token events at local line
-    /// `rec.1`) for the token cache.
-    fn scan_line(&mut self, line: &str, global: u32, mut rec: Option<(&mut ClassTokens, u32)>) {
-        if let Some(rest) = line.trim_start().strip_prefix("Class descriptor  : '") {
-            if let Some(desc) = rest.strip_suffix('\'') {
-                if let Some(Type::Object(c)) = Type::from_descriptor(desc) {
-                    if let Some((tok, local)) = rec.as_mut() {
-                        tok.regs.push((*local, c.clone()));
-                    }
-                    self.register(c);
-                }
-            }
-        }
-        self.owners.push(self.current_owner);
-        match rec {
-            Some((tok, local)) => scan_tokens(line, &mut |prefix, payload| {
-                self.post(&[prefix, payload], global);
-                let mut t = String::with_capacity(prefix.len() + payload.len());
-                t.push_str(prefix);
-                t.push_str(payload);
-                tok.events.push((local, t));
-            }),
-            None => scan_tokens(line, &mut |prefix, payload| {
-                self.post(&[prefix, payload], global);
-            }),
-        }
-    }
-
-    /// Replays a cached class scan whose block starts at global line
-    /// `base`: registrations and per-line owners first, then the token
-    /// events in their original order. Token posting order across the
-    /// whole build equals the fresh build's (segments are replayed in
-    /// dump order and events are line-major), so interned symbol ids —
-    /// and therefore the serialized index — come out byte-identical.
-    fn replay(&mut self, tok: &ClassTokens, base: u32) {
-        let mut regs = tok.regs.iter().peekable();
-        for local in 0..tok.line_count {
-            while regs.peek().is_some_and(|(l, _)| *l == local) {
-                let (_, c) = regs.next().expect("peeked");
-                self.register(c.clone());
-            }
-            self.owners.push(self.current_owner);
-        }
-        for (local, token) in &tok.events {
-            self.post(&[token], base + local);
-        }
-    }
-
-    /// Flattens the per-symbol lists into the contiguous index layout.
-    fn finish(self) -> SearchIndex {
-        let mut offsets = Vec::with_capacity(self.lists.len() + 1);
-        let mut flat = Vec::with_capacity(self.lists.iter().map(Vec::len).sum());
-        offsets.push(0);
-        for list in &self.lists {
-            flat.extend_from_slice(list);
-            offsets.push(flat.len() as u32);
-        }
-        SearchIndex {
-            symbols: self.symbols,
-            offsets,
-            lines: flat,
-            classes: self.classes,
-            owners: self.owners,
-        }
-    }
-}
-
 impl SearchIndex {
     /// Tokenizes the dump lines into posting lists. One pass, O(total
     /// text); built once per [`BytecodeText`](crate::BytecodeText), on
@@ -226,69 +71,48 @@ impl SearchIndex {
     where
         I: IntoIterator<Item = &'a str>,
     {
-        let mut b = Builder::new();
+        let mut symbols = SymbolTable::new();
+        let mut lists: Vec<Vec<u32>> = Vec::new();
+        let mut classes: Vec<ClassName> = Vec::new();
+        let mut owners: Vec<u32> = Vec::new();
+        let mut current_owner = NO_OWNER;
         for (i, line) in lines.into_iter().enumerate() {
-            b.scan_line(line, i as u32, None);
-        }
-        b.finish()
-    }
-
-    /// Builds the index incrementally: class blocks listed in
-    /// `segments` (ordered, disjoint, in range) whose chunk key is
-    /// warm in `cache` are replayed from their cached scan instead of
-    /// re-tokenized; everything else — gap lines between segments
-    /// (multidex headers, preamble) and cache-miss blocks — is scanned
-    /// fresh, and fresh class scans are recorded.
-    ///
-    /// Returns the index, the next cache (an entry per segment, warm
-    /// entries shared), and how many segments were reused. The index is
-    /// **byte-identical** to `SearchIndex::build(lines)` — the
-    /// incremental path changes cost, never content (enforced by the
-    /// `delta_equivalence` suite).
-    pub fn build_with_cache(
-        lines: &[&str],
-        segments: &[ClassSegment],
-        cache: &TokenCache,
-    ) -> (SearchIndex, TokenCache, usize) {
-        use std::sync::Arc;
-        let mut b = Builder::new();
-        let mut next = TokenCache::with_capacity(segments.len());
-        let mut reused = 0usize;
-        let mut cursor = 0usize;
-        for seg in segments {
-            let (start, end) = (seg.start as usize, seg.end as usize);
-            assert!(
-                cursor <= start && start <= end && end <= lines.len(),
-                "class segments must be ordered, disjoint, and in range"
-            );
-            for (i, line) in lines.iter().enumerate().take(start).skip(cursor) {
-                b.scan_line(line, i as u32, None);
-            }
-            let extent = (end - start) as u32;
-            match cache.get(&seg.key).filter(|t| t.line_count == extent) {
-                Some(tok) => {
-                    b.replay(tok, start as u32);
-                    next.insert(seg.key, Arc::clone(tok));
-                    reused += 1;
-                }
-                None => {
-                    let mut tok = ClassTokens {
-                        line_count: extent,
-                        regs: Vec::new(),
-                        events: Vec::new(),
-                    };
-                    for (i, line) in lines.iter().enumerate().take(end).skip(start) {
-                        b.scan_line(line, i as u32, Some((&mut tok, (i - start) as u32)));
+            if let Some(rest) = line.trim_start().strip_prefix("Class descriptor  : '") {
+                if let Some(desc) = rest.strip_suffix('\'') {
+                    if let Some(Type::Object(c)) = Type::from_descriptor(desc) {
+                        classes.push(c);
+                        current_owner = (classes.len() - 1) as u32;
                     }
-                    next.insert(seg.key, Arc::new(tok));
                 }
             }
-            cursor = end;
+            owners.push(current_owner);
+            let i = i as u32;
+            scan_tokens(line, &mut |prefix, payload| {
+                let sym = symbols.intern(&[prefix, payload]) as usize;
+                if sym == lists.len() {
+                    lists.push(Vec::new());
+                }
+                let list = &mut lists[sym];
+                if list.last() != Some(&i) {
+                    list.push(i);
+                }
+            });
         }
-        for (i, line) in lines.iter().enumerate().skip(cursor) {
-            b.scan_line(line, i as u32, None);
+        // Flatten the per-symbol lists into one contiguous run.
+        let mut offsets = Vec::with_capacity(lists.len() + 1);
+        let mut flat = Vec::with_capacity(lists.iter().map(Vec::len).sum());
+        offsets.push(0);
+        for list in &lists {
+            flat.extend_from_slice(list);
+            offsets.push(flat.len() as u32);
         }
-        (b.finish(), next, reused)
+        SearchIndex {
+            symbols,
+            offsets,
+            lines: flat,
+            classes,
+            owners,
+        }
     }
 
     /// The posting range of symbol `sym`.

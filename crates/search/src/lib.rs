@@ -95,7 +95,7 @@ mod text;
 
 pub use backend::{BackendChoice, Indexed, LinearScan, SearchBackend};
 pub use engine::{CacheStats, Hit, SearchCmd, SearchEngine, SearchTrace};
-pub use index::{ClassSegment, ClassTokens, SearchIndex, TokenCache};
+pub use index::SearchIndex;
 pub use symbol::{Sym, SymbolTable};
 pub use text::{parse_proto, BytecodeText, MethodSpan};
 

@@ -169,55 +169,10 @@ pub struct BytecodeText {
 }
 
 impl BytecodeText {
-    /// Indexes a dexdump plaintext.
+    /// Indexes a dexdump plaintext: the §III streaming parse into an
+    /// arena, line table, method spans and descriptors. The posting
+    /// lists wait for the first indexed query.
     pub fn index(dump: &str) -> BytecodeText {
-        let body = parse_body(dump);
-        let line_count = body.table.len();
-        let resident = resident_of(&body);
-        BytecodeText {
-            line_count,
-            resident,
-            body: Lazy::ready(body),
-            index: Lazy::absent(),
-        }
-    }
-
-    /// Indexes a dexdump plaintext, building the posting-list index
-    /// **eagerly and incrementally**: class blocks (per `segments`)
-    /// whose content key is warm in `cache` replay their cached token
-    /// scan instead of re-tokenizing — the re-index path of a version
-    /// update, where only changed classes pay the scan. The resulting
-    /// text answers every query identically to [`BytecodeText::index`]
-    /// (see [`SearchIndex::build_with_cache`]). Returns the text, the
-    /// next token cache, and the number of class blocks reused.
-    pub fn index_with_token_cache(
-        dump: &str,
-        segments: &[crate::index::ClassSegment],
-        cache: &crate::index::TokenCache,
-    ) -> (BytecodeText, crate::index::TokenCache, usize) {
-        let body = parse_body(dump);
-        let lines: Vec<&str> = body.lines().collect();
-        let (index, next, reused) = SearchIndex::build_with_cache(&lines, segments, cache);
-        drop(lines);
-        let line_count = body.table.len();
-        let resident = resident_of(&body);
-        (
-            BytecodeText {
-                line_count,
-                resident,
-                body: Lazy::ready(body),
-                index: Lazy::ready(index),
-            },
-            next,
-            reused,
-        )
-    }
-}
-
-/// The §III streaming parse shared by both indexing constructors:
-/// arena, line table, method spans, descriptors.
-fn parse_body(dump: &str) -> TextBody {
-    {
         let mut body = TextBody::default();
 
         // Streaming parse state.
@@ -297,7 +252,13 @@ fn parse_body(dump: &str) -> TextBody {
                 s.end_line = line_count;
             }
         }
-        body
+        let resident = resident_of(&body);
+        BytecodeText {
+            line_count,
+            resident,
+            body: Lazy::ready(body),
+            index: Lazy::absent(),
+        }
     }
 }
 

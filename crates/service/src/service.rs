@@ -18,7 +18,6 @@ use backdroid_core::{
     ChunkManifest, ChunkStore, DeltaBase, DeltaStats, DetectorRegistry,
 };
 use backdroid_obs::{Counter, Gauge, Histogram, MetricsRegistry};
-use backdroid_search::TokenCache;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -207,9 +206,8 @@ impl Drop for InFlightGuard<'_> {
 /// Everything the incremental-update path keeps per app: the pinned
 /// current image (authoritative over the store after a `put_version` —
 /// the loader still produces the pristine version), the previous
-/// version's image, the per-class token cache feeding the next
-/// incremental index build, and the last traced analysis base with the
-/// version it describes.
+/// version's image, and the last traced analysis base with the version
+/// it describes.
 #[derive(Default)]
 struct VersionState {
     /// Version currently served; `0` = never touched by the update
@@ -220,8 +218,6 @@ struct VersionState {
     current: Option<Arc<AppArtifacts>>,
     /// The previously served image — the `old` side of a delta run.
     prev: Option<Arc<AppArtifacts>>,
-    /// Chunk-keyed token streams of the current version's classes.
-    token_cache: TokenCache,
     /// Per-site outcomes + traces from the last traced analysis.
     base: Option<Arc<DeltaBase>>,
     /// Which version `base` was captured against.
@@ -238,6 +234,9 @@ pub struct Service {
     /// `<snapshot_dir>/chunks`; absent without a snapshot directory
     /// (updates then skip persistence but behave identically).
     chunks: Option<ChunkStore>,
+    /// Per-app update bookkeeping, shared by every app on this
+    /// service: held only to read or record versions, never across an
+    /// image build or a store call.
     versions: Mutex<HashMap<String, VersionState>>,
     /// Per-app update locks: `put_version` is a read-mutate-publish over
     /// the served version, so two concurrent updates to the same app
@@ -406,9 +405,10 @@ impl Service {
     /// [`apply_delta`] — unchanged classes cloned from the resident
     /// prior, changed/added ones decoded from their chunks — falling
     /// back to the in-memory mutated program if any chunk is missing or
-    /// corrupt. The new search index is built through the per-class
-    /// token cache, so only touched classes re-tokenize, and the store
-    /// swaps to the new image under its epoch guard.
+    /// corrupt. The new image is built from scratch and handed to the
+    /// store, which swaps to it under its epoch guard, before `versions`
+    /// is taken for the bookkeeping: no other app's request waits on
+    /// the build. Same-app updates chain on the per-app update lock.
     pub fn put_version(&self, app_id: &str, seed: u64) -> Result<PutVersionOutcome, ServiceError> {
         let _guard = self.begin_request(&self.counters.put_version_requests);
         let app_lock = {
@@ -442,40 +442,33 @@ impl Service {
             }
             None => mutated,
         };
-        let mut versions = self.versions.lock().expect("version map poisoned");
-        let state = versions.entry(app_id.to_string()).or_default();
-        if state.version == 0 {
-            state.version = 1;
-        }
-        let (artifacts, next_cache, tokens_reused) = AppArtifacts::with_backend_cached(
-            program,
-            current.manifest().clone(),
-            self.base.backend,
-            &state.token_cache,
-        );
-        c.classes_retokenized
-            .add((next_cache.len().saturating_sub(tokens_reused)) as u64);
+        // The new image tokenizes every class afresh.
+        c.classes_retokenized.add(program.class_count() as u64);
+        let artifacts =
+            AppArtifacts::with_backend(program, current.manifest().clone(), self.base.backend);
         let arc = self.store.put(app_id, artifacts);
-        state.version += 1;
-        state.prev = Some(current);
-        state.current = Some(arc);
-        state.token_cache = next_cache;
-        if state.base_version + 1 != state.version {
-            // The base no longer describes the version just displaced;
-            // the next delta run re-captures from scratch.
-            state.base = None;
-        }
-        let outcome = PutVersionOutcome {
+        let version = {
+            let mut versions = self.versions.lock().expect("version map poisoned");
+            let state = versions.entry(app_id.to_string()).or_default();
+            state.version = state.version.max(1) + 1;
+            state.prev = Some(current);
+            state.current = Some(arc);
+            if state.base_version + 1 != state.version {
+                // The base no longer describes the version just displaced;
+                // the next delta run re-captures from scratch.
+                state.base = None;
+            }
+            state.version
+        };
+        c.update_latency_us
+            .record(started.elapsed().as_micros() as u64);
+        Ok(PutVersionOutcome {
             app_id: app_id.to_string(),
-            version: state.version,
+            version,
             classes_changed: delta.changed.len(),
             classes_added: delta.added.len(),
             classes_removed: delta.removed.len(),
-        };
-        drop(versions);
-        c.update_latency_us
-            .record(started.elapsed().as_micros() as u64);
-        Ok(outcome)
+        })
     }
 
     /// Incremental full-registry analysis of the app's current version.

@@ -1,7 +1,6 @@
-//! Byte goldens for the cold image build: the `dump_image` text, the
-//! `dump_image_with_marks` class marks and the `to_snapshot()` bytes,
-//! each pinned as a `wire::fnv1a64_wide` fingerprint recorded from a
-//! known-good build.
+//! Byte goldens for the cold image build: the `dump_image` text and the
+//! `to_snapshot()` bytes, each pinned as a `wire::fnv1a64_wide`
+//! fingerprint recorded from a known-good build.
 //!
 //! Every other byte-identity suite compares two paths of the same build
 //! (restore ≡ fresh, delta ≡ scratch, indexed ≡ linear), so a renderer or
@@ -13,7 +12,7 @@ use backdroid_appgen::benchset::{bench_app, BenchsetConfig};
 use backdroid_appgen::fixtures::{fixture_count, snapshot_fixture};
 use backdroid_appgen::AndroidApp;
 use backdroid_core::{AppArtifacts, BackendChoice};
-use backdroid_dex::{dump_image, dump_image_with_marks, DexImage};
+use backdroid_dex::{dump_image, DexImage};
 use backdroid_ir::wire::fnv1a64_wide;
 use backdroid_ir::{
     BinOp, ClassBuilder, ClassName, CondOp, Const, FieldSig, InvokeExpr, InvokeKind, LocalId,
@@ -23,18 +22,12 @@ use backdroid_manifest::Manifest;
 use backdroid_search::BytecodeText;
 use std::fmt::Write as _;
 
-/// `(dump, marks, snapshot)` fingerprints of one build.
-type Prints = (u64, u64, u64);
+/// `(dump, snapshot)` fingerprints of one build.
+type Prints = (u64, u64);
 
-/// Fingerprints the three build outputs of `image` over `app`.
+/// Fingerprints the two build outputs of `image` over `app`.
 fn prints(app: &AndroidApp, image: &DexImage) -> Prints {
     let dump = dump_image(image);
-    let (marked, marks) = dump_image_with_marks(image);
-    assert_eq!(marked, dump, "both renderers emit the same text");
-    let mut mark_text = String::new();
-    for m in &marks {
-        let _ = writeln!(mark_text, "{} {} {}", m.name, m.line_start, m.line_end);
-    }
     let artifacts = AppArtifacts::from_parts(
         app.program.clone(),
         app.manifest.clone(),
@@ -43,7 +36,6 @@ fn prints(app: &AndroidApp, image: &DexImage) -> Prints {
     );
     (
         fnv1a64_wide(dump.as_bytes()),
-        fnv1a64_wide(mark_text.as_bytes()),
         fnv1a64_wide(&artifacts.to_snapshot()),
     )
 }
@@ -54,8 +46,8 @@ fn prints(app: &AndroidApp, image: &DexImage) -> Prints {
 fn check(label: &str, got: &[Prints], want: &[Prints]) {
     if got != want {
         let mut table = String::new();
-        for (d, m, s) in got {
-            let _ = writeln!(table, "    (0x{d:016x}, 0x{m:016x}, 0x{s:016x}),");
+        for (d, s) in got {
+            let _ = writeln!(table, "    (0x{d:016x}, 0x{s:016x}),");
         }
         panic!("{label}: build bytes changed; computed table:\n{table}");
     }
@@ -318,37 +310,37 @@ fn forced_multidex_split_matches_recorded_bytes() {
 }
 
 const FIXTURES: &[Prints] = &[
-    (0x6e5bdc8550e83994, 0x6cd08110827c2659, 0x470d4ccfbd881f65),
-    (0x34f0d8d798266643, 0x0fda2f915c6dbe7a, 0xda92e820110aa75a),
-    (0x4ac91edbea4544d4, 0x632e6323cea707ca, 0x5bcbbbbe4ed80dd2),
-    (0x84f49c1b479e8eb1, 0x44a5ad0bc96de4a1, 0x5b5f782ac669713f),
-    (0x6dcedc1eb7afd26f, 0x745d59a0f1467831, 0xb011d7553bcb0e3c),
-    (0xa0a077726e14c326, 0x209947ddbae1296b, 0x63afb4fc90286eea),
-    (0x6bc04eba86b86314, 0x07e36bd1a442697c, 0x8378b4bb6e233193),
-    (0xc1f8e89af404eb8f, 0x764dc955dbfa5ed7, 0xb37769ce836fef40),
-    (0x6903bd599fc43f17, 0xe9e76fc042ceb184, 0x2f650acac5429390),
-    (0x708931c182ed2014, 0x8e370e3935bd25b7, 0xadd3513a55ddd51e),
-    (0xf3096137c5779839, 0x56f125d5a48a8803, 0x11735ab14c5ee78d),
-    (0xe36d0adfe47a191b, 0xfe8edcd8c4699c02, 0x869cebd9dc098fe8),
-    (0x815c021fecd66854, 0xf07b136d7d7ac241, 0x78efc4f7ad000ff1),
-    (0x5d1176d368ec6292, 0xe86bcc686ad852f7, 0x04c6784a6468194e),
-    (0x065a666bb3d8cec2, 0x22c42f7f89422bba, 0x11b9922f3f1554ea),
-    (0x590cf4d3e53f0b51, 0x581a5d06c15391a5, 0xa1df37fd7bf2ac7e),
-    (0x125892376cdcb144, 0x9878396aff7d443d, 0x3436cf980ff9a550),
-    (0xfcb2930558a3bec8, 0x48c3c2e60ea0b994, 0xdd2e4345d34ae1da),
+    (0x6e5bdc8550e83994, 0x470d4ccfbd881f65),
+    (0x34f0d8d798266643, 0xda92e820110aa75a),
+    (0x4ac91edbea4544d4, 0x5bcbbbbe4ed80dd2),
+    (0x84f49c1b479e8eb1, 0x5b5f782ac669713f),
+    (0x6dcedc1eb7afd26f, 0xb011d7553bcb0e3c),
+    (0xa0a077726e14c326, 0x63afb4fc90286eea),
+    (0x6bc04eba86b86314, 0x8378b4bb6e233193),
+    (0xc1f8e89af404eb8f, 0xb37769ce836fef40),
+    (0x6903bd599fc43f17, 0x2f650acac5429390),
+    (0x708931c182ed2014, 0xadd3513a55ddd51e),
+    (0xf3096137c5779839, 0x11735ab14c5ee78d),
+    (0xe36d0adfe47a191b, 0x869cebd9dc098fe8),
+    (0x815c021fecd66854, 0x78efc4f7ad000ff1),
+    (0x5d1176d368ec6292, 0x04c6784a6468194e),
+    (0x065a666bb3d8cec2, 0x11b9922f3f1554ea),
+    (0x590cf4d3e53f0b51, 0xa1df37fd7bf2ac7e),
+    (0x125892376cdcb144, 0x3436cf980ff9a550),
+    (0xfcb2930558a3bec8, 0xdd2e4345d34ae1da),
 ];
 
 const BENCH_APPS: &[Prints] = &[
-    (0x0d3d7aab5f2c607b, 0x1ea8b94764dbb944, 0xf15560d66aa4a8a2),
-    (0x27e9f4e473070746, 0x574add85f4f59294, 0x62c3113f742b129c),
-    (0xa9fa85a0752b4e11, 0xe63fb964c4764351, 0xcbe7e487fca96513),
-    (0xd67b218bf6ee4392, 0x9ee77ec1e0de7863, 0x9ddae33d62482c79),
-    (0xa5c86004a2b6ac84, 0x4fd8d58c7fc6ee5e, 0xe94b87dad5d54fe4),
-    (0xb6e0dd2525ecff2f, 0xd41def275fe9f961, 0x40698d5d1d86deb5),
-    (0x61f4a7a9380a2c49, 0xabc397e3084fca69, 0x9950f587a7db9410),
-    (0x30a3245dcfe88316, 0x0d7726520f132bfd, 0x98a8d47ddd7ccae7),
+    (0x0d3d7aab5f2c607b, 0xf15560d66aa4a8a2),
+    (0x27e9f4e473070746, 0x62c3113f742b129c),
+    (0xa9fa85a0752b4e11, 0xcbe7e487fca96513),
+    (0xd67b218bf6ee4392, 0x9ddae33d62482c79),
+    (0xa5c86004a2b6ac84, 0xe94b87dad5d54fe4),
+    (0xb6e0dd2525ecff2f, 0x40698d5d1d86deb5),
+    (0x61f4a7a9380a2c49, 0x9950f587a7db9410),
+    (0x30a3245dcfe88316, 0x98a8d47ddd7ccae7),
 ];
 
-const EVERY_FORM: &[Prints] = &[(0xb7318f1bf3ff645e, 0xfeefd552058e0696, 0xbae7e8f3520007d9)];
+const EVERY_FORM: &[Prints] = &[(0xb7318f1bf3ff645e, 0xbae7e8f3520007d9)];
 
-const MULTIDEX: &[Prints] = &[(0xfe0c0708cc236319, 0x9a69fa688bdee2be, 0xe98eea8eb71ee66c)];
+const MULTIDEX: &[Prints] = &[(0xfe0c0708cc236319, 0xe98eea8eb71ee66c)];
