@@ -275,74 +275,13 @@ impl Program {
         }
         out.into_iter().collect()
     }
-
-    /// Classes whose bytecode references `target` anywhere (field access,
-    /// invoke, const-class, new-instance, or type mention). This is the
-    /// class-level "invoked by" relation the recursive `<clinit>` search
-    /// walks (§IV-C). The IR-level implementation exists for testing; the
-    /// production path goes through the bytecode-text search engine.
-    pub fn classes_referencing(&self, target: &ClassName) -> Vec<ClassName> {
-        use crate::stmt::{Place, Rvalue, Stmt};
-        let mut out = BTreeSet::new();
-        for class in self.classes.values() {
-            if class.name() == target {
-                continue;
-            }
-            let mut references =
-                class.superclass() == Some(target) || class.interfaces().contains(target);
-            if !references {
-                'outer: for m in class.methods() {
-                    let Some(body) = m.body() else { continue };
-                    for s in body.stmts() {
-                        if stmt_references(s, target) {
-                            references = true;
-                            break 'outer;
-                        }
-                    }
-                }
-            }
-            if references {
-                out.insert(class.name().clone());
-            }
-        }
-        fn place_refs(p: &Place, t: &ClassName) -> bool {
-            match p {
-                Place::InstanceField { field, .. } | Place::StaticField(field) => {
-                    field.class() == t
-                }
-                _ => false,
-            }
-        }
-        fn stmt_references(s: &Stmt, t: &ClassName) -> bool {
-            if let Some(ie) = s.invoke_expr() {
-                if ie.callee.class() == t {
-                    return true;
-                }
-            }
-            match s {
-                Stmt::Assign { place, rvalue } => {
-                    if place_refs(place, t) {
-                        return true;
-                    }
-                    match rvalue {
-                        Rvalue::New(c) | Rvalue::InstanceOf(c, _) => c == t,
-                        Rvalue::Read(p) => place_refs(p, t),
-                        Rvalue::Cast(ty, _) => ty.class_name() == Some(t),
-                        _ => false,
-                    }
-                }
-                _ => false,
-            }
-        }
-        out.into_iter().collect()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::body::{Class, Method, MethodBody};
-    use crate::stmt::{InvokeExpr, LocalId, Place, Rvalue, Stmt};
+    use crate::stmt::Stmt;
     use crate::types::{Modifiers, Type};
 
     fn msig(class: &str, name: &str) -> MethodSig {
@@ -456,35 +395,6 @@ mod tests {
         // interface dispatch
         let targets = p.cha_targets(&msig("com.x.IServer", "start"));
         assert!(!targets.is_empty());
-    }
-
-    #[test]
-    fn classes_referencing_finds_uses() {
-        let mut p = sample();
-        let mut user = Class::new(ClassName::new("com.x.User"), Modifiers::public());
-        let mut body = MethodBody::new();
-        body.declare_local(LocalId(0), Type::object("com.x.NetcastHttpServer"));
-        body.push(Stmt::Assign {
-            place: Place::Local(LocalId(0)),
-            rvalue: Rvalue::New(ClassName::new("com.x.NetcastHttpServer")),
-        });
-        body.push(Stmt::Invoke(InvokeExpr::call_virtual(
-            msig("com.x.NetcastHttpServer", "start"),
-            LocalId(0),
-            vec![],
-        )));
-        body.push(Stmt::Return(None));
-        user.add_method(Method::new(
-            msig("com.x.User", "go"),
-            Modifiers::public(),
-            body,
-        ));
-        p.add_class(user);
-
-        let refs = p.classes_referencing(&ClassName::new("com.x.NetcastHttpServer"));
-        let names: Vec<&str> = refs.iter().map(ClassName::as_str).collect();
-        assert!(names.contains(&"com.x.User"));
-        assert!(names.contains(&"com.x.ChildServer")); // via extends
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //! `--direct` (a zero-budget store: every request cold-loads, nothing
 //! stays resident) produces the golden direct-analysis run the CI
 //! service-smoke and shard-smoke legs diff the others against. Service,
-//! store, and pool statistics go to stderr at EOF.
+//! store, and pool statistics go to stderr at EOF, after the snapshots
+//! still held only in memory are written back.
 //!
 //! App updates are first-class ops: `put_version` publishes a seeded
 //! mutated version (persisted as content-addressed per-class chunks
@@ -50,7 +51,8 @@ Serving:
   --workers N          request worker threads — per shard when sharded (default 1)
   --intra-threads N    intra-app sink-task scheduler width (default 1)
   --snapshot-dir DIR   persistent disk tier: cold loads restore from versioned,
-                       checksummed snapshots in DIR; first parses write them.
+                       checksummed snapshots in DIR; built images are written
+                       back when evicted and at exit (updates at once).
                        Shared across shards, so restarted shards come back warm.
                        Responses are byte-identical with or without it.
 
@@ -232,13 +234,16 @@ fn main() {
         if let Some(path) = &trace_out {
             write_trace(&pool, path, has_flag("--trace-norm"));
         }
-        print_pool_summary(&pool);
+        // Shutting down writes back every shard's unwritten snapshots, so
+        // the summary counts those writes.
         pool.shutdown();
+        print_pool_summary(&pool);
         return;
     }
 
     let service = Service::over_benchset(bench, service_cfg);
     serve(&service, workers);
+    service.store().flush();
     print_service_summary(&service);
 }
 

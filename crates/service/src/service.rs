@@ -38,8 +38,9 @@ pub struct ServiceConfig {
     /// reassembled in request order, so any width is deterministic.
     pub batch_threads: usize,
     /// Optional snapshot directory enabling the store's disk tier:
-    /// cold loads restore from versioned, checksummed snapshots and
-    /// first parses persist them (see [`crate::store::DiskTier`]).
+    /// cold loads restore from versioned, checksummed snapshots, and
+    /// built images are written back when they leave memory (see
+    /// [`crate::store::DiskTier`] and [`AppStore::flush`]).
     /// Responses are byte-identical with or without it.
     pub snapshot_dir: Option<std::path::PathBuf>,
     /// The detectors this service instance runs. Defaults to the

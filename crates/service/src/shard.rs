@@ -14,12 +14,21 @@
 //!   queued when its deadline passes is answered with a deterministic
 //!   error instead of being analyzed.
 //! * **Crash + restart** — [`ShardPool::kill_shard`] takes a shard
-//!   down: its queue is re-routed to surviving shards, its in-flight
-//!   work completes (so no response is ever lost or duplicated), its
-//!   counters are folded into the pool's retired total, and its memory
-//!   tier is dropped. [`ShardPool::restart_shard`] brings it back with
-//!   a fresh [`Service`] over the **shared snapshot directory**, so the
-//!   restarted shard is disk-warm (PR-5's tier) instead of re-parsing.
+//!   down: its in-flight work completes (so no response is ever lost
+//!   or duplicated), its memory tier is written back to disk
+//!   ([`crate::AppStore::flush`]) and dropped, its counters are folded
+//!   into the pool's retired total, and its queue is re-routed to
+//!   surviving shards. [`ShardPool::restart_shard`] has the live shards
+//!   write back what they built while the shard was down, then brings
+//!   it back with a fresh [`Service`] over the **shared snapshot
+//!   directory**, so the restarted shard is disk-warm instead of
+//!   re-parsing.
+//! * **Shared snapshots, write-back** — the shards share one snapshot
+//!   directory, but a shard writes an app it built only when that app
+//!   leaves its memory (or at a kill, restart or shutdown). Until then
+//!   another shard that loads the app (a batch member off its home
+//!   shard, a re-routed request) rebuilds it instead of restoring it.
+//!   Replies are unaffected.
 //!
 //! Responses stay a pure function of (app, requested sinks), so a
 //! sharded replay — at any shard count, across a kill/restart — is
@@ -506,11 +515,12 @@ impl ShardPool {
     }
 
     /// Takes shard `idx` down: stops its workers (the current in-flight
-    /// request completes and is answered — nothing is lost), re-routes
-    /// everything still queued, folds its counters into the retired
-    /// total, and drops its service (memory tier gone; its snapshots
-    /// stay on disk). Returns `false` if the index is out of range or
-    /// the shard was already dead.
+    /// request completes and is answered — nothing is lost), writes back
+    /// every image its store built but never spilled, folds its counters
+    /// into the retired total, re-routes everything still queued, and
+    /// drops its service (memory tier gone; its snapshots stay on disk).
+    /// Returns `false` if the index is out of range or the shard was
+    /// already dead.
     pub fn kill_shard(&self, idx: usize) -> bool {
         let Some(shard) = self.inner.shards.get(idx) else {
             return false;
@@ -527,17 +537,25 @@ impl ShardPool {
         };
         self.inner.kills.inc();
         // Wait for the workers to finish their in-flight requests and
-        // detach, then retire the service's registry snapshot and drop
-        // it.
-        {
+        // detach, then take the service out.
+        let service = {
             let mut state = shard.lock();
             while state.workers > 0 || state.in_flight > 0 {
                 state = shard.settled.wait(state).expect("shard poisoned");
             }
-            let service = state.service.take().expect("dead shard kept a service");
-            let mut retired = self.inner.retired.lock().expect("retired stats poisoned");
-            retired.absorb(&service.metrics().snapshot());
-        }
+            state.service.take().expect("dead shard kept a service")
+        };
+        // Write back outside the shard lock (it is disk I/O), before the
+        // counters retire (so they count these writes) and before the
+        // stranded queue re-routes (so those requests restore the
+        // shard's apps instead of rebuilding them).
+        service.store().flush();
+        self.inner
+            .retired
+            .lock()
+            .expect("retired stats poisoned")
+            .absorb(&service.metrics().snapshot());
+        drop(service);
         // Re-route the stranded queue through the normal router, which
         // now probes past this shard — each displaced job is counted as
         // rerouted by `route_job`'s probe.
@@ -550,12 +568,18 @@ impl ShardPool {
 
     /// Brings a dead shard back with a fresh service from the factory —
     /// over the shared snapshot directory, so first touches are disk
-    /// restores, not re-parses. Returns `false` if the index is out of
-    /// range or the shard is already alive.
+    /// restores, not re-parses. While the shard was down the live shards
+    /// served its apps and hold them unwritten, so they write back first
+    /// ([`crate::AppStore::flush`]). Returns `false` if the index is out
+    /// of range or the shard is already alive.
     pub fn restart_shard(&self, idx: usize) -> bool {
         let Some(shard) = self.inner.shards.get(idx) else {
             return false;
         };
+        if shard.lock().alive {
+            return false;
+        }
+        self.flush_live_shards();
         {
             let mut state = shard.lock();
             if state.alive {
@@ -623,9 +647,12 @@ impl ShardPool {
         self.inner.tracer.as_ref()
     }
 
-    /// Stops every worker after its current request and joins them.
-    /// Called by `Drop`; anything still queued is dropped unanswered,
-    /// so [`ShardPool::drain`] first for a graceful exit.
+    /// Stops every worker after its current request and joins them,
+    /// then writes back every live shard's unwritten images
+    /// ([`crate::AppStore::flush`]); the services stay readable, so
+    /// [`ShardPool::metrics`] afterwards counts those writes. Called by
+    /// `Drop`; anything still queued is dropped unanswered, so
+    /// [`ShardPool::drain`] first for a graceful exit.
     pub fn shutdown(&self) {
         self.inner.running.store(false, Ordering::Relaxed);
         for shard in &self.inner.shards {
@@ -641,6 +668,18 @@ impl ShardPool {
         let handles = std::mem::take(&mut *self.handles.lock().expect("handles poisoned"));
         for h in handles {
             let _ = h.join();
+        }
+        self.flush_live_shards();
+    }
+
+    /// Writes back every live shard's unwritten images, outside the
+    /// shard locks.
+    fn flush_live_shards(&self) {
+        for shard in &self.inner.shards {
+            let service = shard.lock().service.clone();
+            if let Some(service) = service {
+                service.store().flush();
+            }
         }
     }
 

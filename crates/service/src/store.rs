@@ -31,20 +31,37 @@
 //! requests first try to deserialize a versioned, checksummed
 //! [`AppArtifacts`] snapshot from disk ([`Fetch::Disk`]); only absent or
 //! invalid snapshots fall through to the loader, whose result is
-//! published to the memory tier and then written back. Every write goes
-//! through a writer-unique temp file and an atomic rename, so a crashed
-//! writer can never leave a half-snapshot — but atomicity alone stopped
-//! being enough once [`AppStore::put`] made snapshot *content* version-
-//! dependent: an eviction spill of version *n* racing a `put` of version
-//! *n+1* could re-write the stale image after the put invalidated it.
-//! Snapshot writes therefore go through a **per-app write guard** plus a
-//! per-app **epoch**: `put` bumps the epoch before touching disk, and
-//! every spill re-checks, under the guard, that the epoch it captured
-//! when it obtained the image is still current — a stale spill skips
-//! (counted by `store_disk_stale_spills_total`). Responses are identical
-//! across all three tiers — the snapshot format round-trips
-//! byte-identically — so replays can be diffed across cold-parse,
-//! disk-warm, and memory-warm runs.
+//! published to the memory tier **without** a snapshot.
+//!
+//! The tier is **write-back**: a loader-built image reaches disk when
+//! it leaves memory — spilled by the eviction that drops it, or by
+//! [`AppStore::flush`] (when a shard pool kills, restarts or shuts down
+//! a shard, and when the store is dropped). A cold request does not
+//! encode or write its own image's snapshot; it pays for a write only
+//! when its insertion evicts an unwritten victim. A crash loses only
+//! the snapshots not yet written back; the disk tier is a cache, the
+//! loader rebuilds them, and replies never change. [`AppStore::put`] is
+//! the exception: the loader cannot rebuild an updated version, so
+//! `put` writes its snapshot at once. Between an eviction and the end
+//! of its spill the victim is neither resident nor on disk, so the
+//! spill holds an in-flight load slot for it: a request arriving in
+//! that gap waits for the victim ([`Fetch::Coalesced`]) instead of
+//! rebuilding it.
+//!
+//! Every write goes through a writer-unique temp file and an atomic
+//! rename, so a crashed writer can never leave a half-snapshot — but
+//! atomicity alone stopped being enough once [`AppStore::put`] made
+//! snapshot *content* version-dependent: an eviction spill of version
+//! *n* racing a `put` of version *n+1* could re-write the stale image
+//! after the put invalidated it. Snapshot writes therefore go through a
+//! **per-app write guard** plus a per-app **epoch**: `put` bumps the
+//! epoch before touching disk, and every spill re-checks, under the
+//! guard, that the epoch it captured when it obtained the image is
+//! still current — a stale spill skips (counted by
+//! `store_disk_stale_spills_total`). Responses are identical across all
+//! three tiers — the snapshot format round-trips byte-identically — so
+//! replays can be diffed across cold-parse, disk-warm, and memory-warm
+//! runs.
 
 use backdroid_core::{AppArtifacts, BackendChoice, SnapshotError};
 use backdroid_obs::{Counter, Gauge, MetricsRegistry, RegistrySnapshot};
@@ -128,12 +145,13 @@ impl DiskTier {
     /// Writes `artifacts` as the snapshot for `app_id`, atomically
     /// (writer-unique temp file + rename) so a crashed writer can never
     /// leave a half-snapshot that later loads as truncated-but-present,
-    /// and concurrent writers (an eviction spill racing a first load in
-    /// this or another process) cannot clobber each other's temp bytes —
-    /// both write the same content, and the last rename wins whole.
-    /// Returns the snapshot size on success; failures are reported,
-    /// counted by the store, and otherwise non-fatal — the disk tier is
-    /// a cache.
+    /// and concurrent writers (two stores over one directory — say two
+    /// shards — spilling or flushing an app both built) cannot clobber
+    /// each other's temp bytes — both write the same content, and the
+    /// last rename wins whole. Called by eviction spills, flushes and
+    /// `put`. Returns the snapshot size on success; failures are
+    /// reported, counted by the store, and otherwise non-fatal — the
+    /// disk tier is a cache.
     fn store(&self, app_id: &str, artifacts: &AppArtifacts) -> std::io::Result<u64> {
         static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
         std::fs::create_dir_all(&self.dir)?;
@@ -179,13 +197,46 @@ pub fn hit_rate(snap: &RegistrySnapshot) -> f64 {
 /// requester coalesced onto the failed load.
 pub type Loader = dyn Fn(&str) -> Result<AppArtifacts, String> + Send + Sync;
 
-/// One in-flight load: requesters park on the condvar until the loading
-/// request publishes the shared result (the image plus how the loading
-/// request produced it — waiters report [`Fetch::Coalesced`] regardless).
+/// One in-flight load — or one eviction spill, during which the victim
+/// is neither resident nor surely on disk: requesters park on the
+/// condvar until the owner publishes the shared result, and report
+/// [`Fetch::Coalesced`].
 struct LoadSlot {
-    #[allow(clippy::type_complexity)]
-    result: Mutex<Option<Result<(Arc<AppArtifacts>, Fetch), String>>>,
+    result: Mutex<Option<Result<Arc<AppArtifacts>, String>>>,
     ready: Condvar,
+}
+
+impl LoadSlot {
+    fn new() -> Arc<LoadSlot> {
+        Arc::new(LoadSlot {
+            result: Mutex::new(None),
+            ready: Condvar::new(),
+        })
+    }
+
+    fn publish(&self, result: Result<Arc<AppArtifacts>, String>) {
+        *self.result.lock().expect("load slot poisoned") = Some(result);
+        self.ready.notify_all();
+    }
+
+    fn wait(&self) -> Result<Arc<AppArtifacts>, String> {
+        let mut done = self.result.lock().expect("load slot poisoned");
+        while done.is_none() {
+            done = self.ready.wait(done).expect("load slot poisoned");
+        }
+        done.clone().expect("checked above")
+    }
+}
+
+/// An image evicted from memory. `slot` is set when the image has no
+/// snapshot yet and a disk tier is configured: it is registered in
+/// `loading` while the image is spilled, so a request in that gap waits
+/// for it instead of rebuilding.
+struct Victim {
+    app_id: String,
+    artifacts: Arc<AppArtifacts>,
+    epoch: u64,
+    slot: Option<Arc<LoadSlot>>,
 }
 
 /// One resident image with its accounting.
@@ -197,6 +248,10 @@ struct Resident {
     /// The app's version epoch when this image was produced; a spill of
     /// this image is valid only while the epoch is still current.
     epoch: u64,
+    /// Whether the disk tier holds this image's snapshot: it was
+    /// restored from it or has been written since. Eviction and
+    /// [`AppStore::flush`] write only images without one.
+    on_disk: bool,
 }
 
 #[derive(Default)]
@@ -269,17 +324,19 @@ impl Counters {
 ///
 /// With a disk tier, a cold `get` first tries to deserialize the app's
 /// snapshot ([`Fetch::Disk`]); only if the snapshot is absent or invalid
-/// does the loader re-parse, after which the fresh image's snapshot is
-/// written **single-flight** (the in-flight load slot already guarantees
-/// one writer per app). Eviction *spills*: a victim whose snapshot went
-/// missing is re-written on its way out, so evicted apps stay disk-warm.
+/// does the loader re-parse, and the fresh image becomes resident
+/// without a snapshot. Snapshots are written back, not through:
+/// eviction *spills* a victim that has no snapshot on its way out, so
+/// evicted apps stay disk-warm, and [`AppStore::flush`] — called on
+/// drop — writes the images that never left memory. Only
+/// [`AppStore::put`] writes at once.
 pub struct AppStore {
     budget_bytes: u64,
     loader: Box<Loader>,
     disk: Option<DiskTier>,
     inner: Mutex<StoreInner>,
-    /// Per-app snapshot write guards: every disk write (first-load write,
-    /// eviction spill, `put` re-write) serializes through the app's guard
+    /// Per-app snapshot write guards: every disk write (eviction spill,
+    /// flush, `put` re-write) serializes through the app's guard
     /// and re-validates the epoch inside it, so a spill captured against
     /// an older version can never clobber a newer snapshot. Guards are
     /// acquired only while `inner` is *not* held (lock order: guard, then
@@ -299,9 +356,10 @@ impl std::fmt::Debug for AppStore {
     }
 }
 
-/// What the locking phase of `get` decided to do. `Load` carries the
-/// app's epoch at decision time: the image this load produces belongs to
-/// that version, and both its residency and its snapshot write are
+/// What the locking phase of `get` decided to do. `Wait` parks on an
+/// in-flight load or on an eviction spill. `Load` carries the app's
+/// epoch at decision time: the image this load produces belongs to that
+/// version, and both its residency and any later spill of it are
 /// dropped if a [`AppStore::put`] bumps the epoch mid-load.
 enum Step {
     Ready(Arc<AppArtifacts>),
@@ -419,10 +477,7 @@ impl AppStore {
             } else if let Some(slot) = inner.loading.get(app_id) {
                 Step::Wait(Arc::clone(slot))
             } else {
-                let slot = Arc::new(LoadSlot {
-                    result: Mutex::new(None),
-                    ready: Condvar::new(),
-                });
+                let slot = LoadSlot::new();
                 inner.loading.insert(app_id.to_string(), Arc::clone(&slot));
                 let epoch = inner.epochs.get(app_id).copied().unwrap_or(0);
                 Step::Load(slot, epoch)
@@ -435,13 +490,7 @@ impl AppStore {
             }
             Step::Wait(slot) => {
                 self.counters.coalesced.inc();
-                let mut done = slot.result.lock().expect("load slot poisoned");
-                while done.is_none() {
-                    done = slot.ready.wait(done).expect("load slot poisoned");
-                }
-                done.clone()
-                    .expect("checked above")
-                    .map(|(a, _)| (a, Fetch::Coalesced))
+                slot.wait().map(|a| (a, Fetch::Coalesced))
             }
             Step::Load(slot, epoch) => {
                 let outcome = self.load_and_insert(app_id, epoch);
@@ -449,8 +498,7 @@ impl AppStore {
                 // still holds this slot (and wakes with the shared result)
                 // or arrived after `loading` was cleared and sees the
                 // resident image — never a stale slot.
-                *slot.result.lock().expect("load slot poisoned") = Some(outcome.clone());
-                slot.ready.notify_all();
+                slot.publish(outcome.clone().map(|(a, _)| a));
                 outcome
             }
         }
@@ -458,10 +506,10 @@ impl AppStore {
 
     /// Serves one cold app: snapshot restore if the disk tier has a
     /// valid one, else the loader; inserts the image (publishing it to
-    /// racing requests), evicts down to the budget, then writes the
-    /// snapshot. Returns the image (which the caller holds by `Arc`
-    /// even if the store immediately evicted it) and how it was
-    /// produced.
+    /// racing requests) and evicts down to the budget. A loader-built
+    /// image is not written here: it reaches disk when it is evicted or
+    /// flushed. Returns the image (which the caller holds by `Arc` even
+    /// if the store immediately evicted it) and how it was produced.
     fn load_and_insert(
         &self,
         app_id: &str,
@@ -474,7 +522,7 @@ impl AppStore {
                 Ok(Some(artifacts)) => {
                     c.disk_hits.inc();
                     c.loads.inc();
-                    let artifacts = self.insert_at(app_id, artifacts, epoch);
+                    let artifacts = self.insert_at(app_id, artifacts, epoch, true);
                     return Ok((artifacts, Fetch::Disk));
                 }
                 Ok(None) => {
@@ -491,16 +539,8 @@ impl AppStore {
         c.misses.inc();
         match (self.loader)(app_id) {
             Ok(artifacts) => {
-                // Publish before persisting: once `insert_at` returns,
-                // the image is resident and racing requests take warm
-                // hits instead of parking on the load slot for the
-                // duration of the snapshot write. The write itself is
-                // guarded and epoch-checked, so if a `put` replaced the
-                // app mid-load this stale image neither sticks in memory
-                // nor reaches disk.
                 c.loads.inc();
-                let artifacts = self.insert_at(app_id, artifacts, epoch);
-                self.spill_guarded(app_id, &artifacts, epoch);
+                let artifacts = self.insert_at(app_id, artifacts, epoch, false);
                 Ok((artifacts, Fetch::Miss))
             }
             Err(e) => {
@@ -511,15 +551,22 @@ impl AppStore {
         }
     }
 
-    /// Inserts a freshly produced image belonging to version `epoch`,
-    /// evicts down to the budget, and spills any victim whose snapshot
-    /// went missing — all snapshot I/O happens outside the store lock.
+    /// Inserts a freshly produced image belonging to version `epoch`
+    /// (`on_disk` if it was restored from its snapshot), evicts down to
+    /// the budget, and spills any victim that has no snapshot — all
+    /// snapshot I/O happens outside the store lock.
     /// If the app's epoch moved past `epoch` while the image was being
     /// produced (a concurrent [`AppStore::put`]), the image is returned
     /// to its requester but **not** made resident: the request began
     /// against the old version and may keep it, but the store must not
     /// shadow the newer one.
-    fn insert_at(&self, app_id: &str, artifacts: AppArtifacts, epoch: u64) -> Arc<AppArtifacts> {
+    fn insert_at(
+        &self,
+        app_id: &str,
+        artifacts: AppArtifacts,
+        epoch: u64,
+        on_disk: bool,
+    ) -> Arc<AppArtifacts> {
         let bytes = artifacts.estimated_bytes();
         let artifacts = Arc::new(artifacts);
         let victims = {
@@ -538,6 +585,7 @@ impl AppStore {
                     bytes,
                     last_used: tick,
                     epoch,
+                    on_disk,
                 },
             ) {
                 inner.total_bytes -= old.bytes;
@@ -550,8 +598,21 @@ impl AppStore {
             self.counters.resident_apps.set(inner.resident.len() as u64);
             victims
         };
-        for (id, gone, victim_epoch) in &victims {
-            self.spill_guarded(id, gone, *victim_epoch);
+        for victim in victims {
+            let Some(slot) = victim.slot else { continue };
+            self.spill_guarded(&victim.app_id, &victim.artifacts, victim.epoch);
+            // Wake the requests that arrived while the victim was neither
+            // resident nor on disk, then retire the slot — unless a later
+            // load already replaced it.
+            slot.publish(Ok(victim.artifacts));
+            let mut inner = self.lock_inner();
+            if inner
+                .loading
+                .get(&victim.app_id)
+                .is_some_and(|s| Arc::ptr_eq(s, &slot))
+            {
+                inner.loading.remove(&victim.app_id);
+            }
         }
         artifacts
     }
@@ -572,28 +633,46 @@ impl AppStore {
     /// still the app's current version — the fix for the old
     /// check-then-write race where an eviction spill of version *n*
     /// could re-create a snapshot a concurrent `put` of version *n+1*
-    /// had just invalidated. An existing snapshot is left alone (it was
-    /// written under the same guard for the same epoch, so its content
-    /// is already current). Failures are counted and otherwise ignored —
-    /// the snapshot tier is a cache, never a correctness dependency.
-    fn spill_guarded(&self, app_id: &str, artifacts: &AppArtifacts, epoch: u64) {
-        let Some(disk) = &self.disk else { return };
+    /// had just invalidated. The one write path of the disk tier: an
+    /// eviction spill, a [`AppStore::flush`] and a `put` all come
+    /// through here. An existing snapshot is left alone (it was written
+    /// under the same guard for the same epoch, so its content is
+    /// already current). Returns whether the disk now holds the
+    /// snapshot. Failures are counted and otherwise ignored — the
+    /// snapshot tier is a cache, never a correctness dependency.
+    fn spill_guarded(&self, app_id: &str, artifacts: &AppArtifacts, epoch: u64) -> bool {
+        let Some(disk) = &self.disk else { return false };
         let guard = self.write_guard(app_id);
         let _held = guard.lock().expect("snapshot write guard poisoned");
         if self.current_epoch(app_id) != epoch {
             self.counters.disk_stale_spills.inc();
-            return;
+            return false;
         }
         if disk.path_for(app_id).exists() {
-            return;
+            return true;
         }
         match disk.store(app_id, artifacts) {
             Ok(written) => {
                 self.counters.disk_writes.inc();
                 self.counters.disk_bytes_written.add(written);
+                true
             }
             Err(_) => {
                 self.counters.disk_write_failures.inc();
+                false
+            }
+        }
+    }
+
+    /// Writes a resident image's snapshot and, once the disk holds it,
+    /// marks the image `on_disk` so no later eviction or flush writes it
+    /// again.
+    fn write_back(&self, app_id: &str, artifacts: &Arc<AppArtifacts>, epoch: u64) {
+        if self.spill_guarded(app_id, artifacts, epoch) {
+            if let Some(r) = self.lock_inner().resident.get_mut(app_id) {
+                if Arc::ptr_eq(&r.artifacts, artifacts) {
+                    r.on_disk = true;
+                }
             }
         }
     }
@@ -603,7 +682,9 @@ impl AppStore {
     /// drops the old resident image, invalidates the old snapshot under
     /// the write guard, then inserts and persists the new image. This
     /// is the serving path of an app *update* — see
-    /// [`crate::Service::put_version`].
+    /// [`crate::Service::put_version`]. Unlike a loader-built image,
+    /// the new version is written at once, not back: the loader cannot
+    /// rebuild it, so its snapshot is what keeps it across a restart.
     ///
     /// The loader still produces the app's *pristine* version, so after
     /// a `put` the updated image is authoritative only while it is
@@ -631,17 +712,42 @@ impl AppStore {
             let _held = guard.lock().expect("snapshot write guard poisoned");
             disk.invalidate(app_id);
         }
-        let artifacts = self.insert_at(app_id, artifacts, epoch);
-        self.spill_guarded(app_id, &artifacts, epoch);
+        let artifacts = self.insert_at(app_id, artifacts, epoch, false);
+        self.write_back(app_id, &artifacts, epoch);
         artifacts
+    }
+
+    /// Writes back every resident image that has no snapshot yet — the
+    /// loader-built images that never left memory. Restored and already
+    /// written images are skipped, so a restored image is never
+    /// re-written and a second `flush` writes nothing. The images stay
+    /// resident. Runs on drop; a shard pool also calls it when it kills,
+    /// restarts or shuts down a shard. A no-op without a disk tier.
+    pub fn flush(&self) {
+        if self.disk.is_none() {
+            return;
+        }
+        let unwritten: Vec<(String, Arc<AppArtifacts>, u64)> = self
+            .lock_inner()
+            .resident
+            .iter()
+            .filter(|(_, r)| !r.on_disk)
+            .map(|(id, r)| (id.clone(), Arc::clone(&r.artifacts), r.epoch))
+            .collect();
+        for (app_id, artifacts, epoch) in &unwritten {
+            self.write_back(app_id, artifacts, *epoch);
+        }
     }
 
     /// Evicts least-recently-used images until the resident total fits
     /// the budget, returning the victims so the caller can spill them to
-    /// the disk tier outside the lock. The entry just inserted carries
-    /// the newest recency stamp, so it goes last — and does go, if it
-    /// alone overflows the budget.
-    fn evict_to_budget(&self, inner: &mut StoreInner) -> Vec<(String, Arc<AppArtifacts>, u64)> {
+    /// the disk tier outside the lock. With a disk tier the slot of each
+    /// victim without a snapshot is registered in `loading` here, under
+    /// the lock that evicts it, so no request can find the victim
+    /// missing from both tiers.
+    /// The entry just inserted carries the newest recency stamp, so it
+    /// goes last — and does go, if it alone overflows the budget.
+    fn evict_to_budget(&self, inner: &mut StoreInner) -> Vec<Victim> {
         let mut victims = Vec::new();
         while inner.total_bytes > self.budget_bytes {
             let victim = inner
@@ -654,7 +760,17 @@ impl AppStore {
             inner.total_bytes -= gone.bytes;
             self.counters.evictions.inc();
             self.counters.bytes_evicted.add(gone.bytes);
-            victims.push((key, gone.artifacts, gone.epoch));
+            let slot = (self.disk.is_some() && !gone.on_disk).then(|| {
+                let slot = LoadSlot::new();
+                inner.loading.insert(key.clone(), Arc::clone(&slot));
+                slot
+            });
+            victims.push(Victim {
+                app_id: key,
+                artifacts: gone.artifacts,
+                epoch: gone.epoch,
+                slot,
+            });
         }
         victims
     }
@@ -664,11 +780,21 @@ impl AppStore {
     }
 }
 
+impl Drop for AppStore {
+    /// Writes back what only memory holds, so an orderly teardown leaves
+    /// every image it built disk-warm. Skipped while unwinding a panic.
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            self.flush();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use backdroid_appgen::{AppSpec, Mechanism, Scenario, SinkKind};
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
 
     /// A loader over tiny generated apps; `classes` scales the size so
     /// tests can pick meaningful budgets.
@@ -797,7 +923,7 @@ mod tests {
         assert_eq!(
             stats.value("store_disk_writes_total"),
             1,
-            "single-flight write on first load"
+            "the zero budget evicted the first load, and its spill wrote it"
         );
         assert!(stats.value("store_disk_bytes_written_total") > 0);
         assert_eq!(
@@ -885,14 +1011,92 @@ mod tests {
         let store = AppStore::with_disk_tier(bytes * 2 + bytes / 2, tier, tiny_loader(4));
         store.get("a").unwrap();
         store.get("b").unwrap();
-        // Delete a's snapshot behind the store's back, then force its
-        // eviction: the spill must restore the file.
-        std::fs::remove_file(&path_a).unwrap();
+        // Write-back: a cold load leaves no snapshot. Force a's eviction:
+        // the spill must write the file.
+        assert!(!path_a.exists(), "a cold load writes no snapshot");
         store.get("c").unwrap(); // evicts a (LRU)
         assert!(!store.contains("a"));
         assert!(path_a.exists(), "eviction spilled the missing snapshot");
         // And the spilled snapshot is served on the next request for a.
         assert_eq!(store.get("a").unwrap().1, Fetch::Disk);
+    }
+
+    #[test]
+    fn snapshots_are_written_on_eviction_and_flush_only() {
+        let scratch = ScratchDir::new("write-back");
+        let bytes = one_image_bytes(4);
+        let tier = DiskTier::new(&scratch.0, backdroid_core::BackendChoice::default());
+        let path = |id: &str| tier.path_for(id);
+        let store = AppStore::with_disk_tier(bytes * 2 + bytes / 2, tier.clone(), tiny_loader(4));
+        let registry = Arc::clone(store.metrics());
+        let writes = || registry.snapshot().value("store_disk_writes_total");
+        store.get("a").unwrap();
+        store.get("b").unwrap();
+        assert_eq!(writes(), 0, "a cold miss writes no snapshot");
+        assert!(!path("a").exists() && !path("b").exists());
+        store.get("c").unwrap(); // evicts a (LRU)
+        assert_eq!(writes(), 1, "the eviction wrote its victim");
+        assert!(path("a").exists());
+        store.flush();
+        assert_eq!(writes(), 3, "flush wrote b and c, once each");
+        assert!(path("b").exists() && path("c").exists());
+        store.flush();
+        assert_eq!(writes(), 3, "a second flush writes nothing");
+        // a comes back from disk and evicts b; neither is written again.
+        assert_eq!(store.get("a").unwrap().1, Fetch::Disk);
+        store.flush();
+        assert_eq!(writes(), 3, "a restored image is never re-written");
+        store.get("d").unwrap(); // evicts c, already on disk
+        assert_eq!(writes(), 3);
+        assert!(!path("d").exists());
+        drop(store);
+        assert_eq!(writes(), 4, "dropping the store wrote d");
+        assert!(path("d").exists());
+        let stats = registry.snapshot();
+        assert_eq!(
+            (
+                stats.value("store_misses_total"),
+                stats.value("store_disk_hits_total")
+            ),
+            (4, 1)
+        );
+    }
+
+    #[test]
+    fn reads_racing_an_eviction_spill_never_rebuild() {
+        // Between a's eviction and the end of its spill, a is neither
+        // resident nor on disk. A reader in that gap must wait for the
+        // spilling image, not run the loader again.
+        let bytes = one_image_bytes(4);
+        for round in 0..40 {
+            let scratch = ScratchDir::new(&format!("spill-gap-{round}"));
+            let tier = DiskTier::new(&scratch.0, backdroid_core::BackendChoice::default());
+            let a_loads = Arc::new(AtomicUsize::new(0));
+            let counter = Arc::clone(&a_loads);
+            let loader = tiny_loader(4);
+            let store = AppStore::with_disk_tier(bytes + bytes / 2, tier, move |id: &str| {
+                if id == "a" {
+                    counter.fetch_add(1, Ordering::SeqCst);
+                }
+                loader(id)
+            });
+            store.get("a").unwrap();
+            let stop = AtomicBool::new(false);
+            std::thread::scope(|scope| {
+                scope.spawn(|| {
+                    while !stop.load(Ordering::SeqCst) {
+                        store.get("a").unwrap();
+                    }
+                });
+                store.get("b").unwrap(); // evicts a and spills it
+                stop.store(true, Ordering::SeqCst);
+            });
+            assert_eq!(
+                a_loads.load(Ordering::SeqCst),
+                1,
+                "round {round}: a read in the spill gap rebuilt a"
+            );
+        }
     }
 
     #[test]
@@ -971,7 +1175,7 @@ mod tests {
         let tier = DiskTier::new(&scratch.0, backdroid_core::BackendChoice::default());
         let path = tier.path_for("a");
         let store = AppStore::with_disk_tier(u64::MAX, tier, tiny_loader(3));
-        let (v1, _) = store.get("a").unwrap(); // epoch 0, snapshot written
+        let (v1, _) = store.get("a").unwrap(); // epoch 0, resident only
         store.put("a", tiny_loader(6)("a").unwrap()); // epoch 1
         let v2_bytes = std::fs::read(&path).unwrap();
         // Replay the racing eviction spill of the old image exactly as

@@ -269,12 +269,14 @@ fn shard_pool_reply_to_stats_matches_recorded_line() {
         sink.lock().unwrap().insert(seq, line);
     });
     // One line at a time: the shards share the snapshot directory, so
-    // two shards loading one app at once would race to write it.
+    // two shards evicting one app at once would race to write it.
     for (seq, line) in STATS_TRACE.iter().enumerate() {
         pool.submit_line(seq as u64, line, &responder);
         pool.drain();
     }
-    // Killing a shard retires its counters into the pool's total.
+    // Killing a shard writes back its unwritten images, then retires its
+    // counters (those writes included) into the pool's total; restarting
+    // it first writes back the live shard's unwritten images.
     assert!(pool.kill_shard(0));
     assert!(pool.restart_shard(0));
     let seq = STATS_TRACE.len() as u64;
@@ -289,7 +291,7 @@ fn shard_pool_reply_to_stats_matches_recorded_line() {
 
 const SERVICE_STATS: &str = r#"{"id":90,"op":"stats","requests":9,"analyze":6,"query":2,"batch":1,"errors":1,"peak_in_flight":1,"store":{"hits":1,"misses":5,"coalesced":0,"loads":9,"load_failures":1,"evictions":7,"bytes_evicted":1324125,"disk_hits":5,"disk_misses":5,"disk_invalidations":0,"disk_writes":4,"disk_bytes_written":576474,"disk_write_failures":0,"resident_bytes":306733,"resident_apps":2,"peak_resident_bytes":396488}}"#;
 
-const POOL_STATS: &str = r#"{"id":91,"op":"stats","requests":9,"analyze":6,"query":2,"batch":1,"errors":1,"peak_in_flight":2,"store":{"hits":3,"misses":5,"coalesced":0,"loads":7,"load_failures":1,"evictions":3,"bytes_evicted":499968,"disk_hits":3,"disk_misses":5,"disk_invalidations":0,"disk_writes":4,"disk_bytes_written":576474,"disk_write_failures":0,"resident_bytes":734402,"resident_apps":4,"peak_resident_bytes":751777}}"#;
+const POOL_STATS: &str = r#"{"id":91,"op":"stats","requests":9,"analyze":6,"query":2,"batch":1,"errors":1,"peak_in_flight":2,"store":{"hits":3,"misses":6,"coalesced":0,"loads":7,"load_failures":1,"evictions":3,"bytes_evicted":499968,"disk_hits":2,"disk_misses":6,"disk_invalidations":0,"disk_writes":4,"disk_bytes_written":576474,"disk_write_failures":0,"resident_bytes":734402,"resident_apps":4,"peak_resident_bytes":751777}}"#;
 
 const FIXTURES: &[u64] = &[
     0xee3c12d88e706c4a,

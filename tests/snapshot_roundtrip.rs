@@ -176,9 +176,10 @@ fn service_responses_are_identical_across_all_three_tiers() {
             .collect()
     };
 
-    // Tier 1: cold parses, snapshots written.
+    // Tier 1: cold parses, written back by the flush.
     let cold_service = Service::over_benchset(bench, cfg.clone());
     let cold = render(&cold_service);
+    cold_service.store().flush();
     let s = cold_service.metrics().snapshot();
     assert_eq!(
         s.value("store_disk_hits_total"),
@@ -188,7 +189,7 @@ fn service_responses_are_identical_across_all_three_tiers() {
     assert_eq!(
         s.value("store_disk_writes_total"),
         3,
-        "one single-flight write per distinct app"
+        "one write per distinct app"
     );
     assert!(s.value("store_disk_bytes_written_total") > 0);
 
@@ -227,11 +228,12 @@ fn service_survives_snapshot_corruption_with_identical_output() {
     let golden = Service::over_benchset(bench, cfg.clone());
     let a = golden.analyze_app("1").unwrap();
     let golden_line = proto::render_analysis(0, "analyze", &a);
+    golden.store().flush();
 
     // Corrupt the snapshot the first service just wrote.
     let tier = golden.store().disk_tier().expect("disk tier configured");
     let path = tier.path_for("1");
-    let mut bytes = std::fs::read(&path).expect("snapshot written on first load");
+    let mut bytes = std::fs::read(&path).expect("snapshot written by the flush");
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x01;
     std::fs::write(&path, &bytes).unwrap();
@@ -243,6 +245,7 @@ fn service_survives_snapshot_corruption_with_identical_output() {
         golden_line,
         "reparse fallback must not change the response"
     );
+    recovering.store().flush();
     let s = recovering.metrics().snapshot();
     assert_eq!(s.value("store_disk_invalidations_total"), 1);
     assert_eq!(
