@@ -1,61 +1,45 @@
-//! Content-addressed per-class chunks and version-to-version deltas.
+//! Per-class chunk manifests and version-to-version deltas.
 //!
 //! An app update rarely rewrites the whole program: most classes of
 //! v(n+1) are byte-identical to v(n). This module gives the snapshot
-//! container and the serving layer a shared vocabulary for exploiting
-//! that:
+//! container, the serving layer and the delta analyzer a shared
+//! vocabulary for saying which:
 //!
 //! * **Chunk** — one class definition encoded with
 //!   [`backdroid_ir::wire::write_class`]. The encoding is canonical
 //!   (deterministic field/method order as declared), so a class's
-//!   *chunk key* — [`fnv1a64_wide`] over exactly those bytes — is a
-//!   content address: equal classes collide, different classes don't
-//!   (modulo hash collision, which the decoder still validates
-//!   structurally).
+//!   *chunk key* ([`chunk_key`]: [`fnv1a64_wide`] over exactly those
+//!   bytes) is a content address: equal classes collide, different
+//!   classes don't (modulo hash collision).
 //! * **[`ChunkManifest`]** — the `class name → chunk key` map of one
 //!   program version. Stored as snapshot section 6 so a restore can
 //!   diff two versions without decoding either program.
 //! * **[`DeltaManifest`]** — the diff of two manifests: which classes
-//!   are unchanged / changed / added / removed across an update.
-//! * **[`ChunkStore`]** — a directory of checksummed chunk files keyed
-//!   by content hash, deduplicated across versions. Reads are total:
-//!   a missing, truncated, or bit-rotted chunk surfaces as an error
-//!   and the caller falls back to a full re-parse.
+//!   are unchanged / changed / added / removed across an update. The
+//!   serving layer's `put_version` reply reports its counts.
 //! * **[`classify_delta`]** — the soundness gate for verdict reuse:
 //!   only *pure method-body* deltas (identical class set, hierarchy,
 //!   fields, modifiers, and method signatures — just different
 //!   statements) allow the analysis engine to replay prior sink
 //!   verdicts selectively; anything structural forces a full
-//!   re-analysis (the chunk store still supplies the unchanged
-//!   classes).
+//!   re-analysis.
 //!
-//! The invariant the whole path maintains (enforced by
-//! `tests/delta_equivalence.rs` alongside `parallel_equivalence` and
-//! `snapshot_roundtrip`): a program rebuilt by [`apply_delta`] is
-//! **equal** to the from-scratch v(n+1) program, so every downstream
-//! artifact — dump text, index, analysis report — is byte-identical.
+//! A chunk is only ever hashed, never stored: an updated version is
+//! built from the program the update produced and persists as its
+//! image's snapshot (see [`crate::snapshot`]), manifest included.
 
 use backdroid_ir::wire::{self, fnv1a64_wide, WireError, WireReader, WireWriter};
 use backdroid_ir::{Class, ClassName, MethodSig, Program};
 use std::collections::{BTreeMap, BTreeSet};
-use std::fmt;
-use std::io;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Canonical wire encoding of one class — the byte string a chunk key
-/// addresses. Two classes have equal chunk bytes iff they are equal
-/// values (the encoder is injective over the IR).
-pub fn class_chunk_bytes(class: &Class) -> Vec<u8> {
+/// The content address of a class: [`fnv1a64_wide`] over its canonical
+/// wire encoding. Equal classes have equal keys; the encoder is
+/// injective over the IR, so different classes have different keys,
+/// modulo hash collision.
+pub fn chunk_key(class: &Class) -> u64 {
     let mut w = WireWriter::new();
     wire::write_class(&mut w, class);
-    w.into_bytes()
-}
-
-/// The content address of a class: [`fnv1a64_wide`] over
-/// [`class_chunk_bytes`].
-pub fn chunk_key(class: &Class) -> u64 {
-    fnv1a64_wide(&class_chunk_bytes(class))
+    fnv1a64_wide(&w.into_bytes())
 }
 
 /// The `class name → chunk key` map of one program version.
@@ -79,11 +63,6 @@ impl ChunkManifest {
         }
     }
 
-    /// The chunk key recorded for `name`, if the version defines it.
-    pub fn key_of(&self, name: &ClassName) -> Option<u64> {
-        self.entries.get(name).copied()
-    }
-
     /// Number of classes in this version.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -92,11 +71,6 @@ impl ChunkManifest {
     /// Whether the version defines no classes.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Entries in class-name order.
-    pub fn entries(&self) -> impl Iterator<Item = (&ClassName, u64)> + '_ {
-        self.entries.iter().map(|(n, &k)| (n, k))
     }
 
     /// Wire-encodes the manifest: count, then (name, key) in name
@@ -155,7 +129,7 @@ impl ChunkManifest {
 /// class-name order.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct DeltaManifest {
-    /// Classes whose chunk keys match — carried over verbatim.
+    /// Classes whose chunk keys match.
     pub unchanged: Vec<ClassName>,
     /// Classes present in both versions with different chunk keys.
     pub changed: Vec<ClassName>,
@@ -163,23 +137,6 @@ pub struct DeltaManifest {
     pub added: Vec<ClassName>,
     /// Classes only the old version defines.
     pub removed: Vec<ClassName>,
-}
-
-impl DeltaManifest {
-    /// Whether the update changes nothing.
-    pub fn is_identity(&self) -> bool {
-        self.changed.is_empty() && self.added.is_empty() && self.removed.is_empty()
-    }
-
-    /// Every class touched by the update (changed + added + removed).
-    pub fn touched_classes(&self) -> BTreeSet<ClassName> {
-        self.changed
-            .iter()
-            .chain(&self.added)
-            .chain(&self.removed)
-            .cloned()
-            .collect()
-    }
 }
 
 /// The soundness classification of an update, from the analysis
@@ -198,8 +155,7 @@ pub enum DeltaKind {
         changed_methods: BTreeSet<MethodSig>,
     },
     /// Anything else — classes or members added/removed/re-typed.
-    /// Verdict reuse is off; the update still takes unchanged classes
-    /// from the chunk store, and re-analysis is byte-identical to a
+    /// Verdict reuse is off, and re-analysis is byte-identical to a
     /// cold run by determinism.
     Structural,
 }
@@ -240,199 +196,6 @@ pub fn classify_delta(old: &Program, new: &Program) -> DeltaKind {
     } else {
         DeltaKind::BodyOnly { changed_methods }
     }
-}
-
-/// Why a chunk failed to load. Every variant is an expected disk-tier
-/// condition; callers fall back to a full re-parse.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum ChunkError {
-    /// No chunk file for this key.
-    Missing(u64),
-    /// The chunk file exists but is truncated, has a bad checksum, or
-    /// carries trailing bytes.
-    Corrupt(u64),
-    /// The checksummed payload decoded to something invalid, or the
-    /// decoded class does not belong where the manifest placed it.
-    Decode(WireError),
-}
-
-impl fmt::Display for ChunkError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ChunkError::Missing(k) => write!(f, "chunk {k:016x} missing"),
-            ChunkError::Corrupt(k) => write!(f, "chunk {k:016x} corrupt"),
-            ChunkError::Decode(e) => write!(f, "chunk payload: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for ChunkError {}
-
-impl From<WireError> for ChunkError {
-    fn from(e: WireError) -> Self {
-        ChunkError::Decode(e)
-    }
-}
-
-/// Per-chunk file overhead: payload length (u64) + checksum trailer
-/// (u64).
-const CHUNK_FILE_OVERHEAD: usize = 16;
-
-/// Monotonic suffix for temp files, so concurrent writers of the same
-/// chunk never collide before their atomic renames.
-static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
-
-/// A directory of content-addressed chunk files.
-///
-/// Each chunk lives at `<dir>/<key:016x>.chunk` as
-/// `[payload len, u64 LE][payload][fnv1a64_wide(payload), u64 LE]`.
-/// Because the key *is* the payload hash, the trailer equals the key
-/// for a well-formed file — it exists to make torn writes and bit rot
-/// detectable with one sequential read. Writes go through a temp file
-/// and an atomic rename, and an existing file is never rewritten
-/// (content-addressing makes rewrites pointless), so concurrent
-/// writers are safe by construction.
-#[derive(Clone, Debug)]
-pub struct ChunkStore {
-    dir: PathBuf,
-}
-
-impl ChunkStore {
-    /// Opens (creating if needed) a chunk store rooted at `dir`.
-    pub fn open(dir: impl Into<PathBuf>) -> io::Result<ChunkStore> {
-        let dir = dir.into();
-        std::fs::create_dir_all(&dir)?;
-        Ok(ChunkStore { dir })
-    }
-
-    /// The store's root directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    fn path_for(&self, key: u64) -> PathBuf {
-        self.dir.join(format!("{key:016x}.chunk"))
-    }
-
-    /// Whether a chunk file for `key` exists (without validating it).
-    pub fn contains(&self, key: u64) -> bool {
-        self.path_for(key).exists()
-    }
-
-    /// Stores `payload` under its content hash, returning `(key, true)`
-    /// if a new file was written or `(key, false)` if the chunk was
-    /// already present (dedup across versions).
-    pub fn put(&self, payload: &[u8]) -> io::Result<(u64, bool)> {
-        let key = fnv1a64_wide(payload);
-        let path = self.path_for(key);
-        if path.exists() {
-            return Ok((key, false));
-        }
-        let mut bytes = Vec::with_capacity(payload.len() + CHUNK_FILE_OVERHEAD);
-        bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        bytes.extend_from_slice(payload);
-        bytes.extend_from_slice(&key.to_le_bytes());
-        let tmp = self.dir.join(format!(
-            ".tmp-{:016x}-{}-{}",
-            key,
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        std::fs::write(&tmp, &bytes)?;
-        match std::fs::rename(&tmp, &path) {
-            Ok(()) => Ok((key, true)),
-            Err(e) => {
-                let _ = std::fs::remove_file(&tmp);
-                // A concurrent writer may have won the rename race;
-                // content-addressing means its bytes are ours.
-                if path.exists() {
-                    Ok((key, false))
-                } else {
-                    Err(e)
-                }
-            }
-        }
-    }
-
-    /// Loads and validates the chunk for `key`. Total: every corruption
-    /// mode (missing file, truncation, checksum or length mismatch,
-    /// trailing bytes, payload not hashing to its own key) maps to a
-    /// [`ChunkError`].
-    pub fn get(&self, key: u64) -> Result<Vec<u8>, ChunkError> {
-        let bytes = std::fs::read(self.path_for(key)).map_err(|_| ChunkError::Missing(key))?;
-        if bytes.len() < CHUNK_FILE_OVERHEAD {
-            return Err(ChunkError::Corrupt(key));
-        }
-        let len = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"));
-        let len = usize::try_from(len).map_err(|_| ChunkError::Corrupt(key))?;
-        if bytes.len() != len + CHUNK_FILE_OVERHEAD {
-            return Err(ChunkError::Corrupt(key));
-        }
-        let payload = &bytes[8..8 + len];
-        let stored = u64::from_le_bytes(bytes[8 + len..].try_into().expect("8 bytes"));
-        if stored != key || fnv1a64_wide(payload) != key {
-            return Err(ChunkError::Corrupt(key));
-        }
-        Ok(payload.to_vec())
-    }
-
-    /// Writes every class chunk of `program`, returning
-    /// `(chunks_written, chunks_deduped)`.
-    pub fn put_program(&self, program: &Program) -> io::Result<(usize, usize)> {
-        let mut written = 0;
-        let mut deduped = 0;
-        for class in program.classes() {
-            let (_, fresh) = self.put(&class_chunk_bytes(class))?;
-            if fresh {
-                written += 1;
-            } else {
-                deduped += 1;
-            }
-        }
-        Ok((written, deduped))
-    }
-}
-
-/// Rebuilds the v(n+1) program named by `next`: classes whose keys
-/// match `prior`'s manifest are cloned from the resident prior
-/// program; everything else is fetched from the chunk store and
-/// decoded (the decoder re-validates structure, so a hash collision
-/// cannot smuggle in a malformed class).
-///
-/// Errors — a missing or corrupt chunk — leave the caller to fall
-/// back to a full re-parse; on success the result is **equal** to the
-/// from-scratch v(n+1) program, which is what makes every downstream
-/// byte identical.
-pub fn apply_delta(
-    prior: &Program,
-    prior_manifest: &ChunkManifest,
-    next: &ChunkManifest,
-    store: &ChunkStore,
-) -> Result<Program, ChunkError> {
-    let mut program = Program::new();
-    for (name, key) in next.entries() {
-        if prior_manifest.key_of(name) == Some(key) {
-            let class = prior.class(name).ok_or(ChunkError::Missing(key))?.clone();
-            program.add_class(class);
-            continue;
-        }
-        let payload = store.get(key)?;
-        let mut r = WireReader::new(&payload);
-        let class = wire::read_class(&mut r)?;
-        if !r.is_empty() {
-            return Err(ChunkError::Decode(WireError::Malformed(
-                "unconsumed chunk bytes".to_string(),
-            )));
-        }
-        if class.name() != name {
-            return Err(ChunkError::Decode(WireError::Malformed(format!(
-                "chunk {key:016x} decodes to {}, manifest says {name}",
-                class.name()
-            ))));
-        }
-        program.add_class(class);
-    }
-    Ok(program)
 }
 
 #[cfg(test)]
@@ -491,7 +254,13 @@ mod tests {
         assert_eq!(delta.unchanged, vec![ClassName::new("com.chunk.B")]);
         assert_eq!(delta.changed, vec![ClassName::new("com.chunk.A")]);
         assert!(delta.added.is_empty() && delta.removed.is_empty());
-        assert!(old.diff(&old).is_identity());
+        assert_eq!(
+            old.diff(&old),
+            DeltaManifest {
+                unchanged: vec![ClassName::new("com.chunk.A"), ClassName::new("com.chunk.B")],
+                ..DeltaManifest::default()
+            }
+        );
     }
 
     #[test]
@@ -517,64 +286,5 @@ mod tests {
         m.ret_void();
         extra.add_class(ClassBuilder::new("com.chunk.C").method(m.build()).build());
         assert_eq!(classify_delta(&old, &extra), DeltaKind::Structural);
-    }
-
-    #[test]
-    fn store_round_trips_dedups_and_detects_corruption() {
-        let dir = std::env::temp_dir().join(format!(
-            "backdroid-chunks-{}-{}",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let store = ChunkStore::open(&dir).unwrap();
-        let p = two_class_program("hello");
-        let class = p.class(&ClassName::new("com.chunk.A")).unwrap();
-        let payload = class_chunk_bytes(class);
-        let (key, fresh) = store.put(&payload).unwrap();
-        assert!(fresh);
-        let (key2, fresh2) = store.put(&payload).unwrap();
-        assert_eq!(key, key2);
-        assert!(!fresh2, "second put dedups");
-        assert_eq!(store.get(key).unwrap(), payload);
-
-        // Truncation and bit flips are detected, never decoded.
-        let path = store.path_for(key);
-        let good = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &good[..good.len() - 3]).unwrap();
-        assert_eq!(store.get(key), Err(ChunkError::Corrupt(key)));
-        let mut flipped = good.clone();
-        flipped[9] ^= 0x01;
-        std::fs::write(&path, &flipped).unwrap();
-        assert_eq!(store.get(key), Err(ChunkError::Corrupt(key)));
-        std::fs::write(&path, &good).unwrap();
-        assert!(store.get(key).is_ok());
-        assert_eq!(store.get(key ^ 1), Err(ChunkError::Missing(key ^ 1)));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn apply_delta_rebuilds_the_exact_new_program() {
-        let dir = std::env::temp_dir().join(format!(
-            "backdroid-chunks-apply-{}-{}",
-            std::process::id(),
-            TMP_SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let store = ChunkStore::open(&dir).unwrap();
-        let old = two_class_program("hello");
-        let new = two_class_program("world");
-        let old_m = ChunkManifest::of_program(&old);
-        let new_m = ChunkManifest::of_program(&new);
-        let (written, deduped) = store.put_program(&new).unwrap();
-        assert_eq!((written, deduped), (2, 0));
-        let rebuilt = apply_delta(&old, &old_m, &new_m, &store).unwrap();
-        assert_eq!(rebuilt, new);
-        // A store missing the changed chunk forces the fallback path.
-        let changed_key = new_m.key_of(&ClassName::new("com.chunk.A")).unwrap();
-        std::fs::remove_file(store.path_for(changed_key)).unwrap();
-        assert_eq!(
-            apply_delta(&old, &old_m, &new_m, &store),
-            Err(ChunkError::Missing(changed_key))
-        );
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -81,10 +81,7 @@ pub mod ssg;
 
 pub use backdroid_search::BackendChoice;
 pub use backtrack::{find_callers, CallerEdge, ChainStep, EdgeKind, Reached};
-pub use chunks::{
-    apply_delta, chunk_key, class_chunk_bytes, classify_delta, ChunkError, ChunkManifest,
-    ChunkStore, DeltaKind, DeltaManifest,
-};
+pub use chunks::{chunk_key, classify_delta, ChunkManifest, DeltaKind, DeltaManifest};
 pub use context::{AppArtifacts, DepTrace, TaskContext};
 pub use detect::Verdict;
 pub use detector::{DetectorError, DetectorRegistry, DetectorSpec, RuleFn, VerdictRule};

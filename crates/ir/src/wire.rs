@@ -1005,9 +1005,9 @@ fn read_method(r: &mut WireReader<'_>) -> Result<Method, WireError> {
     Ok(Method::from_parts(sig, modifiers, body))
 }
 
-/// Encodes one class definition — the unit of the content-addressed
-/// chunk store: a class's chunk key is a checksum over exactly these
-/// bytes, so equal classes chunk identically across program versions.
+/// Encodes one class definition. A class's chunk key is a checksum over
+/// exactly these bytes, so equal classes key identically across
+/// program versions.
 pub fn write_class(w: &mut WireWriter, c: &Class) {
     write_class_name(w, c.name());
     match c.superclass() {

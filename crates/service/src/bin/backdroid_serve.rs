@@ -21,8 +21,8 @@
 //! still held only in memory are written back.
 //!
 //! App updates are first-class ops: `put_version` publishes a seeded
-//! mutated version (persisted as content-addressed per-class chunks
-//! under the snapshot dir), and `analyze_delta` re-analyzes only what
+//! mutated version (persisted at once as the app's snapshot under the
+//! snapshot dir), and `analyze_delta` re-analyzes only what
 //! the update could have changed — rendering the same bytes as a full
 //! `analyze` of that version, which the CI delta-smoke leg replay-diffs.
 

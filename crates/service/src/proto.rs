@@ -420,10 +420,11 @@ pub enum Op {
     },
     /// Publishes version *n+1* of an app: the server mutates the app's
     /// current program with the deterministic update generator
-    /// (`backdroid_appgen::mutate_version`), persists the new version's
-    /// per-class chunks, and swaps the served image. The response
-    /// carries only deterministic fields (version number, ground-truth
-    /// delta class counts) so update traces replay byte-for-byte.
+    /// (`backdroid_appgen::mutate_version`), builds the new version's
+    /// image and serves it from then on (with a snapshot directory, its
+    /// snapshot is written at once). The response carries only
+    /// deterministic fields (version number, the class counts of the
+    /// chunk-manifest diff) so update traces replay byte-for-byte.
     PutVersion {
         /// App id.
         app: String,

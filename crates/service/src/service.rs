@@ -14,8 +14,8 @@ use crate::store::{AppStore, Fetch};
 use backdroid_appgen::benchset::{bench_app, BenchsetConfig};
 use backdroid_appgen::mutate_version;
 use backdroid_core::{
-    apply_delta, AppArtifacts, AppReport, Backdroid, BackdroidOptions, BackendChoice,
-    ChunkManifest, ChunkStore, DeltaBase, DeltaStats, DetectorRegistry,
+    AppArtifacts, AppReport, Backdroid, BackdroidOptions, BackendChoice, DeltaBase, DeltaStats,
+    DetectorRegistry,
 };
 use backdroid_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use std::collections::HashMap;
@@ -87,9 +87,9 @@ impl std::fmt::Display for ServiceError {
 impl std::error::Error for ServiceError {}
 
 /// The deterministic outcome of a [`Service::put_version`] call: the
-/// new version number plus the class-level delta the chunk-manifest
-/// diff recorded. Pure functions of (current version, seed) — never
-/// chunk-store I/O counts, which depend on cross-app dedup.
+/// new version number plus the class counts of the chunk-manifest diff
+/// between the displaced and the new version. Pure functions of
+/// (current version, seed).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct PutVersionOutcome {
     /// The app id the request named.
@@ -150,7 +150,6 @@ struct Counters {
     delta_analysis_us: Histogram,
     chunks_reused: Counter,
     chunks_written: Counter,
-    chunk_fallbacks: Counter,
     classes_retokenized: Counter,
     sinks_reused: Counter,
     sinks_reanalyzed: Counter,
@@ -185,7 +184,6 @@ impl Counters {
             delta_analysis_us: registry.histogram("delta_analysis_us"),
             chunks_reused: registry.counter("chunks_reused_total"),
             chunks_written: registry.counter("chunks_written_total"),
-            chunk_fallbacks: registry.counter("chunk_full_fallback_total"),
             classes_retokenized: registry.counter("update_classes_retokenized_total"),
             sinks_reused: registry.counter("sinks_reused_total"),
             sinks_reanalyzed: registry.counter("sinks_reanalyzed_total"),
@@ -231,10 +229,6 @@ pub struct Service {
     store: AppStore,
     base: BackdroidOptions,
     batch_threads: usize,
-    /// Content-addressed per-class chunk store under
-    /// `<snapshot_dir>/chunks`; absent without a snapshot directory
-    /// (updates then skip persistence but behave identically).
-    chunks: Option<ChunkStore>,
     /// Per-app update bookkeeping, shared by every app on this
     /// service: held only to read or record versions, never across an
     /// image build or a store call.
@@ -272,13 +266,8 @@ impl Service {
             .map(|dir| crate::store::DiskTier::new(dir, cfg.backend));
         let store = AppStore::over_registry(cfg.budget_bytes, disk, Arc::clone(&registry), loader);
         let counters = Counters::register(&registry);
-        let chunks = cfg
-            .snapshot_dir
-            .as_ref()
-            .and_then(|dir| ChunkStore::open(dir.join("chunks")).ok());
         Service {
             store,
-            chunks,
             versions: Mutex::default(),
             update_locks: Mutex::default(),
             base: BackdroidOptions {
@@ -400,16 +389,14 @@ impl Service {
     }
 
     /// Publishes version *n+1* of an app: mutates the current program
-    /// with the deterministic update generator, records the chunk-level
-    /// delta, persists the new version's chunks (when a chunk store is
-    /// configured) and round-trips the program through
-    /// [`apply_delta`] — unchanged classes cloned from the resident
-    /// prior, changed/added ones decoded from their chunks — falling
-    /// back to the in-memory mutated program if any chunk is missing or
-    /// corrupt. The new image is built from scratch and handed to the
-    /// store, which swaps to it under its epoch guard, before `versions`
-    /// is taken for the bookkeeping: no other app's request waits on
-    /// the build. Same-app updates chain on the per-app update lock.
+    /// with the deterministic update generator and builds the new image
+    /// from the mutated program. The reply's class counts come from the
+    /// chunk-manifest diff of the displaced and the new image. The
+    /// image is handed to the store, which swaps to it under its epoch
+    /// guard and, with a disk tier, writes its snapshot at once: that
+    /// snapshot is how the version persists. `versions` is taken only
+    /// afterwards, for the bookkeeping, so no other app's request waits
+    /// on the build. Same-app updates chain on the per-app update lock.
     pub fn put_version(&self, app_id: &str, seed: u64) -> Result<PutVersionOutcome, ServiceError> {
         let _guard = self.begin_request(&self.counters.put_version_requests);
         let app_lock = {
@@ -420,33 +407,16 @@ impl Service {
         let started = Instant::now();
         let (current, _) = self.fetch_current(app_id)?;
         let (mutated, _mutation) = mutate_version(current.program(), seed);
-        let prior_manifest = current.chunk_manifest().clone();
-        let next_manifest = ChunkManifest::of_program(&mutated);
-        let delta = prior_manifest.diff(&next_manifest);
+        let artifacts =
+            AppArtifacts::with_backend(mutated, current.manifest().clone(), self.base.backend);
+        let delta = current.chunk_manifest().diff(artifacts.chunk_manifest());
         let c = &self.counters;
         c.chunks_reused.add(delta.unchanged.len() as u64);
         c.chunks_written
             .add((delta.changed.len() + delta.added.len()) as u64);
-        let program = match &self.chunks {
-            Some(store) => {
-                let _ = store.put_program(&mutated);
-                match apply_delta(current.program(), &prior_manifest, &next_manifest, store) {
-                    Ok(p) => p,
-                    Err(_) => {
-                        // Garbage or truncation in the chunk store:
-                        // serve the full in-memory program instead —
-                        // same bytes, no chunk reuse.
-                        c.chunk_fallbacks.inc();
-                        mutated
-                    }
-                }
-            }
-            None => mutated,
-        };
         // The new image tokenizes every class afresh.
-        c.classes_retokenized.add(program.class_count() as u64);
-        let artifacts =
-            AppArtifacts::with_backend(program, current.manifest().clone(), self.base.backend);
+        c.classes_retokenized
+            .add(artifacts.program().class_count() as u64);
         let arc = self.store.put(app_id, artifacts);
         let version = {
             let mut versions = self.versions.lock().expect("version map poisoned");
@@ -874,9 +844,9 @@ mod tests {
     }
 
     #[test]
-    fn chunk_store_damage_falls_back_to_the_full_program() {
+    fn updates_with_a_disk_tier_match_a_from_scratch_build() {
         let dir = std::env::temp_dir().join(format!(
-            "backdroid-service-chunk-test-{}",
+            "backdroid-service-update-test-{}",
             std::process::id()
         ));
         let _ = std::fs::remove_dir_all(&dir);
@@ -888,24 +858,12 @@ mod tests {
             },
         );
         service.put_version("2", 11).unwrap();
-        // Replace the chunk directory with a plain file: every chunk
-        // write and read now fails, so the update must serve the
-        // in-memory program instead of the chunk round-trip.
-        let chunks = dir.join("chunks");
-        std::fs::remove_dir_all(&chunks).unwrap();
-        std::fs::write(&chunks, b"junk").unwrap();
         let v3 = service.put_version("2", 12).unwrap();
         assert_eq!(v3.version, 3);
-        assert_eq!(
-            service
-                .metrics()
-                .snapshot()
-                .value("chunk_full_fallback_total"),
-            1
-        );
-        // The fallback never changes what is served.
+        // The disk tier never changes what is served.
         let served = service.analyze_app("2").unwrap();
         assert_eq!(body(&served), body(&from_scratch("2", &[11, 12])));
+        drop(service);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -3,26 +3,21 @@
 //! to a from-scratch analysis of the same version, on both search
 //! backends.
 //!
-//! Three layers:
+//! Two layers:
 //!
 //! * a proptest walking fuzzed `mutate_version` chains (v1 → v2 → … →
 //!   vN, arbitrary seeds, so body-only, structural, and mixed updates
 //!   all occur) comparing every delta report against a freshly built
 //!   from-scratch image;
-//! * a proptest proving the content-addressed chunk store reconstructs
-//!   every version of a chain exactly (`apply_delta` over the prior
-//!   image + the delta's chunks ≡ the mutated program);
-//! * deterministic damage tests: truncated or garbage chunks are
-//!   detected (checksum/decode failure) and surface as an error the
-//!   caller answers with a full reparse — never silently served.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! * an identity update, which must replay every verdict and still
+//!   match a from-scratch analysis.
+//!
+//! The new version's image is built from the mutated program itself,
+//! as `Service::put_version` builds it; that an update also survives a
+//! restart through its snapshot is `tests/snapshot_roundtrip.rs`'s job.
 
 use backdroid_appgen::{mutate_version, AppSpec, Mechanism, Scenario, SinkKind};
-use backdroid_core::{
-    apply_delta, AppArtifacts, AppReport, Backdroid, BackdroidOptions, BackendChoice,
-    ChunkManifest, ChunkStore,
-};
+use backdroid_core::{AppArtifacts, AppReport, Backdroid, BackdroidOptions, BackendChoice};
 use backdroid_service::proto::render_analysis;
 use backdroid_service::{AppAnalysis, Fetch};
 use proptest::prelude::*;
@@ -94,17 +89,6 @@ fn check_chain(app: &backdroid_appgen::AndroidApp, seeds: &[u64], backend: Backe
     }
 }
 
-/// A scratch directory unique per call (no tempfile crate in the
-/// vendored stack); the caller removes it.
-fn scratch_dir(tag: &str) -> std::path::PathBuf {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    let n = NEXT.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!(
-        "backdroid-delta-eq-{tag}-{}-{n}",
-        std::process::id()
-    ))
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
@@ -118,29 +102,6 @@ proptest! {
         let app = base_app(extra);
         check_chain(&app, &seeds, BackendChoice::LinearScan);
         check_chain(&app, &seeds, BackendChoice::Indexed);
-    }
-
-    /// The chunk store reconstructs every version of a fuzzed chain
-    /// exactly: unchanged classes cloned from the prior image,
-    /// changed/added ones decoded from their content-addressed chunks.
-    #[test]
-    fn chunks_reconstruct_every_version(seeds in prop::collection::vec(any::<u64>(), 1..5)) {
-        let app = base_app(false);
-        let dir = scratch_dir("roundtrip");
-        let store = ChunkStore::open(&dir).unwrap();
-        let mut prior = app.program.clone();
-        let mut prior_manifest = ChunkManifest::of_program(&prior);
-        store.put_program(&prior).unwrap();
-        for &seed in &seeds {
-            let (next, _) = mutate_version(&prior, seed);
-            let next_manifest = ChunkManifest::of_program(&next);
-            store.put_program(&next).unwrap();
-            let rebuilt = apply_delta(&prior, &prior_manifest, &next_manifest, &store).unwrap();
-            prop_assert_eq!(&rebuilt, &next, "chunk round-trip diverged at seed {}", seed);
-            prior = next;
-            prior_manifest = next_manifest;
-        }
-        std::fs::remove_dir_all(&dir).ok();
     }
 }
 
@@ -162,43 +123,4 @@ fn identity_delta_reuses_and_matches() {
     assert!(stats.sinks_reused > 0, "identity updates replay verdicts");
     let scratch = AppArtifacts::with_backend(app.program.clone(), app.manifest.clone(), backend);
     assert_eq!(wire(report), wire(tool.analyze_artifacts(&scratch)));
-}
-
-/// Damaged chunks — truncated to zero bytes or overwritten with
-/// same-length garbage — fail checksum/decode validation, so
-/// `apply_delta` errors instead of serving a corrupt class, and the
-/// caller's full-reparse fallback still produces correct bytes.
-#[test]
-fn damaged_chunks_are_detected_not_served() {
-    let app = base_app(false);
-    let dir = scratch_dir("damage");
-    let store = ChunkStore::open(&dir).unwrap();
-    let v1 = app.program.clone();
-    let m1 = ChunkManifest::of_program(&v1);
-    store.put_program(&v1).unwrap();
-    let (v2, _) = mutate_version(&v1, 42);
-    let m2 = ChunkManifest::of_program(&v2);
-    store.put_program(&v2).unwrap();
-    assert_eq!(apply_delta(&v1, &m1, &m2, &store).unwrap(), v2);
-
-    // Truncate every stored chunk.
-    let entries: Vec<_> = std::fs::read_dir(&dir)
-        .unwrap()
-        .map(|e| e.unwrap().path())
-        .filter(|p| p.is_file())
-        .collect();
-    assert!(!entries.is_empty(), "the store persisted chunks");
-    for path in &entries {
-        std::fs::write(path, b"").unwrap();
-    }
-    apply_delta(&v1, &m1, &m2, &store).expect_err("truncated chunks must not decode");
-
-    // Same-length garbage: caught by the wide checksum, not just length.
-    for path in &entries {
-        let len = std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-        let junk = vec![0xA5u8; len.max(16) as usize];
-        std::fs::write(path, junk).unwrap();
-    }
-    apply_delta(&v1, &m1, &m2, &store).expect_err("garbage chunks must not decode");
-    std::fs::remove_dir_all(&dir).ok();
 }

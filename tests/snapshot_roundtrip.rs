@@ -10,13 +10,17 @@
 //!   disk tier renders byte-identical responses across cold-parse,
 //!   disk-warm, and memory-warm serving, which is the contract the CI
 //!   `snapshot-smoke` job enforces on the real binary.
+//! * **Updates** — a published version persists as its snapshot and
+//!   nothing else, and a fresh service over the same directory restores
+//!   that version from it.
 
 use backdroid_appgen::benchset::{bench_app, BenchsetConfig};
 use backdroid_appgen::fixtures::{fixture_count, snapshot_fixture};
+use backdroid_appgen::mutate_version;
 use backdroid_core::{
     AppArtifacts, Backdroid, BackdroidOptions, BackendChoice, SnapshotError, SNAPSHOT_MAGIC,
 };
-use backdroid_service::{proto, Service, ServiceConfig};
+use backdroid_service::{proto, Fetch, Service, ServiceConfig};
 use proptest::prelude::*;
 
 /// A scratch directory removed on drop (no tempfile crate vendored).
@@ -269,4 +273,46 @@ fn service_survives_snapshot_corruption_with_identical_output() {
     );
     again.analyze_app("1").unwrap();
     assert_eq!(again.metrics().snapshot().value("store_disk_hits_total"), 1);
+}
+
+/// A `put_version` persists as the app's snapshot alone: the service
+/// that published it leaves exactly `1.snap` behind, and a fresh
+/// service over the same directory restores the updated version from
+/// it, with the same reply bytes.
+#[test]
+fn an_update_survives_a_restart_through_its_snapshot_alone() {
+    let scratch = ScratchDir::new("update-restart");
+    let bench = BenchsetConfig::sized(4, 0.04);
+    let cfg = ServiceConfig {
+        budget_bytes: u64::MAX,
+        snapshot_dir: Some(scratch.0.clone()),
+        ..ServiceConfig::default()
+    };
+    let published = {
+        let service = Service::over_benchset(bench, cfg.clone());
+        assert_eq!(service.put_version("1", 7).unwrap().version, 2);
+        let a = service.analyze_app("1").unwrap();
+        proto::render_analysis(0, "analyze", &a)
+    };
+    let mut files: Vec<String> = std::fs::read_dir(&scratch.0)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .collect();
+    files.sort();
+    assert_eq!(files, ["1.snap"], "the update left only its snapshot");
+
+    let restarted = Service::over_benchset(bench, cfg);
+    let b = restarted.analyze_app("1").unwrap();
+    assert_eq!(
+        b.fetch,
+        Fetch::Disk,
+        "the updated version restores from disk"
+    );
+    assert_eq!(proto::render_analysis(0, "analyze", &b), published);
+    // Seed 7 leaves app 1's reply bytes unchanged, so compare programs.
+    let pristine = bench_app(1, bench).app.program;
+    let (updated, _) = mutate_version(&pristine, 7);
+    assert_ne!(updated, pristine, "seed 7 changes the program");
+    let (restored, _) = restarted.store().get("1").unwrap();
+    assert_eq!(restored.program(), &updated);
 }
