@@ -13,8 +13,6 @@
 //! Same input program + same seed ⇒ identical update, so golden replay
 //! tests and CI smoke jobs can regenerate any version chain from seeds.
 
-use std::collections::BTreeSet;
-
 use backdroid_ir::{
     BinOp, ClassBuilder, ClassName, Const, MethodBuilder, MethodSig, Program, Rvalue, Stmt, Type,
     Value,
@@ -55,23 +53,6 @@ impl VersionMutation {
             && self.removed_methods.is_empty()
             && self.added_classes.is_empty()
             && self.removed_classes.is_empty()
-    }
-
-    /// Every class the update touched (owning classes of method edits
-    /// plus whole-class additions/removals).
-    pub fn touched_classes(&self) -> BTreeSet<ClassName> {
-        let mut out = BTreeSet::new();
-        for m in self
-            .body_edits
-            .iter()
-            .chain(&self.added_methods)
-            .chain(&self.removed_methods)
-        {
-            out.insert(m.class().clone());
-        }
-        out.extend(self.added_classes.iter().cloned());
-        out.extend(self.removed_classes.iter().cloned());
-        out
     }
 }
 

@@ -1,9 +1,11 @@
 //! Throughput benchmark for the serving layer: drives a seeded
-//! Zipf-skewed workload (see `backdroid_appgen::workload`) through a
-//! [`Service`] on a worker pool — or, with `--shards N`, through a
-//! [`ShardPool`] router — and reports requests/sec, p50/p99 latency,
-//! cold-load vs warm-hit latency, and store behaviour (loads, coalesced
-//! waits, evictions, peak residency) under a configurable byte budget.
+//! Zipf-skewed workload (see `backdroid_appgen::workload`) through the
+//! wire path of a [`ShardPool`] (`submit_line`, one shard unless
+//! `--shards N` says otherwise) — the same path `backdroid-serve` runs
+//! every concurrent replay through — and reports requests/sec, p50/p99
+//! latency, cold-load vs warm-hit latency, and store behaviour (loads,
+//! coalesced waits, evictions, peak residency) under a configurable
+//! byte budget.
 //!
 //! Unlike the paper-figure bins, this one's stdout **is** about
 //! wall-clock — it measures a live serving system, and with
@@ -13,8 +15,7 @@
 //! non-zero if either fails:
 //!
 //! * the resident store never exceeds its byte budget
-//!   (`peak_resident_bytes <= budget`; summed across shards when
-//!   sharded);
+//!   (`peak_resident_bytes <= budget`, both summed across shards);
 //! * the mean warm-hit latency is below the mean cold-load latency
 //!   (residency actually amortizes preprocessing). An empty warm
 //!   bucket fails the check rather than skipping it — a workload that
@@ -24,16 +25,15 @@
 //!
 //! Latency tiers are read from the service's metrics registry: the
 //! `request_{miss,disk,hit,coalesced}_us` histograms record each
-//! analysis inside [`Service::run`], so the classification is exact in
-//! both modes (no first-touch guessing) and measures service time only
-//! — queue wait never pollutes the tiers, which is what lets the
-//! warm < cold residency check hold even for sharded runs, whose
-//! end-to-end latencies are sojourn times. Sharded runs additionally
-//! report the pool's `pool_queue_wait_us` histogram and band its p99
-//! bucket index in the committed baseline.
+//! analysis inside [`Service::run`], so the classification is exact
+//! (no first-touch guessing) and measures service time only — queue
+//! wait never pollutes the tiers, which is what lets the warm < cold
+//! residency check hold although the end-to-end latencies are sojourn
+//! times. Every run also reports the pool's `pool_queue_wait_us`
+//! histogram and bands its p99 bucket index in the committed baseline.
 //!
 //! Flags: `--count N` / `--code-permille M` (benchset), `--requests N`,
-//! `--workers N` (per shard when sharded), `--shards N`,
+//! `--workers N` (per shard), `--shards N` (default 1),
 //! `--budget-mb N` (per shard), `--backend linear|indexed`,
 //! `--intra-threads N`, `--seed S`, `--smoke` (small CI preset),
 //! `--json PATH`, `--baseline PATH` (check machine-independent ratios
@@ -46,7 +46,7 @@
 //! additionally self-checks disk-warm < cold-parse.
 
 use backdroid_appgen::benchset::BenchsetConfig;
-use backdroid_appgen::workload::{self, WorkloadConfig, WorkloadOp};
+use backdroid_appgen::workload::{self, WorkloadConfig};
 use backdroid_bench::harness::{arg_value, parsed_arg};
 use backdroid_bench::json::{array, JsonObject};
 use backdroid_bench::{
@@ -56,7 +56,6 @@ use backdroid_obs::RegistrySnapshot;
 use backdroid_service::proto::workload_request_line;
 use backdroid_service::store::hit_rate;
 use backdroid_service::{Responder, Service, ServiceConfig, ShardPool, ShardPoolConfig};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -101,7 +100,7 @@ fn main() {
     });
     let requests = parsed_arg("--requests", def_requests);
     let workers = parsed_arg::<usize>("--workers", 4).max(1);
-    let shards = parsed_arg::<usize>("--shards", 0);
+    let shards = parsed_arg::<usize>("--shards", 1).max(1);
     let budget_mb = parsed_arg::<u64>("--budget-mb", def_budget_mb);
     let seed = parsed_arg("--seed", 7u64);
     let backend = backend_from_args();
@@ -123,114 +122,66 @@ fn main() {
         ..ServiceConfig::default()
     };
 
-    // Drive the trace and record per-request wall latency (for req/s
-    // and the end-to-end p50/p99); serving tiers come from the
-    // registry afterwards. Sharded runs also attribute each request to
-    // its routed shard.
+    // Drive the trace through the pool's wire path and record each
+    // request's sojourn time (for req/s and the end-to-end p50/p99) and
+    // its routed shard; serving tiers come from the registry afterwards.
     let started = Instant::now();
-    let (samples, shard_counts, errors, snap) = if shards > 0 {
-        let pool = ShardPool::new(
-            ShardPoolConfig {
-                shards,
-                workers_per_shard: workers,
-                queue_capacity: 64,
-                trace_capacity: 0,
-            },
-            {
-                let service_cfg = service_cfg.clone();
-                move |_| Service::over_benchset(bench, service_cfg.clone())
-            },
-        );
-        // (shard, start) per seq, pushed before its submit so the
-        // responder always finds the entry.
-        let submitted: Arc<Mutex<Vec<(usize, Instant)>>> =
-            Arc::new(Mutex::new(Vec::with_capacity(trace.len())));
-        let results: Arc<Mutex<Vec<(usize, f64, bool)>>> =
-            Arc::new(Mutex::new(Vec::with_capacity(trace.len())));
-        let responder: Responder = {
-            let submitted = Arc::clone(&submitted);
-            let results = Arc::clone(&results);
-            Arc::new(move |seq, response| {
-                let (shard, t0) = submitted.lock().expect("submitted poisoned")[seq as usize];
-                let ms = t0.elapsed().as_secs_f64() * 1_000.0;
-                let err = match &response {
-                    Some(line) => line.contains("\"error\""),
-                    None => true,
-                };
-                results
-                    .lock()
-                    .expect("results poisoned")
-                    .push((shard, ms, err));
-            })
-        };
-        for (seq, req) in trace.iter().enumerate() {
-            let shard = pool.route(&req.app.to_string());
-            submitted
+    let pool = ShardPool::new(
+        ShardPoolConfig {
+            shards,
+            workers_per_shard: workers,
+            queue_capacity: 64,
+            trace_capacity: 0,
+        },
+        move |_| Service::over_benchset(bench, service_cfg.clone()),
+    );
+    // (shard, start) per seq, pushed before its submit so the responder
+    // always finds the entry.
+    let submitted: Arc<Mutex<Vec<(usize, Instant)>>> =
+        Arc::new(Mutex::new(Vec::with_capacity(trace.len())));
+    let results: Arc<Mutex<Vec<(usize, f64, bool)>>> =
+        Arc::new(Mutex::new(Vec::with_capacity(trace.len())));
+    let responder: Responder = {
+        let submitted = Arc::clone(&submitted);
+        let results = Arc::clone(&results);
+        Arc::new(move |seq, response| {
+            let (shard, t0) = submitted.lock().expect("submitted poisoned")[seq as usize];
+            let ms = t0.elapsed().as_secs_f64() * 1_000.0;
+            let err = match &response {
+                Some(line) => line.contains("\"error\""),
+                None => true,
+            };
+            results
                 .lock()
-                .expect("submitted poisoned")
-                .push((shard, Instant::now()));
-            pool.submit_line(
-                seq as u64,
-                &workload_request_line(seq as u64, req),
-                &responder,
-            );
-        }
-        pool.drain();
-        // Aggregate registry (live shards + retired + pool counters)
-        // must be captured before shutdown tears the shards down.
-        let snap = pool.metrics();
-        pool.shutdown();
-        let results = std::mem::take(&mut *results.lock().expect("results poisoned"));
-        let mut shard_counts = vec![0u64; shards];
-        let mut errors = 0u64;
-        for &(shard, _, err) in &results {
-            shard_counts[shard] += 1;
-            errors += err as u64;
-        }
-        let samples: Vec<f64> = results.into_iter().map(|(_, ms, _)| ms).collect();
-        (samples, shard_counts, errors, snap)
-    } else {
-        let service = Service::over_benchset(bench, service_cfg);
-        let next = AtomicUsize::new(0);
-        let samples: Mutex<Vec<f64>> = Mutex::new(Vec::with_capacity(trace.len()));
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= trace.len() {
-                            break;
-                        }
-                        let req = &trace[i];
-                        let app = req.app.to_string();
-                        let t0 = Instant::now();
-                        match &req.op {
-                            WorkloadOp::Analyze => {
-                                let _ = service.analyze_app(&app);
-                            }
-                            WorkloadOp::Query(detectors) => {
-                                let _ = service.query_detectors(&app, detectors);
-                            }
-                            WorkloadOp::Batch(extra) => {
-                                let ids: Vec<String> = std::iter::once(req.app)
-                                    .chain(extra.iter().copied())
-                                    .map(|a| a.to_string())
-                                    .collect();
-                                let _ = service.analyze_batch(&ids);
-                            }
-                        }
-                        local.push(t0.elapsed().as_secs_f64() * 1_000.0);
-                    }
-                    samples.lock().expect("samples poisoned").extend(local);
-                });
-            }
-        });
-        let snap = service.metrics().snapshot();
-        let errors = snap.value("service_errors_total");
-        let samples = samples.into_inner().expect("samples poisoned");
-        (samples, Vec::new(), errors, snap)
+                .expect("results poisoned")
+                .push((shard, ms, err));
+        })
     };
+    for (seq, req) in trace.iter().enumerate() {
+        let shard = pool.route(&req.app.to_string());
+        submitted
+            .lock()
+            .expect("submitted poisoned")
+            .push((shard, Instant::now()));
+        pool.submit_line(
+            seq as u64,
+            &workload_request_line(seq as u64, req),
+            &responder,
+        );
+    }
+    pool.drain();
+    // Aggregate registry (live shards + retired + pool counters) must be
+    // captured before shutdown tears the shards down.
+    let snap = pool.metrics();
+    pool.shutdown();
+    let results = std::mem::take(&mut *results.lock().expect("results poisoned"));
+    let mut shard_counts = vec![0u64; shards];
+    let mut errors = 0u64;
+    for &(shard, _, err) in &results {
+        shard_counts[shard] += 1;
+        errors += err as u64;
+    }
+    let samples: Vec<f64> = results.into_iter().map(|(_, ms, _)| ms).collect();
     let wall_s = started.elapsed().as_secs_f64();
 
     // Serving tiers, decoded from the per-analysis latency histograms
@@ -242,9 +193,8 @@ fn main() {
     let coalesced = tier(&snap, "request_coalesced_us");
     let queue_wait = snap.histogram("pool_queue_wait_us");
     // Banded in BENCH_service_throughput.json: the p99 *bucket index*
-    // of the queue-wait histogram, which grows with log2 of the wait —
-    // machine-tolerant where raw microseconds are not. Unsharded runs
-    // have no pool, so the metric is reported as 0.
+    // of the pool's queue-wait histogram, which grows with log2 of the
+    // wait — machine-tolerant where raw microseconds are not.
     let queue_wait_p99_buckets = queue_wait
         .map(|h| h.quantile_bucket(0.99) as f64)
         .unwrap_or(0.0);
@@ -252,9 +202,9 @@ fn main() {
     let p99 = percentile(&samples, 99.0);
     let v = |name: &str| snap.value(name);
     let peak_resident_bytes = v("store_peak_resident_bytes");
-    // The budget the peak is judged against: per shard in sharded mode
-    // (aggregated peaks are summed the same way).
-    let budget_bytes = budget_mb * 1024 * 1024 * shards.max(1) as u64;
+    // The budget the peak is judged against: the per-shard budget times
+    // the shard count (aggregated peaks are summed the same way).
+    let budget_bytes = budget_mb * 1024 * 1024 * shards as u64;
 
     let rps = if wall_s > 0.0 {
         samples.len() as f64 / wall_s
@@ -270,14 +220,8 @@ fn main() {
         trace.len()
     );
     println!(
-        "  config: backend {}, {} workers, intra-threads {intra_threads}, budget {budget_mb} MiB{}",
+        "  config: backend {}, {shards} shard(s) × {workers} workers, intra-threads {intra_threads}, budget {budget_mb} MiB per shard",
         backend.name(),
-        workers,
-        if shards > 0 {
-            format!(" per shard, {shards} shards")
-        } else {
-            String::new()
-        },
     );
     println!(
         "  throughput: {rps:.1} req/s ({:.1} ms wall for {} requests), p50 {p50:.3} ms, p99 {p99:.2} ms",
@@ -453,21 +397,19 @@ fn main() {
         eprintln!("FAIL: {errors} request(s) errored");
         failed = true;
     }
-    if shards > 0 {
-        let total: u64 = shard_counts.iter().sum();
-        if total != trace.len() as u64 {
-            eprintln!(
-                "FAIL: sharded run answered {total} of {} requests",
-                trace.len()
-            );
-            failed = true;
-        }
+    let total: u64 = shard_counts.iter().sum();
+    if total != trace.len() as u64 {
+        eprintln!(
+            "FAIL: the pool answered {total} of {} requests",
+            trace.len()
+        );
+        failed = true;
     }
 
     // Committed machine-independent envelope (--baseline): ratios and
-    // counts only — the same file holds on any machine.
-    // queue_wait_p99_buckets is always reported (0 when unsharded) so
-    // the band applies to both CI configs of this bin.
+    // counts only — the same file holds on any machine. Every run
+    // drives the pool, so queue_wait_p99_buckets is measured in both CI
+    // configs of this bin.
     let mut metrics: Vec<(&str, f64)> = vec![
         ("errors", errors as f64),
         ("hit_rate", hit_rate(&snap)),

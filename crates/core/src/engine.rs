@@ -297,16 +297,6 @@ impl Backdroid {
         )
     }
 
-    /// Analyzes within a prepared task context (compatibility shim for
-    /// pre-session callers; the context's engine handle is shared with
-    /// the scheduler's tasks and its loop counters absorb the run's loop
-    /// statistics).
-    pub fn analyze_in(&self, ctx: &mut TaskContext<'_>) -> AppReport {
-        let report = self.run_scheduler(ctx.program, ctx.manifest, &ctx.engine, Instant::now());
-        ctx.loops.merge(&report.loop_stats);
-        report
-    }
-
     /// Runs one sink site: slice backward, propagate forward, judge via
     /// the detector registry's rule for the sink. With `capture` set,
     /// every body read and search query is recorded into the returned

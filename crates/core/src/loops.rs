@@ -78,11 +78,6 @@ impl PathGuard {
         Self::default()
     }
 
-    /// Creates a guard seeded with an existing path.
-    pub fn with_path(path: Vec<MethodSig>) -> Self {
-        PathGuard { path }
-    }
-
     /// The current path.
     pub fn path(&self) -> &[MethodSig] {
         &self.path

@@ -3,12 +3,14 @@
 //! An SSG records, for one sink API call, everything the forward analysis
 //! later needs: the raw typed statements touched by the backward slice
 //! (`SsgUnit`), the inter-procedural relationships uncovered by bytecode
-//! search (call/return edges), the hierarchical taint map, and a special
+//! search (call/return edges), the tainted static fields, and a special
 //! *static track* holding off-path `<clinit>` statements added on demand.
+//! The per-method taint sets of the paper's hierarchical taint map live
+//! in the slicer's frames while it runs, not in the SSG.
 
 use backdroid_ir::{FieldSig, LocalId, MethodSig, Stmt};
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
 /// A node wrapping one raw typed statement (the paper's `SSGUnit`).
 #[derive(Clone, Debug)]
@@ -35,7 +37,8 @@ pub enum SsgEdge {
     Return,
 }
 
-/// The per-method taint set of the hierarchical taint map.
+/// The taint set of one method: the slicer keeps one per frame, which
+/// together form the paper's hierarchical taint map (§V-A).
 #[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
 pub struct TaintSet {
     /// Tainted locals.
@@ -104,8 +107,6 @@ pub struct Ssg {
     /// Units forming the special static (`<clinit>`) track, analyzed first
     /// by the forward phase (§V-A).
     static_track: Vec<usize>,
-    /// The hierarchical taint map: one taint set per tracked method.
-    taint_map: BTreeMap<MethodSig, TaintSet>,
     /// The global static-field taint set.
     static_taints: BTreeSet<FieldSig>,
     /// Static fields whose defining write was never found on-path; the
@@ -125,7 +126,6 @@ impl Ssg {
             index: HashMap::new(),
             sink_unit: None,
             static_track: Vec::new(),
-            taint_map: BTreeMap::new(),
             static_taints: BTreeSet::new(),
             unresolved_statics: BTreeSet::new(),
             entries: Vec::new(),
@@ -193,22 +193,6 @@ impl Ssg {
     /// The static-track unit ids, in discovery order.
     pub fn static_track(&self) -> &[usize] {
         &self.static_track
-    }
-
-    /// Mutable access to the taint set of `method` (created on demand),
-    /// organizing sets hierarchically by method signature (§V-A).
-    pub fn taints_mut(&mut self, method: &MethodSig) -> &mut TaintSet {
-        self.taint_map.entry(method.clone()).or_default()
-    }
-
-    /// The taint set of `method`, if it was ever tracked.
-    pub fn taints(&self, method: &MethodSig) -> Option<&TaintSet> {
-        self.taint_map.get(method)
-    }
-
-    /// All tracked methods in the hierarchical taint map.
-    pub fn tracked_methods(&self) -> impl Iterator<Item = &MethodSig> + '_ {
-        self.taint_map.keys()
     }
 
     /// Taints a static field globally.

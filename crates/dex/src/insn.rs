@@ -5,9 +5,7 @@
 //! express; opcode/mnemonic names follow real dalvik bytecode so that the
 //! disassembled text looks like genuine `dexdump` output.
 
-use backdroid_ir::{
-    BinOp, Const, InvokeKind, LocalId, MethodBody, Place, Rvalue, Stmt, Type, Value,
-};
+use backdroid_ir::{BinOp, Const, InvokeKind, MethodBody, Place, Rvalue, Stmt, Type, Value};
 
 /// A virtual register.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -566,11 +564,6 @@ pub fn assemble(body: &MethodBody, pools: &mut dyn PoolResolver) -> CodeItem {
         offsets,
         total_units: off,
     }
-}
-
-/// Local helper mirroring [`LocalId`] to register mapping for tests.
-pub fn reg_of(l: LocalId) -> Reg {
-    Reg(l.0)
 }
 
 #[cfg(test)]

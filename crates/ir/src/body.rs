@@ -33,11 +33,6 @@ impl MethodBody {
         self.locals.insert(id.0, ty);
     }
 
-    /// The declared type of a local, if known.
-    pub fn local_type(&self, id: LocalId) -> Option<&Type> {
-        self.locals.get(&id.0)
-    }
-
     /// All declared locals in id order.
     pub fn locals(&self) -> impl Iterator<Item = Local> + '_ {
         self.locals.iter().map(|(id, ty)| Local {

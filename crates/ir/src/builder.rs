@@ -69,15 +69,6 @@ impl ClassBuilder {
         self
     }
 
-    /// The field signature for `name`, for use while building methods.
-    pub fn field_sig(&self, name: &str) -> Option<FieldSig> {
-        self.class
-            .fields()
-            .iter()
-            .find(|f| f.sig().name() == name)
-            .map(|f| f.sig().clone())
-    }
-
     /// The class name being built.
     pub fn name(&self) -> &ClassName {
         self.class.name()

@@ -33,18 +33,10 @@ impl Program {
         self.classes.get(name)
     }
 
-    /// Removes a class definition, returning it if present. Used by the
-    /// version-delta path to apply `removed` entries of a delta manifest.
+    /// Removes a class definition, returning it if present. The update
+    /// generator takes a class out this way to edit or drop it.
     pub fn remove_class(&mut self, name: &ClassName) -> Option<Class> {
         self.classes.remove(name)
-    }
-
-    /// Inserts or replaces a class definition, returning the previous
-    /// definition if one existed. Unlike [`Program::add_class`] this does
-    /// not panic on duplicates — delta application overwrites changed
-    /// classes in place.
-    pub fn replace_class(&mut self, class: Class) -> Option<Class> {
-        self.classes.insert(class.name().clone(), class)
     }
 
     /// Whether the class is defined in the app (vs platform-only).
@@ -75,14 +67,6 @@ impl Program {
     /// Looks up a method by its exact declared signature.
     pub fn method(&self, sig: &MethodSig) -> Option<&Method> {
         self.classes.get(sig.class())?.find_method(sig)
-    }
-
-    /// All concrete (body-carrying) methods, in deterministic order.
-    pub fn concrete_methods(&self) -> impl Iterator<Item = &Method> + '_ {
-        self.classes
-            .values()
-            .flat_map(|c| c.methods().iter())
-            .filter(|m| m.body().is_some())
     }
 
     /// The direct superclass chain of `name`, from the class upward,

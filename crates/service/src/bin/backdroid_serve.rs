@@ -1,6 +1,6 @@
 //! `backdroid-serve` — the resident analysis service as a CLI: JSONL on
-//! stdin/stdout, optionally sharded over N single-service workers, and
-//! optionally served over a length-framed socket transport.
+//! stdin/stdout, served by one thread or by a pool of single-service
+//! shards, and optionally over a length-framed socket transport.
 //!
 //! ```console
 //! $ backdroid-serve --count 8 --code-permille 40 --emit-trace 60 --seed 7 > trace.jsonl
@@ -10,15 +10,25 @@
 //! $ backdroid-serve --connect tcp:127.0.0.1:7411 < trace.jsonl
 //! ```
 //!
+//! Two loops serve requests. One worker with no `--shards`, `--listen`
+//! or `--trace-out` runs the single-threaded loop: the reference that
+//! writes every `--direct` golden, where the admin ops
+//! `kill_shard`/`restart_shard` are silent no-ops. Everything else —
+//! `--workers` above 1 included — serves through a [`ShardPool`] (one
+//! shard unless `--shards` says otherwise), whose shards run same-app
+//! requests one at a time in submission order, so a `put_version` is
+//! never overtaken by the `analyze_delta` behind it.
+//!
 //! Responses are emitted **in request order** whatever the worker or
 //! shard count, and contain only deterministic fields, so the output
 //! for one trace is byte-identical across worker counts, shard counts,
 //! search backends, store budgets, and the stdin/socket transports —
 //! `--direct` (a zero-budget store: every request cold-loads, nothing
 //! stays resident) produces the golden direct-analysis run the CI
-//! service-smoke and shard-smoke legs diff the others against. Service,
-//! store, and pool statistics go to stderr at EOF, after the snapshots
-//! still held only in memory are written back.
+//! service-smoke and shard-smoke legs diff the others against. Request,
+//! store and disk statistics (plus pool and per-shard lines for a pool
+//! run) go to stderr at EOF, after the snapshots still held only in
+//! memory are written back.
 //!
 //! App updates are first-class ops: `put_version` publishes a seeded
 //! mutated version (persisted at once as the app's snapshot under the
@@ -29,6 +39,7 @@
 use backdroid_appgen::benchset::BenchsetConfig;
 use backdroid_appgen::workload::{self, WorkloadConfig};
 use backdroid_core::BackendChoice;
+use backdroid_obs::RegistrySnapshot;
 use backdroid_service::proto::{self, parse_json, parse_request, workload_request_line, Json};
 use backdroid_service::shard::execute_request;
 use backdroid_service::store::hit_rate;
@@ -40,6 +51,8 @@ use std::sync::{Arc, Mutex};
 const USAGE: &str = "\
 backdroid-serve — resident multi-app BackDroid analysis service (JSONL on stdin/stdout)
 
+  -h, --help           print this text and exit
+
 Benchset (the app universe; ids are decimal indices):
   --count N            apps in the backing benchset (default 24)
   --code-permille M    filler-code volume in thousandths (default 80)
@@ -48,7 +61,8 @@ Serving:
   --backend B          search backend: linear | indexed (default indexed)
   --budget-mb N        resident app-store byte budget (default 512; per shard when sharded)
   --direct             zero-budget store: every request cold-loads (golden mode)
-  --workers N          request worker threads — per shard when sharded (default 1)
+  --workers N          worker threads per shard (default 1); above 1 serves through
+                       a shard pool — one shard unless --shards says otherwise
   --intra-threads N    intra-app sink-task scheduler width (default 1)
   --snapshot-dir DIR   persistent disk tier: cold loads restore from versioned,
                        checksummed snapshots in DIR; built images are written
@@ -99,6 +113,46 @@ Trace generation (prints a workload instead of serving):
   --deadline-ms MS     the deadline attached to those requests (default 50)
 ";
 
+/// Every flag `USAGE` documents; any other argument that starts with `-`
+/// is rejected, so a misspelt flag never silently falls back to a default.
+const FLAGS: &[&str] = &[
+    "-h",
+    "--help",
+    "--count",
+    "--code-permille",
+    "--backend",
+    "--budget-mb",
+    "--direct",
+    "--workers",
+    "--intra-threads",
+    "--snapshot-dir",
+    "--shards",
+    "--queue-depth",
+    "--listen",
+    "--once",
+    "--connect",
+    "--trace-out",
+    "--trace-norm",
+    "--trace-capacity",
+    "--emit-trace",
+    "--seed",
+    "--zipf-permille",
+    "--query-permille",
+    "--batch-permille",
+    "--burst-permille",
+    "--deadline-permille",
+    "--deadline-ms",
+];
+
+/// The first argument that starts with `-` but names no flag in
+/// [`FLAGS`], with or without an `=value` suffix.
+fn unknown_flag(args: &[String]) -> Option<&str> {
+    args.iter().map(String::as_str).find(|a| {
+        let name = a.split_once('=').map_or(*a, |(name, _)| name);
+        a.starts_with('-') && !FLAGS.contains(&name)
+    })
+}
+
 /// The value following `--flag` (or embedded as `--flag=value`) in argv.
 fn arg_value(flag: &str) -> Option<String> {
     let mut args = std::env::args();
@@ -146,6 +200,11 @@ fn benchset_from_args() -> BenchsetConfig {
 }
 
 fn main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(flag) = unknown_flag(&args) {
+        eprintln!("error: unknown flag {flag:?} — see --help");
+        std::process::exit(2)
+    }
     if has_flag("--help") || has_flag("-h") {
         print!("{USAGE}");
         return;
@@ -201,15 +260,16 @@ fn main() {
         snapshot_dir: arg_value("--snapshot-dir").map(std::path::PathBuf::from),
         ..ServiceConfig::default()
     };
+    let disk_tier = service_cfg.snapshot_dir.is_some();
 
     let shards = parsed_arg::<usize>("--shards", "a positive integer");
     let listen = endpoint_arg("--listen");
     let trace_out = arg_value("--trace-out").map(std::path::PathBuf::from);
 
-    // The socket transport and the span tracer always serve through a
-    // pool (of one shard if --shards was not given), so every topology
-    // shares one path.
-    if shards.is_some() || listen.is_some() || trace_out.is_some() {
+    // Every concurrent run — several workers, the socket transport, the
+    // span tracer — serves through a pool (of one shard if --shards was
+    // not given), so every topology shares one path.
+    if workers > 1 || shards.is_some() || listen.is_some() || trace_out.is_some() {
         let pool = ShardPool::new(
             ShardPoolConfig {
                 shards: shards.unwrap_or(1),
@@ -237,14 +297,15 @@ fn main() {
         // Shutting down writes back every shard's unwritten snapshots, so
         // the summary counts those writes.
         pool.shutdown();
-        print_pool_summary(&pool);
+        let pool_budget = budget_bytes * pool.shard_count() as u64;
+        print_summary(&pool.metrics(), pool_budget, disk_tier, Some(&pool));
         return;
     }
 
     let service = Service::over_benchset(bench, service_cfg);
-    serve(&service, workers);
+    serve(&service);
     service.store().flush();
-    print_service_summary(&service);
+    print_summary(&service.metrics().snapshot(), budget_bytes, disk_tier, None);
 }
 
 /// Writes the pool's span ring to `path` at EOF — raw JSONL, or the
@@ -269,8 +330,16 @@ fn write_trace(pool: &ShardPool, path: &std::path::Path, normalized: bool) {
     }
 }
 
-fn print_service_summary(service: &Service) {
-    let snap = service.metrics().snapshot();
+/// The run summary on stderr: the `requests=`, `store:` and (with a
+/// disk tier) `disk:` lines from `snap` — one service's registry, or a
+/// pool's aggregate judged against the pool-wide budget — then, for a
+/// pool, its `pool:` line and one line per shard.
+fn print_summary(
+    snap: &RegistrySnapshot,
+    budget_bytes: u64,
+    disk_tier: bool,
+    pool: Option<&ShardPool>,
+) {
     let v = |name: &str| snap.value(name);
     eprintln!(
         "requests={} (analyze={} query={} batch={}) errors={} peak_in_flight={}",
@@ -290,11 +359,11 @@ fn print_service_summary(service: &Service) {
         v("store_loads_total"),
         v("store_evictions_total"),
         v("store_resident_bytes"),
-        service.store().budget_bytes(),
+        budget_bytes,
         v("store_peak_resident_bytes"),
-        hit_rate(&snap),
+        hit_rate(snap),
     );
-    if service.store().disk_tier().is_some() {
+    if disk_tier {
         eprintln!(
             "disk: hits={} misses={} invalidations={} writes={} bytes_written={} write_failures={}",
             v("store_disk_hits_total"),
@@ -305,12 +374,10 @@ fn print_service_summary(service: &Service) {
             v("store_disk_write_failures_total"),
         );
     }
-}
-
-fn print_pool_summary(pool: &ShardPool) {
-    let agg = pool.metrics();
+    let Some(pool) = pool else {
+        return;
+    };
     let shards = pool.shard_metrics();
-    let v = |name: &str| agg.value(name);
     eprintln!(
         "pool: shards={} alive={} rerouted={} deadline_expired={} no_shard_errors={} \
          kills={} restarts={}",
@@ -321,23 +388,6 @@ fn print_pool_summary(pool: &ShardPool) {
         v("pool_no_shard_errors_total"),
         v("pool_kills_total"),
         v("pool_restarts_total"),
-    );
-    eprintln!(
-        "aggregate: requests={} (analyze={} query={} batch={}) errors={} hits={} misses={} \
-         coalesced={} loads={} evictions={} disk_hits={} disk_writes={} hit_rate={:.3}",
-        v("service_requests_total"),
-        v("service_analyze_total"),
-        v("service_query_total"),
-        v("service_batch_total"),
-        v("service_errors_total"),
-        v("store_hits_total"),
-        v("store_misses_total"),
-        v("store_coalesced_total"),
-        v("store_loads_total"),
-        v("store_evictions_total"),
-        v("store_disk_hits_total"),
-        v("store_disk_writes_total"),
-        hit_rate(&agg),
     );
     for (i, shard) in shards.iter().enumerate() {
         match shard {
@@ -377,49 +427,15 @@ fn handle(service: &Service, line: &str) -> Option<String> {
     }
 }
 
-fn serve(service: &Service, workers: usize) {
-    let stdin = std::io::stdin();
-    if workers <= 1 {
-        let stdout = std::io::stdout();
-        let mut out = stdout.lock();
-        for line in stdin.lock().lines() {
-            let line = line.expect("stdin read failed");
-            if let Some(resp) = handle(service, &line) {
-                writeln!(out, "{resp}").expect("stdout closed");
-            }
+fn serve(service: &Service) {
+    let stdout = std::io::stdout();
+    let mut out = stdout.lock();
+    for line in std::io::stdin().lock().lines() {
+        let line = line.expect("stdin read failed");
+        if let Some(resp) = handle(service, &line) {
+            writeln!(out, "{resp}").expect("stdout closed");
         }
-        return;
     }
-    // `StdinLock` is not `Send`, so workers serialize reads on this seq
-    // counter's mutex and call `Stdin::read_line` (which locks
-    // internally) inside the critical section — sequence numbers are
-    // assigned in exact input order.
-    let read_seq: Mutex<u64> = Mutex::new(0);
-    let emitter = OrderedEmitter::new(|line: Option<String>| {
-        if let Some(line) = line {
-            let stdout = std::io::stdout();
-            let mut out = stdout.lock();
-            writeln!(out, "{line}").expect("stdout closed");
-        }
-    });
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let (seq, line) = {
-                    let mut seq = read_seq.lock().expect("stdin reader poisoned");
-                    let mut line = String::new();
-                    let n = stdin.read_line(&mut line).expect("stdin read failed");
-                    if n == 0 {
-                        break;
-                    }
-                    let this = *seq;
-                    *seq += 1;
-                    (this, line)
-                };
-                emitter.emit(seq, handle(service, &line));
-            });
-        }
-    });
 }
 
 /// Stdout responder over an ordered emitter: `None` completions are
@@ -590,4 +606,53 @@ fn pump_client(
     writer.flush().expect("server closed the connection");
     half_close();
     printer.join().expect("response printer panicked");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    #[test]
+    fn unknown_flags_are_found_with_or_without_a_value() {
+        let ok = argv(&[
+            "--count",
+            "8",
+            "--shards=4",
+            "--direct",
+            "--snapshot-dir",
+            "d",
+            "-h",
+        ]);
+        assert_eq!(unknown_flag(&ok), None);
+        assert_eq!(
+            unknown_flag(&argv(&["--count", "8", "--shard", "4"])),
+            Some("--shard")
+        );
+        assert_eq!(
+            unknown_flag(&argv(&["--budgetmb", "1"])),
+            Some("--budgetmb")
+        );
+        assert_eq!(unknown_flag(&argv(&["--budgetmb=1"])), Some("--budgetmb=1"));
+        assert_eq!(unknown_flag(&argv(&["-"])), Some("-"));
+    }
+
+    #[test]
+    fn the_flag_list_matches_the_usage_text() {
+        // Every option line of USAGE starts with the flags it documents.
+        let mut documented: Vec<&str> = USAGE
+            .lines()
+            .filter_map(|l| l.strip_prefix("  "))
+            .filter(|l| l.starts_with('-'))
+            .flat_map(|l| l.split_whitespace().take_while(|w| w.starts_with('-')))
+            .map(|w| w.trim_end_matches(','))
+            .collect();
+        documented.sort_unstable();
+        let mut flags = FLAGS.to_vec();
+        flags.sort_unstable();
+        assert_eq!(documented, flags);
+    }
 }

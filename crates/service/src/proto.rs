@@ -404,15 +404,16 @@ pub enum Op {
     /// it once every request submitted ahead of it has been answered.
     Metrics,
     /// Admin op: take shard N down (queue re-routed, memory tier
-    /// dropped). Produces **no output** and is a no-op on an unsharded
-    /// server, so a trace spliced with admin lines still diffs
-    /// byte-for-byte against any golden.
+    /// dropped). Produces **no output** and is a no-op on a plain
+    /// [`crate::Service`] (the single-threaded `backdroid-serve` loop),
+    /// so a trace spliced with admin lines still diffs byte-for-byte
+    /// against any golden.
     KillShard {
         /// The shard index to kill.
         shard: u64,
     },
     /// Admin op: bring shard N back disk-warm over the shared snapshot
-    /// directory. Silent and unsharded-safe, like
+    /// directory. Silent, and a no-op on a plain service, like
     /// [`Op::KillShard`].
     RestartShard {
         /// The shard index to restart.

@@ -87,14 +87,6 @@ impl CallGraph {
     pub fn edge_count(&self) -> usize {
         self.edges.values().map(BTreeSet::len).sum()
     }
-
-    /// Callers of `m`, if any.
-    pub fn callers_of(&self, m: &MethodSig) -> Vec<&MethodSig> {
-        self.callers
-            .get(m)
-            .map(|s| s.iter().collect())
-            .unwrap_or_default()
-    }
 }
 
 /// Enumerates the entry methods, modeling the lifecycle-aware entry
