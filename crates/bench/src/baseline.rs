@@ -161,7 +161,7 @@ impl Baseline {
 
 /// The `--baseline PATH` flag shared by the baseline-aware bench bins.
 pub fn baseline_path_from_args() -> Option<PathBuf> {
-    crate::harness::arg_value("--baseline").map(PathBuf::from)
+    backdroid_service::cli::arg_value("--baseline").map(PathBuf::from)
 }
 
 /// Nearest-rank percentile (`p` in `[0, 100]`) over a sample set; `0.0`

@@ -4,6 +4,7 @@
 
 use backdroid_appgen::{AppSpec, Mechanism, Scenario, SinkKind};
 use backdroid_core::{Backdroid, BackdroidOptions};
+use backdroid_service::cli::reject_unknown_flags;
 
 fn run_with_caching(app: &backdroid_appgen::AndroidApp, caching: bool) -> (u64, f64) {
     let start = std::time::Instant::now();
@@ -17,6 +18,7 @@ fn run_with_caching(app: &backdroid_appgen::AndroidApp, caching: bool) -> (u64, 
 }
 
 fn main() {
+    reject_unknown_flags(&[]);
     println!("Ablation: search caching (§IV-F)\n");
     println!(
         "{:<28} {:>14} {:>14} {:>9}",

@@ -13,12 +13,14 @@
 use backdroid_appgen::benchset::bench_app;
 use backdroid_bench::harness::{
     backend_from_args, json_path_from_args, par_map, run_backdroid_with_backend, scale_from_args,
-    threads_from_args,
+    threads_from_args, SCALE_FLAGS,
 };
 use backdroid_bench::json::{array, JsonObject};
+use backdroid_service::cli::reject_unknown_flags;
 use std::collections::BTreeMap;
 
 fn main() {
+    reject_unknown_flags(&[SCALE_FLAGS, &["--backend", "--threads", "--json"]].concat());
     let scale = scale_from_args();
     let backend = backend_from_args();
     let threads = threads_from_args();

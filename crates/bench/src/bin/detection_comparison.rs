@@ -17,12 +17,13 @@
 
 use backdroid_appgen::benchset::{bench_app, Profile};
 use backdroid_bench::harness::{
-    backend_from_args, budget_for, intra_threads_from_args, json_path_from_args, par_map,
-    run_amandroid_with_budget, run_backdroid_with, scale_from_args, threads_from_args,
-    AmandroidRun, BackdroidRun,
+    backend_from_args, budget_for, json_path_from_args, par_map, run_amandroid_with_budget,
+    run_backdroid_with_backend, scale_from_args, threads_from_args, AmandroidRun, BackdroidRun,
+    SCALE_FLAGS,
 };
 use backdroid_bench::json::{array, JsonObject};
 use backdroid_core::{Backdroid, BackdroidOptions};
+use backdroid_service::cli::reject_unknown_flags;
 
 /// Everything the §VI-C fold needs from one benchmark app.
 struct AppOutcome {
@@ -36,23 +37,22 @@ struct AppOutcome {
 }
 
 fn main() {
+    reject_unknown_flags(&[SCALE_FLAGS, &["--backend", "--threads", "--json"]].concat());
     let scale = scale_from_args();
     let backend = backend_from_args();
     let threads = threads_from_args();
-    let intra_threads = intra_threads_from_args();
     let cfg = scale.config();
     let budget = budget_for(scale);
 
     let outcomes = par_map(cfg.count, threads, |i| {
         let ba = bench_app(i, cfg);
-        let bd = run_backdroid_with(&ba.app, backend, intra_threads);
+        let bd = run_backdroid_with_backend(&ba.app, backend);
         let am = run_amandroid_with_budget(&ba.app, budget);
         let fixed_recovered = ba.profile == Profile::SslTpSubclassed && {
             // The §VI-C fix: hierarchy-aware initial search.
             let fixed = Backdroid::with_options(BackdroidOptions {
                 hierarchy_initial_search: true,
                 backend,
-                intra_threads,
                 ..BackdroidOptions::default()
             })
             .analyze(&ba.app.program, &ba.app.manifest);
@@ -180,7 +180,7 @@ fn main() {
 
     // PR-7 detector classes: per-class precision/recall over dedicated
     // ground-truth apps (positives, negatives, and obfuscated variants).
-    let class_scores = new_class_scores(backend, intra_threads, budget);
+    let class_scores = new_class_scores(backend, budget);
     println!("\nNew detector classes (registry-defined) — per-class scoring:");
     println!("  class     TP  FP  FN  precision  recall   baseline TP/FP/FN");
     for s in &class_scores {
@@ -284,11 +284,7 @@ impl ClassScore {
 /// two obfuscated positives (static-field chain and `<clinit>`-assigned
 /// constant), and a dead-code negative the §IV-F reachability pass must
 /// prune.
-fn new_class_scores(
-    backend: backdroid_core::BackendChoice,
-    intra_threads: usize,
-    budget: u64,
-) -> Vec<ClassScore> {
+fn new_class_scores(backend: backdroid_core::BackendChoice, budget: u64) -> Vec<ClassScore> {
     use backdroid_appgen::{AppSpec, Mechanism, Scenario, SinkKind};
     use backdroid_core::DetectorRegistry;
     use backdroid_wholeapp::amandroid::{analyze, AmandroidConfig, Outcome};
@@ -326,7 +322,6 @@ fn new_class_scores(
                 let truth = app.true_vulnerabilities() > 0;
                 let bd = Backdroid::with_options(BackdroidOptions {
                     backend,
-                    intra_threads,
                     detectors: DetectorRegistry::full(),
                     ..BackdroidOptions::default()
                 })

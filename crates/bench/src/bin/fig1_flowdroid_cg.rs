@@ -6,13 +6,15 @@
 //! median 9.76 min under a 5-hour budget.
 
 use backdroid_bench::harness::{
-    benchset_apps, bucket_label, median, print_histogram, scale_from_args,
+    benchset_apps, bucket_label, median, print_histogram, scale_from_args, SCALE_FLAGS,
 };
+use backdroid_service::cli::reject_unknown_flags;
 use backdroid_wholeapp::flowdroid::{generate_callgraph, CgOutcome};
 use backdroid_wholeapp::{paper_minutes, WORK_UNITS_PER_MINUTE};
 use std::collections::BTreeMap;
 
 fn main() {
+    reject_unknown_flags(SCALE_FLAGS);
     let scale = scale_from_args();
     let apps = benchset_apps(scale);
     let mut total = 0usize;

@@ -22,12 +22,15 @@
 use backdroid_bench::baseline::Baseline;
 use backdroid_bench::harness::{
     backend_from_args, bucket_label, json_path_from_args, median, print_histogram,
-    run_benchset_with, scale_from_args, threads_from_args,
+    run_benchset_with, scale_from_args, threads_from_args, SCALE_FLAGS,
 };
 use backdroid_bench::json::JsonObject;
+use backdroid_service::cli::reject_unknown_flags;
 use std::collections::BTreeMap;
 
 fn main() {
+    let extra = ["--backend", "--threads", "--json", "--baseline"];
+    reject_unknown_flags(&[SCALE_FLAGS, &extra].concat());
     let scale = scale_from_args();
     let backend = backend_from_args();
     let threads = threads_from_args();

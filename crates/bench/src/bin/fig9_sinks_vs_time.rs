@@ -6,15 +6,15 @@
 //! calls) takes 81 min — still far below the 300-min baseline timeout.
 
 use backdroid_bench::harness::{
-    benchset_apps, intra_threads_from_args, is_timeout_profile, json_path_from_args,
-    run_backdroid_with, scale_from_args,
+    benchset_apps, is_timeout_profile, json_path_from_args, run_backdroid_on, scale_from_args,
+    SCALE_FLAGS,
 };
 use backdroid_bench::json::{array, JsonObject};
-use backdroid_core::BackendChoice;
+use backdroid_service::cli::reject_unknown_flags;
 
 fn main() {
+    reject_unknown_flags(&[SCALE_FLAGS, &["--json"]].concat());
     let scale = scale_from_args();
-    let intra_threads = intra_threads_from_args();
     let json_path = json_path_from_args();
     let apps = benchset_apps(scale);
 
@@ -28,7 +28,7 @@ fn main() {
     let mut wall_total = 0.0f64;
     let mut rows = Vec::new(); // deterministic --json rows (no wall-clock)
     for ba in apps {
-        let run = run_backdroid_with(&ba.app, BackendChoice::default(), intra_threads);
+        let run = run_backdroid_on(&ba.app);
         wall_total += run.wall_ms;
         let sec_per_sink = if run.sinks_analyzed > 0 {
             run.minutes * 60.0 / run.sinks_analyzed as f64
@@ -128,8 +128,5 @@ fn main() {
     }
     // Wall-clock goes to stderr: the scaled-minutes figures above are
     // deterministic, real time is not.
-    eprintln!(
-        "wall-clock total: {wall_total:.0} ms at --intra-threads {intra_threads} \
-         (scaled figures identical for any width)"
-    );
+    eprintln!("wall-clock total: {wall_total:.0} ms");
 }

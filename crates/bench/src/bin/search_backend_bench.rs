@@ -25,13 +25,14 @@
 use backdroid_appgen::benchset::bench_app;
 use backdroid_bench::baseline::Baseline;
 use backdroid_bench::harness::{
-    intra_threads_from_args, json_path_from_args, median, par_map, run_backdroid_with,
-    scale_from_args, threads_from_args,
+    json_path_from_args, median, par_map, run_backdroid_with_backend, scale_from_args,
+    threads_from_args, SCALE_FLAGS,
 };
 use backdroid_bench::json::{array, JsonObject};
 use backdroid_core::BackendChoice;
 use backdroid_dex::{dump_image, DexImage};
 use backdroid_search::{BytecodeText, SymbolTable};
+use backdroid_service::cli::reject_unknown_flags;
 use std::collections::HashMap;
 use std::time::Instant;
 
@@ -100,41 +101,15 @@ fn interned_probe_microbench(texts: &[BytecodeText]) -> (u64, f64) {
 }
 
 fn main() {
+    reject_unknown_flags(&[SCALE_FLAGS, &["--threads", "--json", "--baseline"]].concat());
     let scale = scale_from_args();
     let threads = threads_from_args();
-    let intra_threads = intra_threads_from_args();
     let cfg = scale.config();
 
     let rows = par_map(cfg.count, threads, |i| {
         let ba = bench_app(i, cfg);
-        let lin = run_backdroid_with(&ba.app, BackendChoice::LinearScan, intra_threads);
-        let idx = run_backdroid_with(&ba.app, BackendChoice::Indexed, intra_threads);
-        // Intra-app determinism oracle: with a parallel scheduler width,
-        // re-run each backend sequentially and demand identical
-        // deterministic fields (wall-clock is the only thing allowed to
-        // move); the sequential wall-clocks feed the speedup report.
-        let seq_walls = if intra_threads > 1 {
-            let assert_same = |seq: &backdroid_bench::BackdroidRun,
-                               par: &backdroid_bench::BackdroidRun| {
-                assert_eq!(
-                    seq.vulnerable, par.vulnerable,
-                    "{}: intra divergence",
-                    seq.app
-                );
-                assert_eq!(seq.sinks_analyzed, par.sinks_analyzed, "{}", seq.app);
-                assert_eq!(seq.lines_scanned, par.lines_scanned, "{}", seq.app);
-                assert_eq!(seq.postings_touched, par.postings_touched, "{}", seq.app);
-                assert_eq!(seq.cache_rate, par.cache_rate, "{}", seq.app);
-                assert_eq!(seq.sink_cache_rate, par.sink_cache_rate, "{}", seq.app);
-            };
-            let seq_lin = run_backdroid_with(&ba.app, BackendChoice::LinearScan, 1);
-            assert_same(&seq_lin, &lin);
-            let seq_idx = run_backdroid_with(&ba.app, BackendChoice::Indexed, 1);
-            assert_same(&seq_idx, &idx);
-            Some((seq_lin.wall_ms, seq_idx.wall_ms))
-        } else {
-            None
-        };
+        let lin = run_backdroid_with_backend(&ba.app, BackendChoice::LinearScan);
+        let idx = run_backdroid_with_backend(&ba.app, BackendChoice::Indexed);
         // The oracle check: the indexed backend must be indistinguishable
         // in everything but the work measure.
         assert_eq!(
@@ -157,7 +132,7 @@ fn main() {
             "{}: linear-model accounting divergence",
             lin.app
         );
-        (lin, idx, seq_walls)
+        (lin, idx)
     });
 
     println!(
@@ -172,9 +147,7 @@ fn main() {
     let mut idx_minutes = Vec::new();
     let mut lines_total = 0u64;
     let mut postings_total = 0u64;
-    let mut wall_intra = (0.0f64, 0.0f64); // (linear, indexed)
-    let mut wall_seq = (0.0f64, 0.0f64);
-    for (lin, idx, seq) in &rows {
+    for (lin, idx) in &rows {
         let reduction =
             100.0 * (1.0 - idx.postings_touched as f64 / lin.lines_scanned.max(1) as f64);
         println!(
@@ -185,12 +158,6 @@ fn main() {
         idx_minutes.push(idx.minutes_indexed);
         lines_total += lin.lines_scanned;
         postings_total += idx.postings_touched;
-        wall_intra.0 += lin.wall_ms;
-        wall_intra.1 += idx.wall_ms;
-        if let Some((sl, si)) = seq {
-            wall_seq.0 += sl;
-            wall_seq.1 += si;
-        }
     }
 
     // Symbol-interned probe path: rebuild the corpus texts once and
@@ -225,33 +192,8 @@ fn main() {
         "interned-probe speedup: {probe_speedup:.2}x over string-keyed probes \
          ({symbols_total} symbols, hit-for-hit identical)"
     );
-    // Wall-clock lines go to stderr so stdout stays deterministic. The
-    // linear backend is where intra-app parallelism pays: its per-site
-    // grep work dominates, while the indexed backend is usually bound by
-    // the (serial) preprocessing pass.
-    if intra_threads > 1 {
-        for (name, seq, par) in [
-            ("linear", wall_seq.0, wall_intra.0),
-            ("indexed", wall_seq.1, wall_intra.1),
-        ] {
-            if par > 0.0 {
-                eprintln!(
-                    "wall-clock ({name} backend): {seq:.0} ms sequential vs {par:.0} ms at \
-                     --intra-threads {intra_threads} — {:.2}x speedup, reports byte-identical",
-                    seq / par
-                );
-            }
-        }
-        if threads > 1 {
-            eprintln!(
-                "note: corpus driver ran {threads} apps concurrently; re-run with --threads 1 \
-                 for an uncontended sequential-vs-parallel comparison"
-            );
-        }
-    }
-
     if let Some(path) = json_path_from_args() {
-        let apps = array(rows.iter().map(|(lin, idx, _)| {
+        let apps = array(rows.iter().map(|(lin, idx)| {
             JsonObject::new()
                 .str("app", &lin.app)
                 .int("sinks_analyzed", lin.sinks_analyzed as u64)

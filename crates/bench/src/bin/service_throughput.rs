@@ -35,7 +35,7 @@
 //! Flags: `--count N` / `--code-permille M` (benchset), `--requests N`,
 //! `--workers N` (per shard), `--shards N` (default 1),
 //! `--budget-mb N` (per shard), `--backend linear|indexed`,
-//! `--intra-threads N`, `--seed S`, `--smoke` (small CI preset),
+//! `--seed S`, `--smoke` (small CI preset),
 //! `--json PATH`, `--baseline PATH` (check machine-independent ratios
 //! against a committed `BENCH_*.json` envelope, see
 //! `backdroid_bench::baseline`), and `--snapshot-dir DIR` to enable the
@@ -47,12 +47,10 @@
 
 use backdroid_appgen::benchset::BenchsetConfig;
 use backdroid_appgen::workload::{self, WorkloadConfig};
-use backdroid_bench::harness::{arg_value, parsed_arg};
 use backdroid_bench::json::{array, JsonObject};
-use backdroid_bench::{
-    backend_from_args, intra_threads_from_args, json_path_from_args, percentile, Baseline,
-};
+use backdroid_bench::{backend_from_args, json_path_from_args, percentile, Baseline};
 use backdroid_obs::RegistrySnapshot;
+use backdroid_service::cli::{arg_value, has_flag, parsed_arg, reject_unknown_flags};
 use backdroid_service::proto::workload_request_line;
 use backdroid_service::store::hit_rate;
 use backdroid_service::{Responder, Service, ServiceConfig, ShardPool, ShardPoolConfig};
@@ -83,28 +81,51 @@ fn tier(snap: &RegistrySnapshot, name: &str) -> Tier {
     }
 }
 
+/// The flags this bin reads; any other `-` argument is a usage error.
+const FLAGS: &[&str] = &[
+    "--count",
+    "--code-permille",
+    "--requests",
+    "--workers",
+    "--shards",
+    "--budget-mb",
+    "--backend",
+    "--seed",
+    "--smoke",
+    "--json",
+    "--baseline",
+    "--snapshot-dir",
+];
+
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    reject_unknown_flags(FLAGS);
+    let smoke = has_flag("--smoke");
     let (def_count, def_permille, def_requests, def_budget_mb) = if smoke {
         (8, 40, 60, 4)
     } else {
         (24, 80, 200, 64)
     };
     let bench = BenchsetConfig::try_sized(
-        parsed_arg("--count", def_count),
-        parsed_arg::<u32>("--code-permille", def_permille) as f64 / 1000.0,
+        parsed_arg("--count", "a positive integer").unwrap_or(def_count),
+        parsed_arg::<u32>("--code-permille", "an integer (1000 ≙ paper scale)")
+            .unwrap_or(def_permille) as f64
+            / 1000.0,
     )
     .unwrap_or_else(|e| {
         eprintln!("error: invalid benchset size: {e}");
         std::process::exit(2)
     });
-    let requests = parsed_arg("--requests", def_requests);
-    let workers = parsed_arg::<usize>("--workers", 4).max(1);
-    let shards = parsed_arg::<usize>("--shards", 1).max(1);
-    let budget_mb = parsed_arg::<u64>("--budget-mb", def_budget_mb);
-    let seed = parsed_arg("--seed", 7u64);
+    let requests = parsed_arg("--requests", "a positive integer").unwrap_or(def_requests);
+    let workers = parsed_arg::<usize>("--workers", "a positive integer")
+        .unwrap_or(4)
+        .max(1);
+    let shards = parsed_arg::<usize>("--shards", "a positive integer")
+        .unwrap_or(1)
+        .max(1);
+    let budget_mb =
+        parsed_arg::<u64>("--budget-mb", "a byte budget in MiB").unwrap_or(def_budget_mb);
+    let seed = parsed_arg("--seed", "an integer").unwrap_or(7u64);
     let backend = backend_from_args();
-    let intra_threads = intra_threads_from_args();
 
     let wl_cfg = WorkloadConfig {
         apps: bench.count,
@@ -117,7 +138,6 @@ fn main() {
     let service_cfg = ServiceConfig {
         budget_bytes: budget_mb * 1024 * 1024,
         backend,
-        intra_threads,
         snapshot_dir: snapshot_dir.clone(),
         ..ServiceConfig::default()
     };
@@ -220,7 +240,7 @@ fn main() {
         trace.len()
     );
     println!(
-        "  config: backend {}, {shards} shard(s) × {workers} workers, intra-threads {intra_threads}, budget {budget_mb} MiB per shard",
+        "  config: backend {}, {shards} shard(s) × {workers} workers, budget {budget_mb} MiB per shard",
         backend.name(),
     );
     println!(
@@ -308,7 +328,6 @@ fn main() {
             .str("backend", backend.name())
             .int("workers", workers as u64)
             .int("shards", shards as u64)
-            .int("intra_threads", intra_threads as u64)
             .int("budget_bytes", budget_bytes)
             .int("cold", cold.n)
             .int("disk", disk.n)

@@ -13,9 +13,11 @@ use backdroid_appgen::dataset::{summarize_mb, year_sizes_bytes, PAPER_TABLE1};
 use backdroid_appgen::AppSpec;
 use backdroid_bench::harness::json_path_from_args;
 use backdroid_bench::json::{array, JsonObject};
+use backdroid_service::cli::{has_flag, reject_unknown_flags};
 
 fn main() {
-    let small = std::env::args().any(|a| a == "--small");
+    reject_unknown_flags(&["--small", "--json"]);
+    let small = has_flag("--small");
     let json_path = json_path_from_args();
     let mut rows = Vec::new();
     println!("Table I: average and median app sizes, 2014-2018");

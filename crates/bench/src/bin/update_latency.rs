@@ -35,20 +35,34 @@
 
 use backdroid_appgen::benchset::{bench_app, BenchsetConfig};
 use backdroid_appgen::mutate_version;
-use backdroid_bench::harness::parsed_arg;
 use backdroid_bench::json::JsonObject;
 use backdroid_bench::{backend_from_args, json_path_from_args, Baseline};
 use backdroid_core::{AppArtifacts, Backdroid, BackdroidOptions, ChunkManifest};
 use backdroid_search::BackendChoice;
+use backdroid_service::cli::{has_flag, parsed_arg, reject_unknown_flags};
 use std::time::Instant;
 
+/// The flags this bin reads; any other `-` argument is a usage error.
+const FLAGS: &[&str] = &[
+    "--count",
+    "--updates",
+    "--code-permille",
+    "--backend",
+    "--smoke",
+    "--json",
+    "--baseline",
+];
+
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    reject_unknown_flags(FLAGS);
+    let smoke = has_flag("--smoke");
     let (def_count, def_updates, def_permille) = if smoke { (6, 3, 40) } else { (16, 4, 80) };
-    let updates = parsed_arg("--updates", def_updates);
+    let updates = parsed_arg("--updates", "a positive integer").unwrap_or(def_updates);
     let bench = BenchsetConfig::try_sized(
-        parsed_arg("--count", def_count),
-        parsed_arg::<u32>("--code-permille", def_permille) as f64 / 1000.0,
+        parsed_arg("--count", "a positive integer").unwrap_or(def_count),
+        parsed_arg::<u32>("--code-permille", "an integer (1000 ≙ paper scale)")
+            .unwrap_or(def_permille) as f64
+            / 1000.0,
     )
     .unwrap_or_else(|e| {
         eprintln!("error: invalid benchset size: {e}");

@@ -37,6 +37,7 @@
 use backdroid_appgen::benchset::{bench_app, BenchApp, BenchsetConfig, Profile};
 use backdroid_core::{AppArtifacts, Backdroid, BackdroidOptions, BackendChoice};
 use backdroid_search::BytecodeText;
+use backdroid_service::cli::{arg_value, has_flag, parsed_arg, usage_error};
 use backdroid_wholeapp::amandroid::{analyze, AmandroidConfig, Outcome};
 use backdroid_wholeapp::paper_minutes;
 use serde::Serialize;
@@ -81,59 +82,19 @@ impl Scale {
     }
 }
 
-/// The value following `--flag` (or embedded as `--flag=value`) in
-/// argv. Public so bench bins with bin-specific flags share one parser
-/// instead of copying it.
-pub fn arg_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
+/// The flags [`scale_from_args`] reads.
+pub const SCALE_FLAGS: &[&str] = &["--small", "--count", "--code-permille"];
 
-/// The value of `--flag` parsed as `T`, or `default` when the flag is
-/// absent. An unparseable value is a hard usage error (exit code 2).
-pub fn parsed_arg<T: std::str::FromStr>(flag: &str, default: T) -> T {
-    match arg_value(flag) {
-        Some(v) => v.parse::<T>().unwrap_or_else(|_| {
-            eprintln!("error: {flag} {v:?} is invalid");
-            std::process::exit(2)
-        }),
-        None => default,
-    }
-}
-
-/// A present flag with an unparseable value is a hard usage error —
-/// silently falling back to a default would turn a typoed `--count`
-/// smoke run into a full paper-scale sweep.
-fn usage_error(flag: &str, value: &str, expected: &str) -> ! {
-    eprintln!("error: {flag} {value:?} is invalid — expected {expected}");
-    std::process::exit(2)
-}
-
-/// Parses the harness scale from argv: `--small` / `--full` (default
-/// full), or `--count N` (+ optional `--code-permille M`, default 80)
-/// for an arbitrary corpus size. Degenerate sizes (`--count 0`,
+/// Parses the harness scale from argv: `--small` (default: the full
+/// paper-scale set), or `--count N` (+ optional `--code-permille M`,
+/// default 80) for an arbitrary corpus size. Degenerate sizes (`--count 0`,
 /// `--code-permille 0`) are hard usage errors, checked through
 /// [`BenchsetConfig::try_sized`] — a benchset the user did not ask for
 /// must never run silently.
 pub fn scale_from_args() -> Scale {
-    if let Some(v) = arg_value("--count") {
-        let count = v
-            .parse()
-            .unwrap_or_else(|_| usage_error("--count", &v, "a positive integer"));
-        let code_permille: u32 = match arg_value("--code-permille") {
-            Some(m) => m.parse().unwrap_or_else(|_| {
-                usage_error("--code-permille", &m, "an integer (1000 ≙ paper scale)")
-            }),
-            None => 80,
-        };
+    if let Some(count) = parsed_arg("--count", "a positive integer") {
+        let code_permille: u32 =
+            parsed_arg("--code-permille", "an integer (1000 ≙ paper scale)").unwrap_or(80);
         if let Err(e) = BenchsetConfig::try_sized(count, code_permille as f64 / 1000.0) {
             eprintln!("error: invalid corpus size: {e}");
             std::process::exit(2)
@@ -143,7 +104,7 @@ pub fn scale_from_args() -> Scale {
             code_permille,
         };
     }
-    if std::env::args().any(|a| a == "--small") {
+    if has_flag("--small") {
         Scale::Small
     } else {
         Scale::Full
@@ -159,27 +120,11 @@ pub fn backend_from_args() -> BackendChoice {
     }
 }
 
-/// Parses `--intra-threads N` from argv: worker threads for the
-/// intra-app sink-task scheduler (default 1, the sequential path; any
-/// value yields byte-identical deterministic output).
-pub fn intra_threads_from_args() -> usize {
-    match arg_value("--intra-threads") {
-        Some(v) => v
-            .parse::<usize>()
-            .unwrap_or_else(|_| usage_error("--intra-threads", &v, "a positive integer"))
-            .max(1),
-        None => 1,
-    }
-}
-
 /// Parses `--threads N` from argv; defaults to the machine's available
 /// parallelism.
 pub fn threads_from_args() -> usize {
-    match arg_value("--threads") {
-        Some(v) => v
-            .parse::<usize>()
-            .unwrap_or_else(|_| usage_error("--threads", &v, "a positive integer"))
-            .max(1),
+    match parsed_arg::<usize>("--threads", "a positive integer") {
+        Some(n) => n.max(1),
         None => std::thread::available_parallelism()
             .map(std::num::NonZeroUsize::get)
             .unwrap_or(1),
@@ -363,28 +308,15 @@ pub fn backdroid_minutes_indexed(postings_touched: u64, dump_lines: u64) -> f64 
 }
 
 /// Runs BackDroid on one generated app with the default (indexed)
-/// backend, sequentially.
+/// backend.
 pub fn run_backdroid_on(app: &backdroid_appgen::AndroidApp) -> BackdroidRun {
-    run_backdroid_with(app, BackendChoice::default(), 1)
+    run_backdroid_with_backend(app, BackendChoice::default())
 }
 
-/// Runs BackDroid on one generated app with an explicit search backend,
-/// sequentially.
+/// Runs BackDroid on one generated app with an explicit search backend.
 pub fn run_backdroid_with_backend(
     app: &backdroid_appgen::AndroidApp,
     backend: BackendChoice,
-) -> BackdroidRun {
-    run_backdroid_with(app, backend, 1)
-}
-
-/// Runs BackDroid on one generated app with an explicit search backend
-/// and intra-app scheduler width. Every deterministic field of the
-/// result is identical for any `intra_threads` value — only `wall_ms`
-/// may differ.
-pub fn run_backdroid_with(
-    app: &backdroid_appgen::AndroidApp,
-    backend: BackendChoice,
-    intra_threads: usize,
 ) -> BackdroidRun {
     let start = Instant::now();
     let dump = app.dump();
@@ -397,7 +329,6 @@ pub fn run_backdroid_with(
     );
     let tool = Backdroid::with_options(BackdroidOptions {
         backend,
-        intra_threads,
         ..BackdroidOptions::default()
     });
     let report = tool.analyze_artifacts(&artifacts);

@@ -6,11 +6,10 @@
 //! `AppArtifacts` is built **once** per app — encode to DEX, disassemble,
 //! index — and has no lifetime parameter, so it can live in an `Arc` and
 //! serve many concurrent queries against one resident app image (the
-//! multi-tenant service shape; also what `Backdroid`'s intra-app sink
-//! scheduler parallelizes over). `TaskContext` is what one analysis task
-//! carries: borrowed artifacts, a cloned [`SearchEngine`] handle (clones
-//! share the index, caches, and statistics), and the task's private loop
-//! counters.
+//! multi-tenant service shape: the service's pool workers share one
+//! image). `TaskContext` is what one analysis task carries: borrowed
+//! artifacts, a cloned [`SearchEngine`] handle (clones share the index,
+//! caches, and statistics), and the task's private loop counters.
 
 use crate::chunks::ChunkManifest;
 use crate::loops::LoopStats;
@@ -272,8 +271,8 @@ pub struct DepTrace {
 /// in [`crate::SlicerConfig`]).
 ///
 /// Creating one is O(1) — the engine field is a handle whose clones share
-/// the underlying index and caches — so the intra-app scheduler makes a
-/// fresh `TaskContext` per sink task.
+/// the underlying index and caches. One analysis uses one `TaskContext`
+/// for its locate step and every sink site.
 pub struct TaskContext<'a> {
     /// The app's IR program.
     pub program: &'a Program,
@@ -283,15 +282,15 @@ pub struct TaskContext<'a> {
     pub engine: SearchEngine,
     /// Loop-detection counters accumulated by this task.
     pub loops: LoopStats,
-    /// Dependency recorder, set by the delta-capture scheduler for the
-    /// duration of one sink site. `None` (the default) records nothing
+    /// Dependency recorder, set in delta-capture mode for the duration
+    /// of one sink site. `None` (the default) records nothing
     /// and costs nothing.
     trace: Option<Arc<Mutex<DepTrace>>>,
 }
 
 impl<'a> TaskContext<'a> {
-    /// Assembles a task context from explicit parts — used by the
-    /// sink-task scheduler.
+    /// Assembles a task context from explicit parts — used by the sink
+    /// loop.
     pub(crate) fn from_parts(
         program: &'a Program,
         manifest: &'a Manifest,

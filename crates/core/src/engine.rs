@@ -2,27 +2,16 @@
 //! locate sinks → search-driven backward slicing into SSGs → forward
 //! constant/points-to propagation → detector verdicts.
 //!
-//! ## The sink-task scheduler
+//! ## The sink loop
 //!
 //! The paper's headline result is that per-app cost tracks the number of
-//! targeted sinks, not app size — sink slices are independent work items.
-//! [`Backdroid::analyze`] therefore runs as a scheduler over *sink
-//! tasks*: located sink sites are grouped by containing method (the §IV-F
-//! skip rule only couples sites of the same method) and the groups are
-//! analyzed on [`BackdroidOptions::intra_threads`] workers against one
-//! shared [`SearchEngine`]. Determinism contract, for any thread count:
-//!
-//! * reports are emitted in sink-site order (the same order the
-//!   sequential loop produced);
-//! * cache and loop statistics merge commutatively, and the engine's
-//!   single-flight cache charges each unique command exactly once, so
-//!   `CacheStats` (including `lines_scanned` / `postings_touched`) is
-//!   identical to the sequential run;
-//! * the §IV-F unreachable-method sink cache is a proven-unreachable set
-//!   that is correct under any interleaving — a site may *run* instead
-//!   of being skipped, never the reverse — and `skipped` is counted in a
-//!   deterministic post-pass over sink-site order that also drops any
-//!   redundantly produced report.
+//! targeted sinks, not app size. [`Backdroid::analyze`] locates the sink
+//! sites, then analyzes them one after another in sink-site order, on
+//! the calling thread, with one [`TaskContext`] over one
+//! [`SearchEngine`]. The §IV-F unreachable-method sink cache skips every
+//! later site of a method an earlier site proved unreachable. Requests
+//! run concurrently one level up, on the service's shard pool workers,
+//! never inside one analysis.
 
 use crate::chunks::{classify_delta, DeltaKind};
 use crate::context::{build_engine, AppArtifacts, DepTrace, TaskContext};
@@ -38,7 +27,6 @@ use backdroid_manifest::Manifest;
 use backdroid_search::{BackendChoice, CacheStats, SearchCmd, SearchEngine, SearchTrace};
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap, HashSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -60,11 +48,6 @@ pub struct BackdroidOptions {
     /// enforce it); `Indexed` touches only posting-list candidates while
     /// `LinearScan` reproduces the paper's full-dump grep cost.
     pub backend: BackendChoice,
-    /// Worker threads for the intra-app sink-task scheduler. `1` (the
-    /// default) analyzes sink sites sequentially; any value produces
-    /// byte-identical reports and deterministic statistics — see the
-    /// module docs for the determinism contract.
-    pub intra_threads: usize,
 }
 
 impl Default for BackdroidOptions {
@@ -74,7 +57,6 @@ impl Default for BackdroidOptions {
             hierarchy_initial_search: false,
             slicer: SlicerConfig::default(),
             backend: BackendChoice::default(),
-            intra_threads: 1,
         }
     }
 }
@@ -124,10 +106,9 @@ impl SinkCacheStats {
 
 /// Wall-clock time spent in each pipeline phase of one analysis
 /// (paper §III: locate → slice → forward/judge), in nanoseconds.
-/// Slice and verdict time are summed across sink tasks, so the totals
-/// are commutative and thread-count independent in *coverage* — the
-/// values themselves are wall-clock and belong in observability
-/// exports only, never in deterministic report output.
+/// Slice and verdict time are summed over sink sites. The values are
+/// wall-clock and belong in observability exports only, never in
+/// deterministic report output.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct PhaseTimings {
     /// Time locating sink call sites by bytecode search.
@@ -185,15 +166,6 @@ pub struct Backdroid {
     options: BackdroidOptions,
 }
 
-/// One sink site's scheduler outcome: its index in sink-site order, the
-/// report (`None` when the §IV-F skip rule fired in-task), and — in
-/// delta-capture mode — the site's recorded dependency footprint.
-type SiteOutcome = (usize, Option<SinkReport>, Option<SiteTrace>);
-
-/// One sink task's results plus the task's private loop counters and
-/// its `(slice_ns, verdict_ns)` wall-clock phase split.
-type TaskResult = (Vec<SiteOutcome>, LoopStats, u64, u64);
-
 /// One sink site's full dependency footprint: the method bodies and
 /// class definitions the analysis read ([`DepTrace`]) plus every search
 /// command and `classes_using` target it issued
@@ -207,11 +179,12 @@ pub struct SiteTrace {
 }
 
 /// Everything a later incremental run needs from one analysis: the
-/// located sink sites, their pre-post-pass outcomes, and per-site
-/// dependency traces. Produced by [`Backdroid::analyze_artifacts_traced`]
-/// (and by every [`Backdroid::analyze_delta`] call, for the *next*
-/// update); valid only for the same tool options it was captured with —
-/// `analyze_delta` verifies that and falls back to a full run otherwise.
+/// located sink sites, their outcomes (`None` for a site the §IV-F skip
+/// rule skipped), and per-site dependency traces. Produced by
+/// [`Backdroid::analyze_artifacts_traced`] (and by every
+/// [`Backdroid::analyze_delta`] call, for the *next* update); valid only
+/// for the same tool options it was captured with — `analyze_delta`
+/// verifies that and falls back to a full run otherwise.
 #[derive(Clone, Debug)]
 pub struct DeltaBase {
     sites: Vec<SinkSite>,
@@ -243,10 +216,10 @@ pub struct DeltaStats {
 }
 
 /// A delta planner: maps the located sites to per-site instructions
-/// before the scheduler fans out.
+/// before the first site is analyzed.
 type SitePlanner<'a> = &'a dyn Fn(&[SinkSite]) -> Vec<SitePlan>;
 
-/// The scheduler's per-site instruction in delta mode.
+/// The sink loop's per-site instruction in delta mode.
 enum SitePlan {
     /// Slice/propagate/judge as usual.
     Fresh,
@@ -274,12 +247,13 @@ impl Backdroid {
     }
 
     /// Analyzes one app end to end: preprocess (encode, disassemble,
-    /// index), then run the sink-task scheduler. The reported
+    /// index), then analyze every sink site. The reported
     /// `analysis_time` covers the whole span, timed once.
     pub fn analyze(&self, program: &Program, manifest: &Manifest) -> AppReport {
         let start = Instant::now();
         let engine = build_engine(program, self.options.backend);
-        self.run_scheduler(program, manifest, &engine, start)
+        self.run_sites(program, manifest, &engine, start, false, None)
+            .0
     }
 
     /// Analyzes against prebuilt, shareable [`AppArtifacts`] — the
@@ -289,12 +263,15 @@ impl Backdroid {
     /// `cache_stats` delta is exact only for analyses that do not
     /// overlap in time (see [`AppReport::cache_stats`]).
     pub fn analyze_artifacts(&self, artifacts: &AppArtifacts) -> AppReport {
-        self.run_scheduler(
+        self.run_sites(
             artifacts.program(),
             artifacts.manifest(),
             artifacts.engine(),
             Instant::now(),
+            false,
+            None,
         )
+        .0
     }
 
     /// Runs one sink site: slice backward, propagate forward, judge via
@@ -356,22 +333,6 @@ impl Backdroid {
             }
         });
         (report, trace, slice_ns, verdict_ns)
-    }
-
-    /// The sink-task scheduler (see the module docs for the determinism
-    /// contract). `started` is the caller's clock start, so
-    /// `analysis_time` is measured exactly once per report — `analyze`
-    /// includes its preprocessing span, the other entry points start
-    /// here.
-    fn run_scheduler(
-        &self,
-        program: &Program,
-        manifest: &Manifest,
-        engine: &SearchEngine,
-        started: Instant,
-    ) -> AppReport {
-        self.run_sites(program, manifest, engine, started, false, None)
-            .0
     }
 
     /// [`Backdroid::analyze_artifacts`] plus delta capture: records each
@@ -513,8 +474,8 @@ impl Backdroid {
                         return SitePlan::Fresh;
                     }
                     let (Some(outcome), Some(trace)) = (&base.outcomes[j], &base.traces[j]) else {
-                        // In-task-skipped sites carry no verdict of their
-                        // own; the post-pass resettles them.
+                        // A skipped site carries no verdict of its own;
+                        // the skip rule settles it again in this run.
                         return SitePlan::Fresh;
                     };
                     let untouched = trace.deps.methods.is_disjoint(&changed_methods)
@@ -547,10 +508,13 @@ impl Backdroid {
         (report, new_base, stats)
     }
 
-    /// The scheduler core shared by full, traced, and delta runs.
-    /// `planner` (delta mode) maps located sites to per-site plans;
-    /// `capture` additionally records dependency traces and returns a
-    /// [`DeltaBase`]. Returns `(report, base, sites_reused)`.
+    /// The sink loop shared by full, traced, and delta runs. `started`
+    /// is the caller's clock start, so `analysis_time` is measured
+    /// exactly once per report — `analyze` includes its preprocessing
+    /// span, the other entry points start here. `planner` (delta mode)
+    /// maps located sites to per-site plans; `capture` additionally
+    /// records dependency traces and returns a [`DeltaBase`]. Returns
+    /// `(report, base, sites_reused)`.
     fn run_sites(
         &self,
         program: &Program,
@@ -563,145 +527,71 @@ impl Backdroid {
         let stats_before = engine.stats();
 
         let sinks = self.options.detectors.sink_registry();
-        let mut locate_ctx = TaskContext::from_parts(program, manifest, engine.clone());
+        let mut ctx = TaskContext::from_parts(program, manifest, engine.clone());
         let locate_started = Instant::now();
-        let sites: Vec<SinkSite> = locate_sinks(
-            &mut locate_ctx,
-            &sinks,
-            self.options.hierarchy_initial_search,
-        );
+        let sites: Vec<SinkSite> =
+            locate_sinks(&mut ctx, &sinks, self.options.hierarchy_initial_search);
         let mut phases = PhaseTimings {
             locate_ns: locate_started.elapsed().as_nanos() as u64,
             ..PhaseTimings::default()
         };
-        let mut loop_stats = locate_ctx.loops;
-
-        // Group sink sites by containing method: the §IV-F skip rule only
-        // couples same-method sites, so serializing each method's sites
-        // inside one task reproduces the sequential skip decisions
-        // exactly while distinct methods run in parallel.
-        let mut group_of: HashMap<&MethodSig, usize> = HashMap::new();
-        let mut groups: Vec<Vec<usize>> = Vec::new();
-        for (i, site) in sites.iter().enumerate() {
-            let g = *group_of.entry(&site.method).or_insert_with(|| {
-                groups.push(Vec::new());
-                groups.len() - 1
-            });
-            groups[g].push(i);
-        }
-
-        // §IV-F sink API call caching: methods proven control-flow
-        // unreachable skip their remaining sink sites. With the
-        // per-method grouping above, each entry is only ever observed by
-        // the group that wrote it; the set stays shared (two uncontended
-        // lock ops per site) so the invariant — a site may over-run,
-        // never under-run, with the post-pass settling the outcome —
-        // holds for any finer-grained scheduling this may grow into.
-        let proven_unreachable: Mutex<HashSet<MethodSig>> = Mutex::new(HashSet::new());
 
         // Delta mode: per-site plans, computed once over the freshly
-        // located sites. A reused verdict participates in the skip rule
+        // located sites. A reused verdict takes part in the skip rule
         // exactly like a freshly computed one.
-        let plans: Option<Vec<SitePlan>> = planner.map(|p| p(&sites));
+        let mut plans = planner.map(|p| p(&sites)).unwrap_or_default().into_iter();
 
-        let run_group = |group: &[usize]| -> TaskResult {
-            let mut ctx = TaskContext::from_parts(program, manifest, engine.clone());
-            let mut out = Vec::with_capacity(group.len());
-            let (mut slice_ns, mut verdict_ns) = (0u64, 0u64);
-            for &i in group {
-                let site = &sites[i];
-                let skip = proven_unreachable
-                    .lock()
-                    .expect("proven-unreachable set poisoned")
-                    .contains(&site.method);
-                if skip {
-                    out.push((i, None, None));
-                    continue;
+        // §IV-F sink API call caching: a method proven control-flow
+        // unreachable skips its remaining sink sites.
+        let mut proven_unreachable: HashSet<&MethodSig> = HashSet::new();
+        let mut reports = Vec::with_capacity(sites.len());
+        let mut outcomes: Vec<Option<SinkReport>> = Vec::new();
+        let mut traces: Vec<Option<SiteTrace>> = Vec::new();
+        let mut skipped = 0;
+        let mut reused = 0;
+        for site in &sites {
+            // Taken before the skip check, so plans stay aligned with
+            // sites; a skipped site's plan is dropped unused.
+            let plan = plans.next();
+            if proven_unreachable.contains(&site.method) {
+                skipped += 1;
+                if capture {
+                    outcomes.push(None);
+                    traces.push(None);
                 }
-                if let Some(SitePlan::Reuse(reused)) = plans.as_ref().map(|p| &p[i]) {
-                    let (outcome, trace) = reused.as_ref();
-                    if !outcome.reachable {
-                        proven_unreachable
-                            .lock()
-                            .expect("proven-unreachable set poisoned")
-                            .insert(site.method.clone());
-                    }
-                    out.push((i, Some(outcome.clone()), Some(trace.clone())));
-                    continue;
-                }
-                let (report, trace, site_slice_ns, site_verdict_ns) =
-                    self.analyze_site(&mut ctx, site, &sinks, capture);
-                slice_ns += site_slice_ns;
-                verdict_ns += site_verdict_ns;
-                if !report.reachable {
-                    proven_unreachable
-                        .lock()
-                        .expect("proven-unreachable set poisoned")
-                        .insert(site.method.clone());
-                }
-                out.push((i, Some(report), trace));
+                continue;
             }
-            (out, ctx.loops, slice_ns, verdict_ns)
-        };
-
-        let threads = self.options.intra_threads.clamp(1, groups.len().max(1));
-        let task_results: Vec<TaskResult> = if threads <= 1 {
-            groups.iter().map(|g| run_group(g)).collect()
-        } else {
-            let next = AtomicUsize::new(0);
-            std::thread::scope(|scope| {
-                let workers: Vec<_> = (0..threads)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut local = Vec::new();
-                            loop {
-                                let gi = next.fetch_add(1, Ordering::Relaxed);
-                                if gi >= groups.len() {
-                                    break;
-                                }
-                                local.push(run_group(&groups[gi]));
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                workers
-                    .into_iter()
-                    .flat_map(|w| w.join().expect("sink task worker panicked"))
-                    .collect()
-            })
-        };
-
-        // Reassemble per-site outcomes in sink-site order and merge the
-        // per-task loop counters (commutative sums).
-        let mut outcomes: Vec<Option<SinkReport>> = (0..sites.len()).map(|_| None).collect();
-        let mut traces: Vec<Option<SiteTrace>> = (0..sites.len()).map(|_| None).collect();
-        for (list, loops, slice_ns, verdict_ns) in task_results {
-            loop_stats.merge(&loops);
-            phases.slice_ns += slice_ns;
-            phases.verdict_ns += verdict_ns;
-            for (i, outcome, trace) in list {
-                outcomes[i] = outcome;
-                traces[i] = trace;
+            let (report, trace) = match plan {
+                Some(SitePlan::Reuse(prior)) => {
+                    reused += 1;
+                    let (report, trace) = *prior;
+                    (report, Some(trace))
+                }
+                _ => {
+                    let (report, trace, slice_ns, verdict_ns) =
+                        self.analyze_site(&mut ctx, site, &sinks, capture);
+                    phases.slice_ns += slice_ns;
+                    phases.verdict_ns += verdict_ns;
+                    (report, trace)
+                }
+            };
+            if !report.reachable {
+                proven_unreachable.insert(&site.method);
             }
+            if capture {
+                outcomes.push(Some(report.clone()));
+                traces.push(trace);
+            }
+            reports.push(report);
         }
 
-        // A site counts as reused only if its prior verdict actually
-        // landed (a Reuse plan pre-empted by an in-task skip is neither
-        // reused nor reanalyzed).
-        let reused = plans.as_ref().map_or(0, |plans| {
-            plans
-                .iter()
-                .zip(&outcomes)
-                .filter(|(p, o)| matches!(p, SitePlan::Reuse(..)) && o.is_some())
-                .count()
-        });
-
-        // Delta base: pre-post-pass outcomes, so a later update replays
-        // the skip rule against the same inputs a cold run would see.
+        let sink_cache = SinkCacheStats {
+            located: sites.len() as u64,
+            skipped,
+        };
         let base = capture.then(|| DeltaBase {
-            sites: sites.clone(),
-            outcomes: outcomes.clone(),
+            sites,
+            outcomes,
             traces,
             detector_ids: self
                 .options
@@ -712,34 +602,11 @@ impl Backdroid {
                 .collect(),
             hierarchy_initial_search: self.options.hierarchy_initial_search,
         });
-
-        // Deterministic §IV-F post-pass: replay the sequential skip rule
-        // over sink-site order. A report produced for a site the rule
-        // skips would be dropped here — unreachable under the per-method
-        // grouping, load-bearing for any over-running scheduler.
-        let mut seen_unreachable: HashSet<MethodSig> = HashSet::new();
-        let mut sink_cache = SinkCacheStats {
-            located: sites.len() as u64,
-            skipped: 0,
-        };
-        let mut reports = Vec::with_capacity(sites.len());
-        for (site, outcome) in sites.iter().zip(outcomes) {
-            if seen_unreachable.contains(&site.method) {
-                sink_cache.skipped += 1;
-                continue;
-            }
-            let report = outcome.expect("non-skipped sink site must have been analyzed");
-            if !report.reachable {
-                seen_unreachable.insert(site.method.clone());
-            }
-            reports.push(report);
-        }
-
         let report = AppReport {
             sink_reports: reports,
             analysis_time: started.elapsed(),
             cache_stats: engine.stats().since(&stats_before),
-            loop_stats,
+            loop_stats: ctx.loops,
             sink_cache,
             phases,
         };

@@ -20,16 +20,16 @@
 //!    ([`ForwardAnalysis`]) and **judge** the recovered sink parameters
 //!    through the [`DetectorRegistry`]'s verdict rules.
 //!
-//! ## Sessions and intra-app parallelism
+//! ## Sessions
 //!
 //! The preprocessing products — IR program, manifest, indexed dump —
 //! live in an owned, `Send + Sync` [`AppArtifacts`] with no lifetime
 //! parameter: build it once, share it by `Arc` (a resident app image
-//! serving many queries), and start cheap per-task [`TaskContext`]s with
-//! [`AppArtifacts::task`]. [`Backdroid::analyze`] schedules independent
-//! sink sites over `BackdroidOptions::intra_threads` workers against one
-//! shared search engine; reports and statistics are deterministic for
-//! any thread count (see [`engine`]'s module docs for the contract).
+//! serving many queries, from as many threads as ask), and start cheap
+//! per-task [`TaskContext`]s with [`AppArtifacts::task`].
+//! [`Backdroid::analyze`] analyzes the located sink sites one after
+//! another on the calling thread, in sink-site order (see [`engine`]'s
+//! module docs).
 //!
 //! ```
 //! use backdroid_core::{Backdroid, DetectorRegistry};

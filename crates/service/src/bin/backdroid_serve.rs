@@ -40,6 +40,7 @@ use backdroid_appgen::benchset::BenchsetConfig;
 use backdroid_appgen::workload::{self, WorkloadConfig};
 use backdroid_core::BackendChoice;
 use backdroid_obs::RegistrySnapshot;
+use backdroid_service::cli::{arg_value, has_flag, parsed_arg, reject_unknown_flags, usage_error};
 use backdroid_service::proto::{self, parse_json, parse_request, workload_request_line, Json};
 use backdroid_service::shard::execute_request;
 use backdroid_service::store::hit_rate;
@@ -63,7 +64,6 @@ Serving:
   --direct             zero-budget store: every request cold-loads (golden mode)
   --workers N          worker threads per shard (default 1); above 1 serves through
                        a shard pool — one shard unless --shards says otherwise
-  --intra-threads N    intra-app sink-task scheduler width (default 1)
   --snapshot-dir DIR   persistent disk tier: cold loads restore from versioned,
                        checksummed snapshots in DIR; built images are written
                        back when evicted and at exit (updates at once).
@@ -113,8 +113,9 @@ Trace generation (prints a workload instead of serving):
   --deadline-ms MS     the deadline attached to those requests (default 50)
 ";
 
-/// Every flag `USAGE` documents; any other argument that starts with `-`
-/// is rejected, so a misspelt flag never silently falls back to a default.
+/// Every flag `USAGE` documents; [`reject_unknown_flags`] rejects any
+/// other argument that starts with `-`, so a misspelt flag never
+/// silently falls back to a default.
 const FLAGS: &[&str] = &[
     "-h",
     "--help",
@@ -124,7 +125,6 @@ const FLAGS: &[&str] = &[
     "--budget-mb",
     "--direct",
     "--workers",
-    "--intra-threads",
     "--snapshot-dir",
     "--shards",
     "--queue-depth",
@@ -144,45 +144,6 @@ const FLAGS: &[&str] = &[
     "--deadline-ms",
 ];
 
-/// The first argument that starts with `-` but names no flag in
-/// [`FLAGS`], with or without an `=value` suffix.
-fn unknown_flag(args: &[String]) -> Option<&str> {
-    args.iter().map(String::as_str).find(|a| {
-        let name = a.split_once('=').map_or(*a, |(name, _)| name);
-        a.starts_with('-') && !FLAGS.contains(&name)
-    })
-}
-
-/// The value following `--flag` (or embedded as `--flag=value`) in argv.
-fn arg_value(flag: &str) -> Option<String> {
-    let mut args = std::env::args();
-    while let Some(a) = args.next() {
-        if a == flag {
-            return args.next();
-        }
-        if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
-
-fn usage_error(flag: &str, value: &str, expected: &str) -> ! {
-    eprintln!("error: {flag} {value:?} is invalid — expected {expected}");
-    std::process::exit(2)
-}
-
-fn parsed_arg<T: std::str::FromStr>(flag: &str, expected: &str) -> Option<T> {
-    arg_value(flag).map(|v| {
-        v.parse::<T>()
-            .unwrap_or_else(|_| usage_error(flag, &v, expected))
-    })
-}
-
-fn has_flag(flag: &str) -> bool {
-    std::env::args().any(|a| a == flag)
-}
-
 fn endpoint_arg(flag: &str) -> Option<Endpoint> {
     arg_value(flag).map(|v| {
         Endpoint::parse(&v).unwrap_or_else(|e| usage_error(flag, &v, &format!("an endpoint: {e}")))
@@ -200,11 +161,7 @@ fn benchset_from_args() -> BenchsetConfig {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Some(flag) = unknown_flag(&args) {
-        eprintln!("error: unknown flag {flag:?} — see --help");
-        std::process::exit(2)
-    }
+    reject_unknown_flags(FLAGS);
     if has_flag("--help") || has_flag("-h") {
         print!("{USAGE}");
         return;
@@ -254,9 +211,6 @@ fn main() {
     let service_cfg = ServiceConfig {
         budget_bytes,
         backend,
-        intra_threads: parsed_arg::<usize>("--intra-threads", "a positive integer")
-            .unwrap_or(1)
-            .max(1),
         snapshot_dir: arg_value("--snapshot-dir").map(std::path::PathBuf::from),
         ..ServiceConfig::default()
     };
@@ -611,34 +565,6 @@ fn pump_client(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn argv(args: &[&str]) -> Vec<String> {
-        args.iter().map(|a| a.to_string()).collect()
-    }
-
-    #[test]
-    fn unknown_flags_are_found_with_or_without_a_value() {
-        let ok = argv(&[
-            "--count",
-            "8",
-            "--shards=4",
-            "--direct",
-            "--snapshot-dir",
-            "d",
-            "-h",
-        ]);
-        assert_eq!(unknown_flag(&ok), None);
-        assert_eq!(
-            unknown_flag(&argv(&["--count", "8", "--shard", "4"])),
-            Some("--shard")
-        );
-        assert_eq!(
-            unknown_flag(&argv(&["--budgetmb", "1"])),
-            Some("--budgetmb")
-        );
-        assert_eq!(unknown_flag(&argv(&["--budgetmb=1"])), Some("--budgetmb=1"));
-        assert_eq!(unknown_flag(&argv(&["-"])), Some("-"));
-    }
 
     #[test]
     fn the_flag_list_matches_the_usage_text() {

@@ -11,9 +11,9 @@
 //!   (N concurrent requests build the image exactly once — the same
 //!   pattern as the search engine's command cache, one layer up).
 //! * [`Service`] answers full analyses, per-detector queries, and
-//!   batched multi-app requests against the store, through the existing
-//!   `Backdroid::analyze_artifacts` + `intra_threads` machinery,
-//!   counting every request in its metrics registry (below).
+//!   batched multi-app requests against the store, each analysis through
+//!   `Backdroid::analyze_artifacts` on the thread that handles the
+//!   request, counting every request in its metrics registry (below).
 //! * [`proto`] is the line-delimited JSON protocol the `backdroid-serve`
 //!   binary speaks on stdin/stdout — deterministic responses that CI
 //!   diffs byte-for-byte across worker counts, backends, and budgets.
@@ -24,6 +24,9 @@
 //! * [`transport`] is the length-framed binary socket protocol
 //!   (`tcp:`/`unix:` endpoints) `backdroid-serve --listen`/`--connect`
 //!   speak — one JSONL line per frame, responses 1:1 in request order.
+//! * [`cli`] is the one command-line flag reader, shared by
+//!   `backdroid-serve` and the `backdroid-bench` binaries; each rejects
+//!   any flag it does not read.
 //! * **Observability** — every layer publishes into a
 //!   [`backdroid_obs::MetricsRegistry`] (store tiers, request counters,
 //!   per-tier latency and phase histograms, pool queue waits), the one
@@ -60,6 +63,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod proto;
 pub mod service;
 pub mod shard;

@@ -403,8 +403,8 @@ pub enum Op {
     /// traces must not include this op either. A sharded server answers
     /// it once every request submitted ahead of it has been answered.
     Metrics,
-    /// Admin op: take shard N down (queue re-routed, memory tier
-    /// dropped). Produces **no output** and is a no-op on a plain
+    /// Admin op: take shard N down (its queued requests served first,
+    /// later ones routed past it, memory tier dropped). Produces **no output** and is a no-op on a plain
     /// [`crate::Service`] (the single-threaded `backdroid-serve` loop),
     /// so a trace spliced with admin lines still diffs byte-for-byte
     /// against any golden.

@@ -1,8 +1,7 @@
 //! The serving front end: per-detector queries against the resident
-//! [`AppStore`], fanned out over the existing
-//! [`Backdroid::analyze_artifacts`] + `intra_threads` machinery, with
-//! per-request accounting aggregated atomically (the same pattern as
-//! `CacheStats`).
+//! [`AppStore`], each analyzed by [`Backdroid::analyze_artifacts`] on
+//! the thread that handles the request, with per-request accounting
+//! aggregated atomically (the same pattern as `CacheStats`).
 //!
 //! Every response is a pure function of (app, requested detectors):
 //! the store only changes *where* the artifacts come from — warm image
@@ -19,7 +18,6 @@ use backdroid_core::{
 };
 use backdroid_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -31,12 +29,6 @@ pub struct ServiceConfig {
     pub budget_bytes: u64,
     /// Search backend for every loaded app image.
     pub backend: BackendChoice,
-    /// Intra-app sink-task scheduler width per analysis (see
-    /// [`BackdroidOptions::intra_threads`]).
-    pub intra_threads: usize,
-    /// Fan-out width for one batched multi-app request. Results are
-    /// reassembled in request order, so any width is deterministic.
-    pub batch_threads: usize,
     /// Optional snapshot directory enabling the store's disk tier:
     /// cold loads restore from versioned, checksummed snapshots, and
     /// built images are written back when they leave memory (see
@@ -54,8 +46,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             budget_bytes: 256 * 1024 * 1024,
             backend: BackendChoice::default(),
-            intra_threads: 1,
-            batch_threads: 4,
             snapshot_dir: None,
             detectors: DetectorRegistry::paper(),
         }
@@ -228,7 +218,6 @@ struct VersionState {
 pub struct Service {
     store: AppStore,
     base: BackdroidOptions,
-    batch_threads: usize,
     /// Per-app update bookkeeping, shared by every app on this
     /// service: held only to read or record versions, never across an
     /// image build or a store call.
@@ -246,7 +235,6 @@ impl std::fmt::Debug for Service {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Service")
             .field("store", &self.store)
-            .field("batch_threads", &self.batch_threads)
             .finish_non_exhaustive()
     }
 }
@@ -254,7 +242,7 @@ impl std::fmt::Debug for Service {
 impl Service {
     /// Creates a service over a custom app loader. The loader builds the
     /// artifacts for a cold app id; the service fixes the search backend
-    /// and scheduler width via `cfg`-derived [`BackdroidOptions`].
+    /// and detectors via `cfg`-derived [`BackdroidOptions`].
     pub fn new(
         cfg: ServiceConfig,
         loader: impl Fn(&str) -> Result<AppArtifacts, String> + Send + Sync + 'static,
@@ -272,11 +260,9 @@ impl Service {
             update_locks: Mutex::default(),
             base: BackdroidOptions {
                 backend: cfg.backend,
-                intra_threads: cfg.intra_threads.max(1),
                 detectors: cfg.detectors,
                 ..BackdroidOptions::default()
             },
-            batch_threads: cfg.batch_threads.max(1),
             registry,
             counters,
         }
@@ -343,49 +329,19 @@ impl Service {
         self.run(app_id, detectors)
     }
 
-    /// Batched multi-app analysis: fans the apps out over
-    /// `batch_threads` workers against the shared store and returns the
-    /// per-app outcomes **in request order** — deterministic for any
-    /// width.
+    /// Batched multi-app analysis: analyzes the apps one after another,
+    /// in request order, on the calling thread, and returns the per-app
+    /// outcomes in that order.
     pub fn analyze_batch(&self, app_ids: &[String]) -> Vec<Result<AppAnalysis, ServiceError>> {
         let _guard = self.begin_request(&self.counters.batch_requests);
         if app_ids.is_empty() {
             self.counters.errors.inc();
             return vec![Err(ServiceError::BadRequest("empty batch".into()))];
         }
-        let threads = self.batch_threads.clamp(1, app_ids.len());
-        let registry = self.base.detectors.clone();
-        if threads <= 1 {
-            return app_ids
-                .iter()
-                .map(|id| self.run(id, registry.clone()))
-                .collect();
-        }
-        let next = AtomicU64::new(0);
-        let mut indexed: Vec<(usize, Result<AppAnalysis, ServiceError>)> =
-            std::thread::scope(|scope| {
-                let workers: Vec<_> = (0..threads)
-                    .map(|_| {
-                        scope.spawn(|| {
-                            let mut local = Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed) as usize;
-                                if i >= app_ids.len() {
-                                    break;
-                                }
-                                local.push((i, self.run(&app_ids[i], registry.clone())));
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                workers
-                    .into_iter()
-                    .flat_map(|w| w.join().expect("batch worker panicked"))
-                    .collect()
-            });
-        indexed.sort_by_key(|&(i, _)| i);
-        indexed.into_iter().map(|(_, r)| r).collect()
+        app_ids
+            .iter()
+            .map(|id| self.run(id, self.base.detectors.clone()))
+            .collect()
     }
 
     /// Publishes version *n+1* of an app: mutates the current program
@@ -695,11 +651,14 @@ mod tests {
             results[2].as_ref().unwrap().report.sink_reports,
             "same app twice in one batch agrees with itself"
         );
+        let stats = service.metrics().snapshot();
+        assert_eq!(stats.value("store_loads_total"), 3, "three distinct apps");
         assert_eq!(
-            service.metrics().snapshot().value("store_loads_total"),
-            3,
-            "three distinct apps"
+            stats.value("store_hits_total"),
+            1,
+            "the repeated app is analyzed after its first load, so it hits"
         );
+        assert_eq!(stats.value("store_coalesced_total"), 0);
     }
 
     #[test]

@@ -14,15 +14,16 @@
 //!   queued when its deadline passes is answered with a deterministic
 //!   error instead of being analyzed.
 //! * **Crash + restart** — [`ShardPool::kill_shard`] takes a shard
-//!   down: its in-flight work completes (so no response is ever lost
-//!   or duplicated), its memory tier is written back to disk
-//!   ([`crate::AppStore::flush`]) and dropped, its counters are folded
-//!   into the pool's retired total, and its queue is re-routed to
-//!   surviving shards. [`ShardPool::restart_shard`] has the live shards
-//!   write back what they built while the shard was down, then brings
-//!   it back with a fresh [`Service`] over the **shared snapshot
-//!   directory**, so the restarted shard is disk-warm instead of
-//!   re-parsing.
+//!   down: new submissions route past it at once, while the requests
+//!   already on its queue are served before it stops (so no response is
+//!   ever lost or duplicated, and none depends on when the kill landed);
+//!   then its memory tier is written back to disk
+//!   ([`crate::AppStore::flush`]) and dropped, and its counters are
+//!   folded into the pool's retired total. [`ShardPool::restart_shard`]
+//!   has the live shards write back what they built while the shard was
+//!   down, then brings it back with a fresh [`Service`] over the
+//!   **shared snapshot directory**, so the restarted shard is disk-warm
+//!   instead of re-parsing.
 //! * **Shared snapshots, write-back** — the shards share one snapshot
 //!   directory, but a shard writes an app it built only when that app
 //!   leaves its memory (or at a kill, restart or shutdown). Until then
@@ -88,9 +89,7 @@ struct Job {
     req: Request,
     respond: Responder,
     deadline: Option<Instant>,
-    /// When the job was first admitted. Survives re-routing after a
-    /// kill, so the measured queue wait covers time spent on a dead
-    /// shard's queue too.
+    /// When the job was admitted; the queue wait is measured from here.
     enqueued: Instant,
 }
 
@@ -135,7 +134,7 @@ struct PoolInner {
     /// view alongside the shards' own registries.
     registry: Arc<MetricsRegistry>,
     /// Jobs enqueued on a non-primary shard because the primary was
-    /// dead (includes queue re-routes after a kill).
+    /// dead.
     rerouted: Counter,
     /// Jobs still queued when their deadline passed.
     deadline_expired: Counter,
@@ -514,18 +513,19 @@ impl ShardPool {
         }
     }
 
-    /// Takes shard `idx` down: stops its workers (the current in-flight
-    /// request completes and is answered — nothing is lost), writes back
-    /// every image its store built but never spilled, folds its counters
-    /// into the retired total, re-routes everything still queued, and
-    /// drops its service (memory tier gone; its snapshots stay on disk).
-    /// Returns `false` if the index is out of range or the shard was
-    /// already dead.
+    /// Takes shard `idx` down. It is marked dead first, so new
+    /// submissions probe past it (or get `no shard available` when no
+    /// shard is alive); its workers serve every request already queued
+    /// on it and then exit. Once they have, it writes back every image
+    /// its store built but never spilled, folds its counters into the
+    /// retired total, and drops its service (memory tier gone; its
+    /// snapshots stay on disk). Returns `false` if the index is out of
+    /// range or the shard was already dead.
     pub fn kill_shard(&self, idx: usize) -> bool {
         let Some(shard) = self.inner.shards.get(idx) else {
             return false;
         };
-        let stranded = {
+        {
             let mut state = shard.lock();
             if !state.alive {
                 return false;
@@ -533,11 +533,10 @@ impl ShardPool {
             state.alive = false;
             shard.not_empty.notify_all();
             shard.not_full.notify_all();
-            std::mem::take(&mut state.queue)
-        };
+        }
         self.inner.kills.inc();
-        // Wait for the workers to finish their in-flight requests and
-        // detach, then take the service out.
+        // Wait for the workers to empty the queue and detach, then take
+        // the service out.
         let service = {
             let mut state = shard.lock();
             while state.workers > 0 || state.in_flight > 0 {
@@ -546,23 +545,13 @@ impl ShardPool {
             state.service.take().expect("dead shard kept a service")
         };
         // Write back outside the shard lock (it is disk I/O), before the
-        // counters retire (so they count these writes) and before the
-        // stranded queue re-routes (so those requests restore the
-        // shard's apps instead of rebuilding them).
+        // counters retire (so they count these writes).
         service.store().flush();
         self.inner
             .retired
             .lock()
             .expect("retired stats poisoned")
             .absorb(&service.metrics().snapshot());
-        drop(service);
-        // Re-route the stranded queue through the normal router, which
-        // now probes past this shard — each displaced job is counted as
-        // rerouted by `route_job`'s probe.
-        for job in stranded {
-            let primary = primary_app(&job.req.op);
-            self.route_job(self.route(&primary), job);
-        }
         true
     }
 
@@ -745,7 +734,11 @@ fn worker_loop(inner: &PoolInner, idx: usize) {
         let (job, service) = {
             let mut state = shard.lock();
             loop {
-                if !inner.running.load(Ordering::Relaxed) || !state.alive {
+                // A killed shard still serves what was queued before the
+                // kill; its workers leave once the queue is empty.
+                if !inner.running.load(Ordering::Relaxed)
+                    || (!state.alive && state.queue.is_empty())
+                {
                     state.workers -= 1;
                     shard.settled.notify_all();
                     return;
@@ -825,8 +818,8 @@ fn worker_loop(inner: &PoolInner, idx: usize) {
         // queue.
         shard.not_empty.notify_all();
         if state.in_flight == 0 {
-            // Wakes both `drain` (queue empty, nothing in flight) and a
-            // `kill_shard` waiting out the in-flight work.
+            // Wakes `drain` (queue empty, nothing in flight); a
+            // `kill_shard` waits for the workers to leave instead.
             shard.settled.notify_all();
         }
     }

@@ -6,17 +6,11 @@
 //! `Arc` and shared across threads. Each thread starts a cheap
 //! per-task context with [`AppArtifacts::task`] and answers its own sink
 //! query; all tasks share one search-command cache, so work one slice
-//! does is free for the next.
-//!
-//! The same machinery powers `BackdroidOptions::intra_threads`, shown at
-//! the end: the tool's own sink-task scheduler, whose reports are
-//! byte-identical to a sequential run.
+//! does is free for the next. The service's pool workers share one
+//! resident image the same way.
 
 use backdroid_appgen::{AppSpec, Mechanism, Scenario, SinkKind};
-use backdroid_core::{
-    locate_sinks, slice_sink, AppArtifacts, Backdroid, BackdroidOptions, DetectorRegistry,
-    SlicerConfig,
-};
+use backdroid_core::{locate_sinks, slice_sink, AppArtifacts, DetectorRegistry, SlicerConfig};
 use std::sync::Arc;
 
 fn main() {
@@ -79,17 +73,5 @@ fn main() {
         stats.commands,
         stats.hits,
         100.0 * stats.rate()
-    );
-
-    // Or hand the same artifacts to the tool's own scheduler.
-    let report = Backdroid::with_options(BackdroidOptions {
-        intra_threads: 4,
-        ..BackdroidOptions::default()
-    })
-    .analyze_artifacts(&artifacts);
-    println!(
-        "intra_threads=4 scheduler: {} sink(s) analyzed, {} vulnerable — reports identical to a sequential run",
-        report.sinks_analyzed(),
-        report.vulnerable_sinks().len()
     );
 }

@@ -224,14 +224,12 @@ fn stats_dir(label: &str) -> PathBuf {
 }
 
 /// Four small apps (about 180 KiB resident each), a snapshot directory
-/// and a budget of about two images. One batch thread: concurrent loads
-/// would settle in scheduling order and move the eviction sequence.
+/// and a budget of about two images.
 fn stats_service(dir: &Path) -> Service {
     Service::over_benchset(
         BenchsetConfig::sized(4, 0.04),
         ServiceConfig {
             budget_bytes: 400 * 1024,
-            batch_threads: 1,
             snapshot_dir: Some(dir.to_path_buf()),
             ..ServiceConfig::default()
         },

@@ -2,8 +2,9 @@
 //! a shard **mid-burst** while requests for its apps are queued and in
 //! flight, and prove the pool
 //!
-//! * re-routes the stranded queue and later traffic to surviving shards
-//!   (no request is lost, none is answered twice),
+//! * serves what the killed shard had queued before it stops, and
+//!   re-routes later traffic to surviving shards (no request is lost,
+//!   none is answered twice),
 //! * keeps every response byte-identical to the no-fault direct golden,
 //! * drains cleanly, and
 //! * brings a restarted shard back **disk-warm**: its fresh `AppStore`
@@ -242,6 +243,71 @@ fn killing_a_shard_mid_burst_loses_nothing_and_restarts_disk_warm() {
         0,
         "two shards always survived"
     );
+    pool.shutdown();
+}
+
+#[test]
+fn killing_the_only_shard_still_answers_the_requests_queued_before_it() {
+    // One shard with one worker: six cold analyses are submitted, and the
+    // kill lands while most of them still wait on the queue. They came
+    // before the kill, so each gets its full reply; only the request
+    // submitted while no shard is alive is refused.
+    let bench = BenchsetConfig::sized(6, 0.04);
+    let direct = Service::over_benchset(bench, ServiceConfig::default());
+    let direct_response = |line: &str| -> String {
+        let req = proto::parse_request(line).expect("test lines parse");
+        execute_request(&direct, &req).expect("analyze replies")
+    };
+    let pool = ShardPool::new(
+        ShardPoolConfig {
+            shards: 1,
+            workers_per_shard: 1,
+            ..ShardPoolConfig::default()
+        },
+        move |_| Service::over_benchset(bench, ServiceConfig::default()),
+    );
+    let mut lines: Vec<String> = (0..bench.count)
+        .map(|app| analyze_line(app as u64, app))
+        .collect();
+    lines.push(r#"{"id":90,"op":"kill_shard","shard":0}"#.to_string());
+    lines.push(analyze_line(91, 1));
+    lines.push(r#"{"id":92,"op":"restart_shard","shard":0}"#.to_string());
+    lines.push(analyze_line(93, 1));
+    let slots: Arc<Mutex<Vec<Option<Option<String>>>>> =
+        Arc::new(Mutex::new(vec![None; lines.len()]));
+    let responder = slot_responder(&slots);
+    for (seq, line) in lines.iter().enumerate() {
+        pool.submit_line(seq as u64, line, &responder);
+    }
+    pool.drain();
+
+    let slots = slots.lock().expect("slots poisoned");
+    let answer = |seq: usize| -> Option<&str> {
+        slots[seq]
+            .as_ref()
+            .unwrap_or_else(|| panic!("seq {seq} lost"))
+            .as_deref()
+    };
+    for (seq, line) in lines.iter().enumerate().take(bench.count) {
+        assert_eq!(
+            answer(seq),
+            Some(direct_response(line).as_str()),
+            "seq {seq} was queued before the kill and must be served"
+        );
+    }
+    let n = bench.count;
+    assert_eq!(answer(n), None, "kill_shard replies nothing");
+    assert_eq!(
+        answer(n + 1),
+        Some("{\"id\":91,\"error\":\"no shard available\"}")
+    );
+    assert_eq!(answer(n + 2), None, "restart_shard replies nothing");
+    assert_eq!(answer(n + 3), Some(direct_response(&lines[n + 3]).as_str()));
+    drop(slots);
+    let stats = pool.metrics();
+    assert_eq!(stats.value("pool_no_shard_errors_total"), 1);
+    assert_eq!(stats.value("pool_rerouted_total"), 0);
+    assert_eq!(stats.value("service_analyze_total"), n as u64 + 1);
     pool.shutdown();
 }
 
