@@ -15,7 +15,8 @@
 //! non-zero if either fails:
 //!
 //! * the resident store never exceeds its byte budget
-//!   (`peak_resident_bytes <= budget`, both summed across shards);
+//!   (`peak_resident_bytes <= budget`, both summed across shards; the
+//!   workload publishes no update, the store's one exception);
 //! * the mean warm-hit latency is below the mean cold-load latency
 //!   (residency actually amortizes preprocessing). An empty warm
 //!   bucket fails the check rather than skipping it — a workload that
@@ -54,6 +55,7 @@ use backdroid_service::cli::{arg_value, has_flag, parsed_arg, reject_unknown_fla
 use backdroid_service::proto::workload_request_line;
 use backdroid_service::store::hit_rate;
 use backdroid_service::{Responder, Service, ServiceConfig, ShardPool, ShardPoolConfig};
+use std::num::NonZeroUsize;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -116,12 +118,10 @@ fn main() {
         std::process::exit(2)
     });
     let requests = parsed_arg("--requests", "a positive integer").unwrap_or(def_requests);
-    let workers = parsed_arg::<usize>("--workers", "a positive integer")
-        .unwrap_or(4)
-        .max(1);
-    let shards = parsed_arg::<usize>("--shards", "a positive integer")
-        .unwrap_or(1)
-        .max(1);
+    let workers =
+        parsed_arg::<NonZeroUsize>("--workers", "a positive integer").map_or(4, NonZeroUsize::get);
+    let shards =
+        parsed_arg::<NonZeroUsize>("--shards", "a positive integer").map_or(1, NonZeroUsize::get);
     let budget_mb =
         parsed_arg::<u64>("--budget-mb", "a byte budget in MiB").unwrap_or(def_budget_mb);
     let seed = parsed_arg("--seed", "an integer").unwrap_or(7u64);

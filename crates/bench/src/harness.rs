@@ -41,6 +41,7 @@ use backdroid_service::cli::{arg_value, has_flag, parsed_arg, usage_error};
 use backdroid_wholeapp::amandroid::{analyze, AmandroidConfig, Outcome};
 use backdroid_wholeapp::paper_minutes;
 use serde::Serialize;
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -123,12 +124,9 @@ pub fn backend_from_args() -> BackendChoice {
 /// Parses `--threads N` from argv; defaults to the machine's available
 /// parallelism.
 pub fn threads_from_args() -> usize {
-    match parsed_arg::<usize>("--threads", "a positive integer") {
-        Some(n) => n.max(1),
-        None => std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1),
-    }
+    parsed_arg::<NonZeroUsize>("--threads", "a positive integer")
+        .or_else(|| std::thread::available_parallelism().ok())
+        .map_or(1, NonZeroUsize::get)
 }
 
 /// Parses `--json PATH` from argv: where to write the run's JSON

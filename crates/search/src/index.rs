@@ -205,14 +205,6 @@ impl SearchIndex {
         }
     }
 
-    /// Wire-encodes both index sections back to back (symbols, then
-    /// postings) — the single-blob form used outside the sectioned
-    /// snapshot container.
-    pub fn write_wire(&self, w: &mut WireWriter) {
-        self.write_symbols(w);
-        self.write_postings(w);
-    }
-
     /// Decodes a postings section written by
     /// [`SearchIndex::write_postings`] against an already-decoded
     /// symbol table, validating every structural invariant the query
@@ -284,13 +276,6 @@ impl SearchIndex {
             classes,
             owners,
         })
-    }
-
-    /// Decodes both index sections written by
-    /// [`SearchIndex::write_wire`].
-    pub fn read_wire(r: &mut WireReader<'_>, line_count: usize) -> Result<SearchIndex, WireError> {
-        let symbols = SymbolTable::read_wire(r)?;
-        SearchIndex::read_postings(r, line_count, symbols)
     }
 
     /// Structurally validates an encoded postings section (as checked
@@ -557,6 +542,15 @@ mod tests {
         );
     }
 
+    /// The symbols and postings sections of `idx`.
+    fn sections(idx: &SearchIndex) -> (Vec<u8>, Vec<u8>) {
+        let mut ws = WireWriter::new();
+        idx.write_symbols(&mut ws);
+        let mut wp = WireWriter::new();
+        idx.write_postings(&mut wp);
+        (ws.into_bytes(), wp.into_bytes())
+    }
+
     #[test]
     fn wire_round_trip_is_byte_identical() {
         let idx = build(&[
@@ -564,22 +558,14 @@ mod tests {
             "0000: invoke-virtual {v1}, Lcom/a/Server;.start:()V // method@0001",
             "0001: const-string v0, \"AES\" // string@0000",
         ]);
-        let mut w = WireWriter::new();
-        idx.write_wire(&mut w);
-        let bytes = w.into_bytes();
-        let back = SearchIndex::read_wire(&mut WireReader::new(&bytes), 3).unwrap();
+        let (sym_bytes, post_bytes) = sections(&idx);
+        let symbols = SymbolTable::read_wire(&mut WireReader::new(&sym_bytes)).unwrap();
+        let back =
+            SearchIndex::read_postings(&mut WireReader::new(&post_bytes), 3, symbols).unwrap();
         assert_eq!(back.token_count(), idx.token_count());
         assert_eq!(back.posting_count(), idx.posting_count());
-        let mut w2 = WireWriter::new();
-        back.write_wire(&mut w2);
-        assert_eq!(bytes, w2.into_bytes());
+        assert_eq!(sections(&back), (sym_bytes.clone(), post_bytes.clone()));
         // The sectioned validators accept exactly the split encoding.
-        let mut ws = WireWriter::new();
-        idx.write_symbols(&mut ws);
-        let sym_bytes = ws.into_bytes();
-        let mut wp = WireWriter::new();
-        idx.write_postings(&mut wp);
-        let post_bytes = wp.into_bytes();
         let n = SymbolTable::validate_wire(&sym_bytes).unwrap();
         assert_eq!(n, idx.token_count());
         SearchIndex::validate_postings(&post_bytes, 3, n).unwrap();

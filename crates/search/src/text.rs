@@ -399,45 +399,6 @@ impl BytecodeText {
         self.search_index().write_postings(w);
     }
 
-    /// Wire-encodes the indexed text as all four sections back to back
-    /// (text, spans, symbols, postings) — so a restored text never pays
-    /// the §III parse or the tokenization pass again. Deterministic:
-    /// equal texts encode byte-identically.
-    pub fn write_wire(&self, w: &mut WireWriter) {
-        self.write_text_section(w);
-        self.write_spans_section(w);
-        self.write_symbols_section(w);
-        self.write_postings_section(w);
-    }
-
-    /// Decodes a text written by [`BytecodeText::write_wire`] eagerly,
-    /// validating the structural invariants the query paths index by
-    /// (line table covering the arena, span bounds inside the dump,
-    /// line map entries inside the span table, a map entry per line)
-    /// and pre-populating the posting-list index from the snapshot
-    /// instead of re-tokenizing.
-    pub fn read_wire(r: &mut WireReader<'_>) -> Result<BytecodeText, WireError> {
-        let view = read_text_view(r)?;
-        let line_count = view.line_bounds.len() - 1;
-        let body_rest = view.to_body();
-        let (spans, line_to_span) = read_spans_part(r, line_count)?;
-        let index = SearchIndex::read_wire(r, line_count)?;
-        let body = TextBody {
-            arena: body_rest.arena,
-            table: body_rest.table,
-            spans,
-            line_to_span,
-            descriptors: body_rest.descriptors,
-        };
-        let resident = resident_of(&body);
-        Ok(BytecodeText {
-            line_count,
-            resident,
-            body: Lazy::ready(body),
-            index: Lazy::ready(index),
-        })
-    }
-
     /// Rebuilds a text from its four section blobs **without decoding
     /// them**: each section is structurally validated (rejecting
     /// exactly what the eager decoders reject), cross-checked against
@@ -857,14 +818,32 @@ mod tests {
         assert_eq!(again.resident_bytes(), estimate);
     }
 
+    /// The four snapshot sections of `t`, in container order.
+    fn sections(t: &BytecodeText) -> [Vec<u8>; 4] {
+        let writers: [fn(&BytecodeText, &mut WireWriter); 4] = [
+            BytecodeText::write_text_section,
+            BytecodeText::write_spans_section,
+            BytecodeText::write_symbols_section,
+            BytecodeText::write_postings_section,
+        ];
+        writers.map(|write| {
+            let mut w = WireWriter::new();
+            write(t, &mut w);
+            w.into_bytes()
+        })
+    }
+
+    fn from_sections(sections: &[Vec<u8>; 4]) -> Result<BytecodeText, WireError> {
+        let [text, spans, symbols, postings] = sections.clone();
+        BytecodeText::from_sections(text, spans, symbols, postings)
+    }
+
     #[test]
     fn wire_round_trip_preserves_queries_and_bytes() {
         let t = indexed();
         let _ = t.search_index(); // force the lazy index before encoding
-        let mut w = WireWriter::new();
-        t.write_wire(&mut w);
-        let bytes = w.into_bytes();
-        let back = BytecodeText::read_wire(&mut WireReader::new(&bytes)).unwrap();
+        let bytes = sections(&t);
+        let back = from_sections(&bytes).unwrap();
         assert_eq!(all_lines(&back), all_lines(&t));
         assert_eq!(back.descriptors(), t.descriptors());
         assert_eq!(back.spans(), t.spans());
@@ -883,10 +862,8 @@ mod tests {
             back.restore_banner("com.a.Outer.1.run:()V"),
             t.restore_banner("com.a.Outer.1.run:()V")
         );
-        // Re-encoding the decoded text is byte-identical.
-        let mut w2 = WireWriter::new();
-        back.write_wire(&mut w2);
-        assert_eq!(bytes, w2.into_bytes());
+        // Re-encoding every section of the decoded text is byte-identical.
+        assert_eq!(sections(&back), bytes);
         // A restored text never re-tokenizes: its resident estimate still
         // matches a fresh parse (the index is excluded by design).
         assert_eq!(back.resident_bytes(), t.resident_bytes());
@@ -895,21 +872,8 @@ mod tests {
     #[test]
     fn sectioned_restore_is_lazy_and_answers_identically() {
         let t = indexed();
-        let mut sections: Vec<Vec<u8>> = Vec::new();
-        let writers: [fn(&BytecodeText, &mut WireWriter); 4] = [
-            BytecodeText::write_text_section,
-            BytecodeText::write_spans_section,
-            BytecodeText::write_symbols_section,
-            BytecodeText::write_postings_section,
-        ];
-        for write in writers {
-            let mut w = WireWriter::new();
-            write(&t, &mut w);
-            sections.push(w.into_bytes());
-        }
-        let [text, spans, symbols, postings] = sections.try_into().unwrap();
-        let back =
-            BytecodeText::from_sections(text.clone(), spans.clone(), symbols, postings).unwrap();
+        let mut bytes = sections(&t);
+        let back = from_sections(&bytes).unwrap();
         // Header-only facts are available without materializing anything.
         assert_eq!(back.line_count(), t.line_count());
         assert_eq!(back.resident_bytes(), t.resident_bytes());
@@ -930,23 +894,8 @@ mod tests {
             assert_eq!(back.method_at_line(i), t.method_at_line(i), "line {i}");
         }
         // Malformed sections are rejected eagerly, before any touch.
-        let mut bad_spans = spans.clone();
-        bad_spans.push(0);
-        assert!(BytecodeText::from_sections(
-            text.clone(),
-            bad_spans,
-            {
-                let mut w = WireWriter::new();
-                t.write_symbols_section(&mut w);
-                w.into_bytes()
-            },
-            {
-                let mut w = WireWriter::new();
-                t.write_postings_section(&mut w);
-                w.into_bytes()
-            }
-        )
-        .is_err());
+        bytes[1].push(0);
+        assert!(from_sections(&bytes).is_err());
     }
 
     #[test]
@@ -979,14 +928,16 @@ mod tests {
     #[test]
     fn wire_truncations_fail_cleanly() {
         let t = indexed();
-        let mut w = WireWriter::new();
-        t.write_wire(&mut w);
-        let bytes = w.into_bytes();
-        for cut in (0..bytes.len()).step_by(7) {
-            assert!(
-                BytecodeText::read_wire(&mut WireReader::new(&bytes[..cut])).is_err(),
-                "prefix of {cut} bytes decoded"
-            );
+        let whole = sections(&t);
+        for (i, section) in whole.iter().enumerate() {
+            for cut in 0..section.len() {
+                let mut bytes = whole.clone();
+                bytes[i].truncate(cut);
+                assert!(
+                    from_sections(&bytes).is_err(),
+                    "section {i}: prefix of {cut} bytes decoded"
+                );
+            }
         }
     }
 

@@ -41,12 +41,13 @@ use backdroid_appgen::workload::{self, WorkloadConfig};
 use backdroid_core::BackendChoice;
 use backdroid_obs::RegistrySnapshot;
 use backdroid_service::cli::{arg_value, has_flag, parsed_arg, reject_unknown_flags, usage_error};
-use backdroid_service::proto::{self, parse_json, parse_request, workload_request_line, Json};
+use backdroid_service::proto::{self, workload_request_line};
 use backdroid_service::shard::execute_request;
 use backdroid_service::store::hit_rate;
 use backdroid_service::transport::{write_frame, Endpoint, FrameReader, OrderedEmitter};
 use backdroid_service::{Responder, Service, ServiceConfig, ShardPool, ShardPoolConfig};
 use std::io::{BufRead, Read, Write};
+use std::num::NonZeroUsize;
 use std::sync::{Arc, Mutex};
 
 const USAGE: &str = "\
@@ -150,6 +151,11 @@ fn endpoint_arg(flag: &str) -> Option<Endpoint> {
     })
 }
 
+/// The value of a count flag; `0` is a usage error, not a default.
+fn count_arg(flag: &str) -> Option<usize> {
+    parsed_arg::<NonZeroUsize>(flag, "a positive integer").map(NonZeroUsize::get)
+}
+
 fn benchset_from_args() -> BenchsetConfig {
     let count = parsed_arg::<usize>("--count", "a positive integer").unwrap_or(24);
     let permille =
@@ -205,9 +211,7 @@ fn main() {
     } else {
         parsed_arg::<u64>("--budget-mb", "a byte budget in MiB").unwrap_or(512) * 1024 * 1024
     };
-    let workers = parsed_arg::<usize>("--workers", "a positive integer")
-        .unwrap_or(1)
-        .max(1);
+    let workers = count_arg("--workers").unwrap_or(1);
     let service_cfg = ServiceConfig {
         budget_bytes,
         backend,
@@ -216,7 +220,9 @@ fn main() {
     };
     let disk_tier = service_cfg.snapshot_dir.is_some();
 
-    let shards = parsed_arg::<usize>("--shards", "a positive integer");
+    let shards = count_arg("--shards");
+    let queue_capacity = count_arg("--queue-depth").unwrap_or(64);
+    let trace_capacity = count_arg("--trace-capacity").unwrap_or(65_536);
     let listen = endpoint_arg("--listen");
     let trace_out = arg_value("--trace-out").map(std::path::PathBuf::from);
 
@@ -228,13 +234,9 @@ fn main() {
             ShardPoolConfig {
                 shards: shards.unwrap_or(1),
                 workers_per_shard: workers,
-                queue_capacity: parsed_arg::<usize>("--queue-depth", "a positive integer")
-                    .unwrap_or(64)
-                    .max(1),
+                queue_capacity,
                 trace_capacity: if trace_out.is_some() {
-                    parsed_arg::<usize>("--trace-capacity", "a positive integer")
-                        .unwrap_or(65_536)
-                        .max(1)
+                    trace_capacity
                 } else {
                     0
                 },
@@ -364,20 +366,9 @@ fn print_summary(
 /// Handles one input line against a single (unsharded) service; `None`
 /// means nothing to emit (blank line, admin no-ops).
 fn handle(service: &Service, line: &str) -> Option<String> {
-    let line = line.trim();
-    if line.is_empty() {
-        return None;
-    }
-    match parse_request(line) {
+    match proto::decode_line(line)? {
         Ok(request) => execute_request(service, &request),
-        Err(e) => {
-            // Best-effort id recovery so the caller can correlate the error.
-            let id = parse_json(line)
-                .ok()
-                .and_then(|v| v.get("id").and_then(Json::as_u64))
-                .unwrap_or(0);
-            Some(proto::render_error(id, &e))
-        }
+        Err(error) => Some(error),
     }
 }
 

@@ -9,7 +9,8 @@
 //! * [`AppStore`] keeps many app images resident under a **byte
 //!   budget** with LRU eviction, and loads cold apps **single-flight**
 //!   (N concurrent requests build the image exactly once — the same
-//!   pattern as the search engine's command cache, one layer up).
+//!   pattern as the search engine's command cache, one layer up). It is
+//!   the one owner of each app's served image and version number.
 //! * [`Service`] answers full analyses, per-detector queries, and
 //!   batched multi-app requests against the store, each analysis through
 //!   `Backdroid::analyze_artifacts` on the thread that handles the

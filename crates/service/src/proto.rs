@@ -539,6 +539,25 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     })
 }
 
+/// Decodes one input line as every serving loop does: `None` for a
+/// blank line (nothing to answer), else the request, or — for a
+/// malformed line — its encoded error reply, which carries the line's
+/// `id` when one can be recovered (else 0) so the client can correlate
+/// it.
+pub fn decode_line(line: &str) -> Option<Result<Request, String>> {
+    let line = line.trim();
+    if line.is_empty() {
+        return None;
+    }
+    Some(parse_request(line).map_err(|e| {
+        let id = parse_json(line)
+            .ok()
+            .and_then(|v| v.get("id").and_then(Json::as_u64))
+            .unwrap_or(0);
+        render_error(id, &e)
+    }))
+}
+
 /// Renders one [`WorkloadRequest`] as a protocol request line — how
 /// `backdroid-serve --emit-trace` turns the generator's output into a
 /// pipeable trace.
@@ -965,6 +984,13 @@ mod tests {
         ] {
             assert!(parse_request(bad).is_err(), "{bad:?} must not parse");
         }
+        // Every serving loop decodes lines alike: blanks answer nothing,
+        // and a malformed line's error carries its id when it has one.
+        assert_eq!(decode_line(" \t "), None);
+        let error = |line| decode_line(line).unwrap().unwrap_err();
+        assert!(error(" {\"id\":7,\"op\":\"explode\"} ").starts_with("{\"id\":7,\"error\":"));
+        assert!(error("not json").starts_with("{\"id\":0,\"error\":"));
+        assert!(decode_line("{\"id\":1,\"op\":\"stats\"}").unwrap().is_ok());
     }
 
     #[test]

@@ -3,11 +3,17 @@
 //! the thread that handles the request, with per-request accounting
 //! aggregated atomically (the same pattern as `CacheStats`).
 //!
-//! Every response is a pure function of (app, requested detectors):
-//! the store only changes *where* the artifacts come from — warm image
-//! vs cold load — never what the analysis reports. That is the
-//! determinism contract `backdroid-serve` and the CI service-smoke leg
-//! enforce byte-for-byte against golden direct-analysis runs.
+//! Every response is a pure function of (app version, requested
+//! detectors): the store only changes *where* the artifacts come from —
+//! warm image, disk restore or cold load — never what the analysis
+//! reports. That is the determinism contract `backdroid-serve` and the
+//! CI service-smoke leg enforce byte-for-byte against golden
+//! direct-analysis runs.
+//!
+//! The store owns each app's served image and version number: every
+//! analyzing op gets its image from [`AppStore::get`], and updates go
+//! through [`AppStore::put`]. The service keeps only what a delta run
+//! diffs against, outside the store's budget.
 
 use crate::store::{AppStore, Fetch};
 use backdroid_appgen::benchset::{bench_app, BenchsetConfig};
@@ -24,8 +30,9 @@ use std::time::Instant;
 /// Service configuration.
 #[derive(Clone, Debug)]
 pub struct ServiceConfig {
-    /// Byte budget for the resident app store (`0` caches nothing — the
-    /// direct-analysis golden mode).
+    /// Byte budget for the resident app store (`0` caches nothing but
+    /// updated images without a snapshot — the direct-analysis golden
+    /// mode).
     pub budget_bytes: u64,
     /// Search backend for every loaded app image.
     pub backend: BackendChoice,
@@ -192,20 +199,16 @@ impl Drop for InFlightGuard<'_> {
     }
 }
 
-/// Everything the incremental-update path keeps per app: the pinned
-/// current image (authoritative over the store after a `put_version` —
-/// the loader still produces the pristine version), the previous
-/// version's image, and the last traced analysis base with the version
-/// it describes.
+/// What the next delta run of an updated app diffs against: the image
+/// of the version before the current one, and the last traced analysis
+/// base with the version it describes. The served image and the version
+/// number live in the store; this is the only per-app state the service
+/// keeps, and it sits outside the store's byte budget.
 #[derive(Default)]
-struct VersionState {
-    /// Version currently served; `0` = never touched by the update
-    /// path (normalized to 1 on first contact).
-    version: u64,
-    /// The image being served, held strongly so eviction can never
-    /// regress a plain `analyze` to the loader's pristine version.
-    current: Option<Arc<AppArtifacts>>,
-    /// The previously served image — the `old` side of a delta run.
+struct DeltaState {
+    /// The previously served image — the `old` side of the next delta
+    /// run. Set by `put_version`, dropped once a delta run has captured
+    /// the base for the current version.
     prev: Option<Arc<AppArtifacts>>,
     /// Per-site outcomes + traces from the last traced analysis.
     base: Option<Arc<DeltaBase>>,
@@ -218,14 +221,16 @@ struct VersionState {
 pub struct Service {
     store: AppStore,
     base: BackdroidOptions,
-    /// Per-app update bookkeeping, shared by every app on this
-    /// service: held only to read or record versions, never across an
-    /// image build or a store call.
-    versions: Mutex<HashMap<String, VersionState>>,
+    /// Per-app delta state, shared by every app on this service: held
+    /// only to read or record it, never across an analysis, an image
+    /// build or a store call.
+    deltas: Mutex<HashMap<String, DeltaState>>,
     /// Per-app update locks: `put_version` is a read-mutate-publish over
     /// the served version, so two concurrent updates to the same app
-    /// must chain, not both build on the version they jointly read.
-    /// Distinct apps update in parallel.
+    /// must chain, not both build on the version they jointly read; and
+    /// `analyze_delta` holds it so that the image it fetches and the
+    /// version it reads belong together. Distinct apps update in
+    /// parallel.
     update_locks: Mutex<HashMap<String, Arc<Mutex<()>>>>,
     registry: Arc<MetricsRegistry>,
     counters: Counters,
@@ -256,7 +261,7 @@ impl Service {
         let counters = Counters::register(&registry);
         Service {
             store,
-            versions: Mutex::default(),
+            deltas: Mutex::default(),
             update_locks: Mutex::default(),
             base: BackdroidOptions {
                 backend: cfg.backend,
@@ -348,20 +353,18 @@ impl Service {
     /// with the deterministic update generator and builds the new image
     /// from the mutated program. The reply's class counts come from the
     /// chunk-manifest diff of the displaced and the new image. The
-    /// image is handed to the store, which swaps to it under its epoch
-    /// guard and, with a disk tier, writes its snapshot at once: that
-    /// snapshot is how the version persists. `versions` is taken only
-    /// afterwards, for the bookkeeping, so no other app's request waits
-    /// on the build. Same-app updates chain on the per-app update lock.
+    /// image is handed to [`AppStore::put`], which writes its snapshot
+    /// (with a disk tier) and swaps it in; the store's version number is
+    /// the reply's. The delta map is taken only afterwards, to keep the
+    /// displaced image for the next delta run, so no other app's request
+    /// waits on the build. Same-app updates chain on the per-app update
+    /// lock.
     pub fn put_version(&self, app_id: &str, seed: u64) -> Result<PutVersionOutcome, ServiceError> {
         let _guard = self.begin_request(&self.counters.put_version_requests);
-        let app_lock = {
-            let mut locks = self.update_locks.lock().expect("update locks poisoned");
-            Arc::clone(locks.entry(app_id.to_string()).or_default())
-        };
+        let app_lock = self.update_lock(app_id);
         let _update_guard = app_lock.lock().expect("update lock poisoned");
         let started = Instant::now();
-        let (current, _) = self.fetch_current(app_id)?;
+        let (current, _) = self.fetch(app_id)?;
         let (mutated, _mutation) = mutate_version(current.program(), seed);
         let artifacts =
             AppArtifacts::with_backend(mutated, current.manifest().clone(), self.base.backend);
@@ -373,20 +376,17 @@ impl Service {
         // The new image tokenizes every class afresh.
         c.classes_retokenized
             .add(artifacts.program().class_count() as u64);
-        let arc = self.store.put(app_id, artifacts);
-        let version = {
-            let mut versions = self.versions.lock().expect("version map poisoned");
-            let state = versions.entry(app_id.to_string()).or_default();
-            state.version = state.version.max(1) + 1;
+        let version = self.store.put(app_id, artifacts);
+        {
+            let mut deltas = self.deltas.lock().expect("delta map poisoned");
+            let state = deltas.entry(app_id.to_string()).or_default();
             state.prev = Some(current);
-            state.current = Some(arc);
-            if state.base_version + 1 != state.version {
+            if state.base_version + 1 != version {
                 // The base no longer describes the version just displaced;
                 // the next delta run re-captures from scratch.
                 state.base = None;
             }
-            state.version
-        };
+        }
         c.update_latency_us
             .record(started.elapsed().as_micros() as u64);
         Ok(PutVersionOutcome {
@@ -404,26 +404,25 @@ impl Service {
     /// ([`Backdroid::analyze_delta`]); without one, a full traced run
     /// captures the base for next time. Either way the report — and
     /// therefore the wire response body — is **byte-identical** to a
-    /// from-scratch analysis of the same version.
+    /// from-scratch analysis of the same version. Holds the app's update
+    /// lock, so no `put_version` moves the version between the fetch and
+    /// the capture.
     pub fn analyze_delta(&self, app_id: &str) -> Result<AppAnalysis, ServiceError> {
         let _guard = self.begin_request(&self.counters.delta_requests);
+        let app_lock = self.update_lock(app_id);
+        let _update_guard = app_lock.lock().expect("update lock poisoned");
         let started = Instant::now();
-        let (current, fetch) = self.fetch_current(app_id)?;
+        let (current, fetch) = self.fetch(app_id)?;
+        let version = self.store.version(app_id);
         let (old, base) = {
-            let versions = self.versions.lock().expect("version map poisoned");
-            match versions.get(app_id) {
-                Some(state) if state.base.is_some() => {
-                    let base = state.base.clone();
-                    if state.base_version == state.version.max(1) {
-                        // Base describes the served version: an identity
-                        // delta reuses every verdict.
-                        (Some(Arc::clone(&current)), base)
-                    } else if state.base_version + 1 == state.version {
-                        (state.prev.clone(), base)
-                    } else {
-                        (None, None)
-                    }
+            let deltas = self.deltas.lock().expect("delta map poisoned");
+            match deltas.get(app_id).filter(|s| s.base.is_some()) {
+                // Base describes the served version: an identity delta
+                // reuses every verdict.
+                Some(s) if s.base_version == version => {
+                    (Some(Arc::clone(&current)), s.base.clone())
                 }
+                Some(s) if s.base_version + 1 == version => (s.prev.clone(), s.base.clone()),
                 _ => (None, None),
             }
         };
@@ -464,16 +463,11 @@ impl Service {
                 .saturating_sub(sections_before),
         );
         {
-            let mut versions = self.versions.lock().expect("version map poisoned");
-            let state = versions.entry(app_id.to_string()).or_default();
-            if state.version == 0 {
-                state.version = 1;
-            }
-            if state.current.is_none() {
-                state.current = Some(Arc::clone(&current));
-            }
+            let mut deltas = self.deltas.lock().expect("delta map poisoned");
+            let state = deltas.entry(app_id.to_string()).or_default();
+            state.prev = None;
             state.base = Some(Arc::new(new_base));
-            state.base_version = state.version;
+            state.base_version = version;
         }
         Ok(AppAnalysis {
             app_id: app_id.to_string(),
@@ -498,19 +492,15 @@ impl Service {
         InFlightGuard(c)
     }
 
-    /// The image currently served for `app_id`: the version pinned by
-    /// the update path if one exists (counted as a warm hit — it is
-    /// held in memory), else whatever tier of the store answers. Every
-    /// analyzing op goes through this, so `analyze`, `query`, and
-    /// `analyze_delta` always agree on which version an app is at.
-    fn fetch_current(&self, app_id: &str) -> Result<(Arc<AppArtifacts>, Fetch), ServiceError> {
-        let pinned = {
-            let versions = self.versions.lock().expect("version map poisoned");
-            versions.get(app_id).and_then(|s| s.current.clone())
-        };
-        if let Some(current) = pinned {
-            return Ok((current, Fetch::Hit));
-        }
+    /// The app's update lock, created on first use.
+    fn update_lock(&self, app_id: &str) -> Arc<Mutex<()>> {
+        let mut locks = self.update_locks.lock().expect("update locks poisoned");
+        Arc::clone(locks.entry(app_id.to_string()).or_default())
+    }
+
+    /// The image the store serves for `app_id`, from whichever tier
+    /// holds it. Every analyzing op reads its image through this.
+    fn fetch(&self, app_id: &str) -> Result<(Arc<AppArtifacts>, Fetch), ServiceError> {
         self.store.get(app_id).map_err(|e| {
             self.counters.errors.inc();
             ServiceError::Load(e)
@@ -524,7 +514,7 @@ impl Service {
     /// [`AppAnalysis`] is untouched by the instrumentation.
     fn run(&self, app_id: &str, detectors: DetectorRegistry) -> Result<AppAnalysis, ServiceError> {
         let started = Instant::now();
-        let (artifacts, fetch) = self.fetch_current(app_id)?;
+        let (artifacts, fetch) = self.fetch(app_id)?;
         let sections_before = artifacts.materialized_sections();
         let tool = Backdroid::with_options(BackdroidOptions {
             detectors,
@@ -785,21 +775,6 @@ mod tests {
             snap.value("sinks_reused_total") > 0,
             "untouched sinks replay their prior verdicts"
         );
-    }
-
-    #[test]
-    fn updates_survive_eviction_because_the_current_version_is_pinned() {
-        // Zero budget and no disk tier: the store would re-run the
-        // loader (which only knows v1) on every request. The service
-        // pins the current version, so updates still stick.
-        let service = small_service(0);
-        service.analyze_app("1").unwrap();
-        let v2 = service.put_version("1", 7).unwrap();
-        assert_eq!(v2.version, 2);
-        let a = service.analyze_app("1").unwrap();
-        assert_eq!(a.fetch, Fetch::Hit, "the pinned image serves warm");
-        let b = service.analyze_delta("1").unwrap();
-        assert_eq!(body(&a), body(&b));
     }
 
     #[test]

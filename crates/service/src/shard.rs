@@ -1,12 +1,14 @@
 //! The sharded serving topology: N shard workers, each owning one
 //! [`Service`] (and therefore one [`crate::AppStore`]), behind a router
-//! that consistent-hashes app ids so **every app image is resident on
-//! exactly one shard** — the market-scale layout where no single
-//! process can hold the whole store.
+//! that consistent-hashes app ids so each app has one **home shard**,
+//! which serves every single-app request for it while it is alive — the
+//! market-scale layout where no single process can hold the whole store.
 //!
 //! * **Routing** — `fnv1a64(app_id) % shards` (the same hash the
 //!   snapshot checksums use), probing forward past dead shards; batch
-//!   requests route by their first app.
+//!   requests route by their first app. A batch member and a re-routed
+//!   request therefore load their app on a shard that is not its home,
+//!   so one app's image can be resident on several shards.
 //! * **Admission control** — each shard has a bounded queue;
 //!   [`ShardPool::submit_line`] blocks when the target queue is full
 //!   (backpressure to the reader), never drops.
@@ -37,7 +39,7 @@
 //! `tests/shard_equivalence.rs` and `tests/shard_fault_injection.rs`
 //! tiers enforce exactly that.
 
-use crate::proto::{parse_json, parse_request, Json, Op, Reply, Request};
+use crate::proto::{decode_line, Op, Reply, Request};
 use crate::service::Service;
 use backdroid_ir::wire::fnv1a64;
 use backdroid_obs::{Counter, Histogram, MetricsRegistry, RegistrySnapshot, TraceBuilder, Tracer};
@@ -229,59 +231,34 @@ pub fn execute_request_traced(
 ) -> Option<String> {
     let exec = tb.as_deref_mut().map(|tb| tb.open(Some(0), "exec"));
     let reply = match &req.op {
-        Op::Analyze { app } => match service.analyze_app(app) {
-            Ok(a) => {
-                if let (Some(tb), Some(exec)) = (tb.as_deref_mut(), exec) {
-                    open_analysis_spans(tb, exec, &a);
+        Op::Analyze { app } | Op::AnalyzeDelta { app } | Op::Query { app, .. } => {
+            let result = match &req.op {
+                Op::AnalyzeDelta { .. } => service.analyze_delta(app),
+                Op::Query { detectors, .. } => service.query_detectors(app, detectors),
+                _ => service.analyze_app(app),
+            };
+            match result {
+                Ok(a) => {
+                    if let (Some(tb), Some(exec)) = (tb.as_deref_mut(), exec) {
+                        open_analysis_spans(tb, exec, &a);
+                    }
+                    Reply::Analysis {
+                        id: req.id,
+                        op: op_name(&req.op),
+                        analysis: a,
+                    }
                 }
-                Reply::Analysis {
+                Err(e) => Reply::Error {
                     id: req.id,
-                    op: "analyze",
-                    analysis: a,
-                }
+                    message: e.to_string(),
+                },
             }
-            Err(e) => Reply::Error {
-                id: req.id,
-                message: e.to_string(),
-            },
-        },
-        Op::AnalyzeDelta { app } => match service.analyze_delta(app) {
-            Ok(a) => {
-                if let (Some(tb), Some(exec)) = (tb.as_deref_mut(), exec) {
-                    open_analysis_spans(tb, exec, &a);
-                }
-                Reply::Analysis {
-                    id: req.id,
-                    op: "analyze_delta",
-                    analysis: a,
-                }
-            }
-            Err(e) => Reply::Error {
-                id: req.id,
-                message: e.to_string(),
-            },
-        },
+        }
         Op::PutVersion { app, seed } => match service.put_version(app, *seed) {
             Ok(outcome) => Reply::PutVersion {
                 id: req.id,
                 outcome,
             },
-            Err(e) => Reply::Error {
-                id: req.id,
-                message: e.to_string(),
-            },
-        },
-        Op::Query { app, detectors } => match service.query_detectors(app, detectors) {
-            Ok(a) => {
-                if let (Some(tb), Some(exec)) = (tb.as_deref_mut(), exec) {
-                    open_analysis_spans(tb, exec, &a);
-                }
-                Reply::Analysis {
-                    id: req.id,
-                    op: "query",
-                    analysis: a,
-                }
-            }
             Err(e) => Reply::Error {
                 id: req.id,
                 message: e.to_string(),
@@ -403,22 +380,10 @@ impl ShardPool {
     /// counters cover every request submitted ahead of them. Every
     /// submission produces exactly one `respond(seq, …)` call.
     pub fn submit_line(&self, seq: u64, line: &str, respond: &Responder) {
-        let line = line.trim();
-        if line.is_empty() {
-            respond(seq, None);
-            return;
-        }
-        let req = match parse_request(line) {
-            Ok(r) => r,
-            Err(e) => {
-                let id = parse_json(line)
-                    .ok()
-                    .and_then(|v| v.get("id").and_then(Json::as_u64))
-                    .unwrap_or(0);
-                let reply = Reply::Error { id, message: e };
-                respond(seq, reply.encode());
-                return;
-            }
+        let req = match decode_line(line) {
+            None => return respond(seq, None),
+            Some(Err(error)) => return respond(seq, Some(error)),
+            Some(Ok(req)) => req,
         };
         match &req.op {
             Op::Stats => {
@@ -828,6 +793,7 @@ fn worker_loop(inner: &PoolInner, idx: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::{parse_json, Json};
     use crate::service::ServiceConfig;
     use backdroid_appgen::benchset::BenchsetConfig;
     use std::collections::BTreeMap;

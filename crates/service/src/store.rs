@@ -7,14 +7,20 @@
 //! [`SearchEngine`](backdroid_search::SearchEngine): there the unit of
 //! work is one search command, here it is one whole app image.
 //!
+//! The store is the one owner of the image each app is served from and
+//! of its version number: [`AppStore::put`] publishes an update, and
+//! [`AppStore::version`] is 1 for the loader's build plus one per `put`.
+//!
 //! ## Invariants
 //!
 //! * **Budget**: after every insertion settles, the resident total is
 //!   `<= budget_bytes` — least-recently-used images are evicted first
 //!   (an image larger than the whole budget is served to its requester
-//!   and immediately dropped from the store, so the invariant holds even
-//!   then). [`AppStore::resident_bytes`] can therefore never observe an
-//!   over-budget store.
+//!   and immediately dropped from the store) — with exactly one
+//!   exception: an updated image whose snapshot is not on disk yet. The
+//!   loader cannot rebuild it, so it stays resident until its snapshot
+//!   is written, and [`AppStore::resident_bytes`] counts it. Without a
+//!   disk tier the exception covers every updated app.
 //! * **Single-flight**: for any interleaving of concurrent `get`s, the
 //!   loader runs exactly once per cold app; `store_misses_total` counts
 //!   loader executions and `store_coalesced_total` the requests that
@@ -42,26 +48,25 @@
 //! the snapshots not yet written back; the disk tier is a cache, the
 //! loader rebuilds them, and replies never change. [`AppStore::put`] is
 //! the exception: the loader cannot rebuild an updated version, so
-//! `put` writes its snapshot at once. Between an eviction and the end
-//! of its spill the victim is neither resident nor on disk, so the
-//! spill holds an in-flight load slot for it: a request arriving in
-//! that gap waits for the victim ([`Fetch::Coalesced`]) instead of
-//! rebuilding it.
+//! `put` writes its snapshot at once, and a cold load of an updated app
+//! restores that snapshot or fails with a load error — it never runs
+//! the loader. Between an eviction and the end of its spill the victim
+//! is neither resident nor on disk, so the spill holds an in-flight
+//! load slot for it: a request arriving in that gap waits for the
+//! victim ([`Fetch::Coalesced`]) instead of rebuilding it.
 //!
 //! Every write goes through a writer-unique temp file and an atomic
-//! rename, so a crashed writer can never leave a half-snapshot — but
-//! atomicity alone stopped being enough once [`AppStore::put`] made
-//! snapshot *content* version-dependent: an eviction spill of version
-//! *n* racing a `put` of version *n+1* could re-write the stale image
-//! after the put invalidated it. Snapshot writes therefore go through a
-//! **per-app write guard** plus a per-app **epoch**: `put` bumps the
-//! epoch before touching disk, and every spill re-checks, under the
-//! guard, that the epoch it captured when it obtained the image is
-//! still current — a stale spill skips (counted by
-//! `store_disk_stale_spills_total`). Responses are identical across all
-//! three tiers — the snapshot format round-trips byte-identically — so
-//! replays can be diffed across cold-parse, disk-warm, and memory-warm
-//! runs.
+//! rename, so a crashed writer can never leave a half-snapshot, and
+//! every write holds the app's **write guard**. Each image carries the
+//! app's **epoch** from when it was produced. `put` writes the new
+//! snapshot under the guard, then bumps the epoch and publishes the new
+//! image in one critical section; a spill or flush re-checks under the
+//! guard that its image's epoch is still current, so an image of an
+//! older version is never written over a newer one (a stale spill is
+//! counted by `store_disk_stale_spills_total`). Responses are identical
+//! across all three tiers — the snapshot format round-trips
+//! byte-identically — so replays can be diffed across cold-parse,
+//! disk-warm, and memory-warm runs.
 
 use backdroid_core::{AppArtifacts, BackendChoice, SnapshotError};
 use backdroid_obs::{Counter, Gauge, MetricsRegistry, RegistrySnapshot};
@@ -149,9 +154,9 @@ impl DiskTier {
     /// shards — spilling or flushing an app both built) cannot clobber
     /// each other's temp bytes — both write the same content, and the
     /// last rename wins whole. Called by eviction spills, flushes and
-    /// `put`. Returns the snapshot size on success; failures are
-    /// reported, counted by the store, and otherwise non-fatal — the
-    /// disk tier is a cache.
+    /// `put`, whose rename replaces the old version's snapshot. Returns
+    /// the snapshot size on success; failures are reported and counted
+    /// by the store.
     fn store(&self, app_id: &str, artifacts: &AppArtifacts) -> std::io::Result<u64> {
         static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
         std::fs::create_dir_all(&self.dir)?;
@@ -265,6 +270,24 @@ struct StoreInner {
     tick: u64,
 }
 
+impl StoreInner {
+    fn epoch(&self, app_id: &str) -> u64 {
+        self.epochs.get(app_id).copied().unwrap_or(0)
+    }
+
+    /// Removes `slot` from `loading`, unless a later load, spill or
+    /// [`AppStore::put`] already replaced or detached it.
+    fn retire(&mut self, app_id: &str, slot: &Arc<LoadSlot>) {
+        if self
+            .loading
+            .get(app_id)
+            .is_some_and(|s| Arc::ptr_eq(s, slot))
+        {
+            self.loading.remove(app_id);
+        }
+    }
+}
+
 /// The store's handles on its `store_*` metrics in a shared
 /// [`MetricsRegistry`]. The registry is the only copy of these values:
 /// the `stats` and `metrics` ops and the stderr summaries all read them
@@ -279,8 +302,8 @@ struct Counters {
     load_failures: Counter,
     evictions: Counter,
     bytes_evicted: Counter,
-    /// Largest resident total after an insertion settled (never above
-    /// the budget: the store evicts before it publishes).
+    /// Largest resident total after an insertion settled (above the
+    /// budget only by updated images without a snapshot).
     peak_resident_bytes: Gauge,
     resident_bytes: Gauge,
     resident_apps: Gauge,
@@ -336,12 +359,13 @@ pub struct AppStore {
     disk: Option<DiskTier>,
     inner: Mutex<StoreInner>,
     /// Per-app snapshot write guards: every disk write (eviction spill,
-    /// flush, `put` re-write) serializes through the app's guard
-    /// and re-validates the epoch inside it, so a spill captured against
-    /// an older version can never clobber a newer snapshot. Guards are
-    /// acquired only while `inner` is *not* held (lock order: guard, then
-    /// inner), and the map itself is touched only long enough to clone an
-    /// `Arc`.
+    /// flush, `put`) and every invalidation serializes through the
+    /// app's guard. Spills, flushes and invalidations re-validate the
+    /// epoch inside it, and `put` bumps the epoch before releasing it,
+    /// so nothing done for an older version can clobber a newer
+    /// snapshot. Guards are acquired only while `inner` is *not* held
+    /// (lock order: guard, then inner), one at a time, and the map
+    /// itself is touched only long enough to clone an `Arc`.
     write_guards: Mutex<HashMap<String, Arc<Mutex<()>>>>,
     registry: Arc<MetricsRegistry>,
     counters: Counters,
@@ -369,7 +393,8 @@ enum Step {
 
 impl AppStore {
     /// Creates a store with the given byte budget and loader. A budget of
-    /// `0` caches nothing: every request cold-loads and the image is
+    /// `0` caches nothing but the budget's one exception (updated images
+    /// without a snapshot): every request cold-loads and the image is
     /// dropped from the store as soon as its requester holds it (this is
     /// what `backdroid-serve --direct` uses to produce golden
     /// direct-analysis runs through the identical code path).
@@ -433,7 +458,8 @@ impl AppStore {
         self.disk.as_ref()
     }
 
-    /// Estimated bytes currently resident (always `<= budget_bytes`).
+    /// Estimated bytes currently resident: at most `budget_bytes`, plus
+    /// the updated images whose snapshot is not on disk yet.
     pub fn resident_bytes(&self) -> u64 {
         self.lock_inner().total_bytes
     }
@@ -462,6 +488,12 @@ impl AppStore {
         ids.into_iter().map(|(_, k)| k).collect()
     }
 
+    /// The version of `app_id` this store serves: 1 for the loader's
+    /// build, plus one for every [`AppStore::put`].
+    pub fn version(&self, app_id: &str) -> u64 {
+        self.lock_inner().epoch(app_id) + 1
+    }
+
     /// Returns the resident image for `app_id`, loading it single-flight
     /// if cold, plus how the request was served. Loader failures are
     /// shared with every coalesced waiter and **not** cached: the next
@@ -479,7 +511,7 @@ impl AppStore {
             } else {
                 let slot = LoadSlot::new();
                 inner.loading.insert(app_id.to_string(), Arc::clone(&slot));
-                let epoch = inner.epochs.get(app_id).copied().unwrap_or(0);
+                let epoch = inner.epoch(app_id);
                 Step::Load(slot, epoch)
             }
         };
@@ -493,7 +525,7 @@ impl AppStore {
                 slot.wait().map(|a| (a, Fetch::Coalesced))
             }
             Step::Load(slot, epoch) => {
-                let outcome = self.load_and_insert(app_id, epoch);
+                let outcome = self.load_and_insert(app_id, &slot, epoch);
                 // Publish after the store settled: a racing request either
                 // still holds this slot (and wakes with the shared result)
                 // or arrived after `loading` was cleared and sees the
@@ -508,11 +540,14 @@ impl AppStore {
     /// valid one, else the loader; inserts the image (publishing it to
     /// racing requests) and evicts down to the budget. A loader-built
     /// image is not written here: it reaches disk when it is evicted or
-    /// flushed. Returns the image (which the caller holds by `Arc` even
-    /// if the store immediately evicted it) and how it was produced.
+    /// flushed. An updated app (`epoch > 0`) never reaches the loader,
+    /// which builds only version 1: without a valid snapshot its load
+    /// fails. Returns the image (which the caller holds by `Arc` even if
+    /// the store immediately evicted it) and how it was produced.
     fn load_and_insert(
         &self,
         app_id: &str,
+        slot: &Arc<LoadSlot>,
         epoch: u64,
     ) -> Result<(Arc<AppArtifacts>, Fetch), String> {
         let c = &self.counters;
@@ -522,7 +557,7 @@ impl AppStore {
                 Ok(Some(artifacts)) => {
                     c.disk_hits.inc();
                     c.loads.inc();
-                    let artifacts = self.insert_at(app_id, artifacts, epoch, true);
+                    let artifacts = self.insert_at(app_id, artifacts, slot, epoch, true);
                     return Ok((artifacts, Fetch::Disk));
                 }
                 Ok(None) => {
@@ -532,89 +567,103 @@ impl AppStore {
                     // Truncated / corrupt / version-bumped snapshot:
                     // invalidate it and fall back to a fresh parse.
                     c.disk_invalidations.inc();
-                    disk.invalidate(app_id);
+                    self.invalidate(disk, app_id, epoch);
                 }
             }
         }
-        c.misses.inc();
-        match (self.loader)(app_id) {
+        let built = if epoch == 0 {
+            c.misses.inc();
+            (self.loader)(app_id)
+        } else {
+            Err(format!(
+                "app {app_id:?} is at version {} and its snapshot is missing or invalid",
+                epoch + 1
+            ))
+        };
+        match built {
             Ok(artifacts) => {
                 c.loads.inc();
-                let artifacts = self.insert_at(app_id, artifacts, epoch, false);
+                let artifacts = self.insert_at(app_id, artifacts, slot, epoch, false);
                 Ok((artifacts, Fetch::Miss))
             }
             Err(e) => {
                 c.load_failures.inc();
-                self.lock_inner().loading.remove(app_id);
+                self.lock_inner().retire(app_id, slot);
                 Err(e)
             }
         }
     }
 
     /// Inserts a freshly produced image belonging to version `epoch`
-    /// (`on_disk` if it was restored from its snapshot), evicts down to
-    /// the budget, and spills any victim that has no snapshot — all
-    /// snapshot I/O happens outside the store lock.
-    /// If the app's epoch moved past `epoch` while the image was being
-    /// produced (a concurrent [`AppStore::put`]), the image is returned
-    /// to its requester but **not** made resident: the request began
-    /// against the old version and may keep it, but the store must not
-    /// shadow the newer one.
+    /// (`on_disk` if it was restored from its snapshot) and retires its
+    /// load slot. If the app's epoch moved past `epoch` while the image
+    /// was being produced (a concurrent [`AppStore::put`]), the image is
+    /// returned to its requester but **not** made resident: the request
+    /// began against the old version and may keep it, but the store
+    /// must not shadow the newer one.
     fn insert_at(
         &self,
         app_id: &str,
         artifacts: AppArtifacts,
+        slot: &Arc<LoadSlot>,
         epoch: u64,
         on_disk: bool,
     ) -> Arc<AppArtifacts> {
-        let bytes = artifacts.estimated_bytes();
         let artifacts = Arc::new(artifacts);
         let victims = {
             let mut inner = self.lock_inner();
-            inner.loading.remove(app_id);
-            if inner.epochs.get(app_id).copied().unwrap_or(0) != epoch {
+            inner.retire(app_id, slot);
+            if inner.epoch(app_id) != epoch {
                 return artifacts;
             }
-            inner.tick += 1;
-            let tick = inner.tick;
-            inner.total_bytes += bytes;
-            if let Some(old) = inner.resident.insert(
-                app_id.to_string(),
-                Resident {
-                    artifacts: Arc::clone(&artifacts),
-                    bytes,
-                    last_used: tick,
-                    epoch,
-                    on_disk,
-                },
-            ) {
-                inner.total_bytes -= old.bytes;
-            }
-            let victims = self.evict_to_budget(&mut inner);
-            self.counters.peak_resident_bytes.set_max(inner.total_bytes);
-            // Publish residency into the registry while still holding
-            // the lock, so the gauges always agree with the store state.
-            self.counters.resident_bytes.set(inner.total_bytes);
-            self.counters.resident_apps.set(inner.resident.len() as u64);
-            victims
+            self.insert_resident(&mut inner, app_id, Arc::clone(&artifacts), epoch, on_disk)
         };
+        self.spill(victims);
+        artifacts
+    }
+
+    /// Makes `artifacts` the resident image of `app_id` in place of any
+    /// older one, evicts down to the budget and publishes the residency
+    /// gauges — all under the caller's lock, so the gauges always agree
+    /// with the store state. Returns the victims for [`AppStore::spill`].
+    fn insert_resident(
+        &self,
+        inner: &mut StoreInner,
+        app_id: &str,
+        artifacts: Arc<AppArtifacts>,
+        epoch: u64,
+        on_disk: bool,
+    ) -> Vec<Victim> {
+        let bytes = artifacts.estimated_bytes();
+        inner.tick += 1;
+        let resident = Resident {
+            artifacts,
+            bytes,
+            last_used: inner.tick,
+            epoch,
+            on_disk,
+        };
+        inner.total_bytes += bytes;
+        if let Some(old) = inner.resident.insert(app_id.to_string(), resident) {
+            inner.total_bytes -= old.bytes;
+        }
+        let victims = self.evict_to_budget(inner);
+        self.counters.peak_resident_bytes.set_max(inner.total_bytes);
+        self.counters.resident_bytes.set(inner.total_bytes);
+        self.counters.resident_apps.set(inner.resident.len() as u64);
+        victims
+    }
+
+    /// Writes each evicted victim that has no snapshot, outside the
+    /// store lock, then wakes the requests that arrived while it was
+    /// neither resident nor on disk and retires its slot.
+    fn spill(&self, victims: Vec<Victim>) {
         for victim in victims {
             let Some(slot) = victim.slot else { continue };
             self.spill_guarded(&victim.app_id, &victim.artifacts, victim.epoch);
-            // Wake the requests that arrived while the victim was neither
-            // resident nor on disk, then retire the slot — unless a later
-            // load already replaced it.
             slot.publish(Ok(victim.artifacts));
-            let mut inner = self.lock_inner();
-            if inner
-                .loading
-                .get(&victim.app_id)
-                .is_some_and(|s| Arc::ptr_eq(s, &slot))
-            {
-                inner.loading.remove(&victim.app_id);
-            }
+            self.lock_inner().retire(&victim.app_id, &slot);
         }
-        artifacts
     }
 
     /// The app's per-snapshot write guard, created on first use.
@@ -623,34 +672,43 @@ impl AppStore {
         Arc::clone(guards.entry(app_id.to_string()).or_default())
     }
 
-    /// The app's current version epoch.
-    fn current_epoch(&self, app_id: &str) -> u64 {
-        self.lock_inner().epochs.get(app_id).copied().unwrap_or(0)
+    /// Removes an unusable snapshot under the app's write guard, and
+    /// only while `epoch` is still current: the file may already be the
+    /// snapshot a concurrent [`AppStore::put`] wrote for a newer version.
+    fn invalidate(&self, disk: &DiskTier, app_id: &str, epoch: u64) {
+        let guard = self.write_guard(app_id);
+        let _held = guard.lock().expect("snapshot write guard poisoned");
+        if self.lock_inner().epoch(app_id) == epoch {
+            disk.invalidate(app_id);
+        }
     }
 
     /// Writes `artifacts` to the disk tier (if configured) under the
     /// app's write guard, re-validating inside the guard that `epoch` is
-    /// still the app's current version — the fix for the old
-    /// check-then-write race where an eviction spill of version *n*
-    /// could re-create a snapshot a concurrent `put` of version *n+1*
-    /// had just invalidated. The one write path of the disk tier: an
-    /// eviction spill, a [`AppStore::flush`] and a `put` all come
-    /// through here. An existing snapshot is left alone (it was written
-    /// under the same guard for the same epoch, so its content is
-    /// already current). Returns whether the disk now holds the
-    /// snapshot. Failures are counted and otherwise ignored — the
-    /// snapshot tier is a cache, never a correctness dependency.
+    /// still the app's current version, so a spill of version *n* can
+    /// never replace the snapshot a concurrent `put` of version *n+1*
+    /// wrote. The write path of eviction spills and [`AppStore::flush`].
+    /// An existing snapshot of an epoch-0 image is left alone: the
+    /// loader builds the same image in every store over the directory.
+    /// Returns whether the disk now holds the snapshot. Failures are
+    /// counted and otherwise ignored — the image stays in memory.
     fn spill_guarded(&self, app_id: &str, artifacts: &AppArtifacts, epoch: u64) -> bool {
         let Some(disk) = &self.disk else { return false };
         let guard = self.write_guard(app_id);
         let _held = guard.lock().expect("snapshot write guard poisoned");
-        if self.current_epoch(app_id) != epoch {
+        if self.lock_inner().epoch(app_id) != epoch {
             self.counters.disk_stale_spills.inc();
             return false;
         }
-        if disk.path_for(app_id).exists() {
+        if epoch == 0 && disk.path_for(app_id).exists() {
             return true;
         }
+        self.write_snapshot(disk, app_id, artifacts)
+    }
+
+    /// Writes one snapshot and counts the outcome; the caller holds the
+    /// app's write guard. Returns whether the write succeeded.
+    fn write_snapshot(&self, disk: &DiskTier, app_id: &str, artifacts: &AppArtifacts) -> bool {
         match disk.store(app_id, artifacts) {
             Ok(written) => {
                 self.counters.disk_writes.inc();
@@ -677,52 +735,49 @@ impl AppStore {
         }
     }
 
-    /// Publishes a **new version** of `app_id`: bumps the app's epoch
-    /// (detaching any in-flight load or spill of the old version),
-    /// drops the old resident image, invalidates the old snapshot under
-    /// the write guard, then inserts and persists the new image. This
-    /// is the serving path of an app *update* — see
-    /// [`crate::Service::put_version`]. Unlike a loader-built image,
-    /// the new version is written at once, not back: the loader cannot
-    /// rebuild it, so its snapshot is what keeps it across a restart.
+    /// Publishes a **new version** of `app_id` and returns its number
+    /// (see [`AppStore::version`]). This is the serving path of an app
+    /// *update* — see [`crate::Service::put_version`].
     ///
-    /// The loader still produces the app's *pristine* version, so after
-    /// a `put` the updated image is authoritative only while it is
-    /// resident or disk-warm; callers that update apps should configure
-    /// a disk tier or keep the returned `Arc` (the service pins the
-    /// current version per app for exactly this reason).
-    pub fn put(&self, app_id: &str, artifacts: AppArtifacts) -> Arc<AppArtifacts> {
-        let epoch = {
+    /// With a disk tier, the new image's snapshot is written first,
+    /// under the app's write guard, and its atomic rename replaces the
+    /// old version's snapshot: the loader cannot rebuild the new
+    /// version, so it is written at once, not back. Then one critical
+    /// section bumps the app's epoch, detaches any in-flight load or
+    /// spill of the old version, and makes the new image resident in
+    /// place of the old one — so no `get` can slip between the bump and
+    /// the swap. The image leaves memory only once its snapshot is on
+    /// disk: if the write fails, or without a disk tier, it stays
+    /// resident, outside the budget (see the module docs).
+    pub fn put(&self, app_id: &str, artifacts: AppArtifacts) -> u64 {
+        let artifacts = Arc::new(artifacts);
+        let guard = self.write_guard(app_id);
+        let held = guard.lock().expect("snapshot write guard poisoned");
+        let on_disk = self
+            .disk
+            .as_ref()
+            .is_some_and(|disk| self.write_snapshot(disk, app_id, &artifacts));
+        let (epoch, victims) = {
             let mut inner = self.lock_inner();
-            let slot = inner.epochs.entry(app_id.to_string()).or_insert(0);
-            *slot += 1;
-            let epoch = *slot;
-            if let Some(old) = inner.resident.remove(app_id) {
-                inner.total_bytes -= old.bytes;
-                self.counters.resident_bytes.set(inner.total_bytes);
-                self.counters.resident_apps.set(inner.resident.len() as u64);
-            }
-            epoch
+            let epoch = inner.epoch(app_id) + 1;
+            inner.epochs.insert(app_id.to_string(), epoch);
+            inner.loading.remove(app_id);
+            let victims = self.insert_resident(&mut inner, app_id, artifacts, epoch, on_disk);
+            (epoch, victims)
         };
-        if let Some(disk) = &self.disk {
-            // Invalidate under the guard so a concurrent guarded spill
-            // cannot slip between the removal and the new write; any
-            // spill still carrying the old epoch now skips itself.
-            let guard = self.write_guard(app_id);
-            let _held = guard.lock().expect("snapshot write guard poisoned");
-            disk.invalidate(app_id);
-        }
-        let artifacts = self.insert_at(app_id, artifacts, epoch, false);
-        self.write_back(app_id, &artifacts, epoch);
-        artifacts
+        // Spilling takes the victims' guards: hold only one at a time.
+        drop(held);
+        self.spill(victims);
+        epoch + 1
     }
 
     /// Writes back every resident image that has no snapshot yet — the
-    /// loader-built images that never left memory. Restored and already
-    /// written images are skipped, so a restored image is never
-    /// re-written and a second `flush` writes nothing. The images stay
-    /// resident. Runs on drop; a shard pool also calls it when it kills,
-    /// restarts or shuts down a shard. A no-op without a disk tier.
+    /// loader-built images that never left memory, and updated images
+    /// whose write failed. Restored and already written images are
+    /// skipped, so a restored image is never re-written and a second
+    /// `flush` writes nothing. The images stay resident. Runs on drop; a
+    /// shard pool also calls it when it kills, restarts or shuts down a
+    /// shard. A no-op without a disk tier.
     pub fn flush(&self) {
         if self.disk.is_none() {
             return;
@@ -741,7 +796,8 @@ impl AppStore {
 
     /// Evicts least-recently-used images until the resident total fits
     /// the budget, returning the victims so the caller can spill them to
-    /// the disk tier outside the lock. With a disk tier the slot of each
+    /// the disk tier outside the lock. An updated image without a
+    /// snapshot is never a victim. With a disk tier the slot of each
     /// victim without a snapshot is registered in `loading` here, under
     /// the lock that evicts it, so no request can find the victim
     /// missing from both tiers.
@@ -753,6 +809,8 @@ impl AppStore {
             let victim = inner
                 .resident
                 .iter()
+                // Only its snapshot brings an updated image back.
+                .filter(|(_, r)| r.epoch == 0 || r.on_disk)
                 .min_by_key(|(_, r)| r.last_used)
                 .map(|(k, _)| k.clone());
             let Some(key) = victim else { break };
@@ -1167,6 +1225,25 @@ mod tests {
         let (restored, fetch) = cold.get("a").unwrap();
         assert_eq!(fetch, Fetch::Disk);
         assert_eq!(restored.program().class_count(), v2_classes);
+    }
+
+    #[test]
+    fn an_update_whose_snapshot_write_fails_stays_resident() {
+        let scratch = ScratchDir::new("put-fails");
+        // A file where the snapshot directory's parent should be: every
+        // write fails.
+        std::fs::write(&scratch.0, b"not a directory").unwrap();
+        let tier = DiskTier::new(scratch.0.join("snaps"), BackendChoice::default());
+        let store = AppStore::with_disk_tier(0, tier, tiny_loader(3));
+        assert_eq!(store.put("a", tiny_loader(6)("a").unwrap()), 2);
+        store.get("b").unwrap(); // a loader build still comes and goes
+        assert_eq!(store.lru_order(), ["a"], "only the update stayed");
+        assert_eq!(store.get("a").unwrap().1, Fetch::Hit);
+        let stats = store.metrics().snapshot();
+        assert_eq!(stats.value("store_disk_write_failures_total"), 2);
+        assert_eq!(stats.value("store_resident_bytes"), store.resident_bytes());
+        drop(store);
+        std::fs::remove_file(&scratch.0).unwrap();
     }
 
     #[test]

@@ -7,13 +7,17 @@
 //! 3. service responses are **byte-identical** to direct
 //!    `analyze_artifacts` runs — for both search backends, warm or
 //!    cold, through the shared protocol renderer the `backdroid-serve`
-//!    binary uses on the wire.
+//!    binary uses on the wire;
+//! 4. the store is the one owner of an updated app's image: it counts
+//!    the image while it has no snapshot, restores it from its snapshot
+//!    once evicted, and never rebuilds it with the loader, which only
+//!    knows version 1.
 
 use backdroid_appgen::benchset::{bench_app, BenchsetConfig};
-use backdroid_appgen::{AppSpec, Mechanism, Scenario, SinkKind};
+use backdroid_appgen::{mutate_version, AppSpec, Mechanism, Scenario, SinkKind};
 use backdroid_core::{AppArtifacts, Backdroid, BackdroidOptions, BackendChoice, DetectorRegistry};
 use backdroid_service::proto;
-use backdroid_service::{AppAnalysis, AppStore, Fetch, Service, ServiceConfig};
+use backdroid_service::{AppAnalysis, AppStore, Fetch, Service, ServiceConfig, ServiceError};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -119,19 +123,34 @@ fn single_flight_loads_each_app_exactly_once_under_fuzzed_bursts() {
     }
 }
 
-/// Renders the direct (store-free) analysis of benchset app `i` with the
-/// given backend and registry, through the same protocol renderer the
-/// service responses use.
+/// Benchset app `i` after the update chain `seeds`, built directly — the
+/// image `put_version` publishes for that chain.
+fn updated_app(
+    i: usize,
+    cfg: BenchsetConfig,
+    seeds: &[u64],
+    backend: BackendChoice,
+) -> AppArtifacts {
+    let app = bench_app(i, cfg).app;
+    let program = seeds
+        .iter()
+        .fold(app.program, |p, &seed| mutate_version(&p, seed).0);
+    AppArtifacts::with_backend(program, app.manifest, backend)
+}
+
+/// Renders the direct (store-free) analysis of benchset app `i` after
+/// the update chain `seeds` with the given backend and registry, through
+/// the same protocol renderer the service responses use.
 fn direct_response(
     id: u64,
     op: &str,
     i: usize,
+    seeds: &[u64],
     cfg: BenchsetConfig,
     backend: BackendChoice,
     detectors: DetectorRegistry,
 ) -> String {
-    let ba = bench_app(i, cfg);
-    let artifacts = AppArtifacts::with_backend(ba.app.program, ba.app.manifest, backend);
+    let artifacts = updated_app(i, cfg, seeds, backend);
     let tool = Backdroid::with_options(BackdroidOptions {
         backend,
         detectors,
@@ -166,7 +185,7 @@ fn service_responses_match_direct_analysis_byte_for_byte_on_both_backends() {
             let served_json = proto::render_analysis(id, "analyze", &served);
             assert_eq!(
                 served_json,
-                direct_response(id, "analyze", i, cfg, backend, full.clone()),
+                direct_response(id, "analyze", i, &[], cfg, backend, full.clone()),
                 "backend {backend:?}, app {i}: cold service response must equal direct analysis"
             );
             // Warm repeat: resident image, byte-identical response.
@@ -181,7 +200,7 @@ fn service_responses_match_direct_analysis_byte_for_byte_on_both_backends() {
             let served = service.query_detectors("2", &[id]).unwrap();
             assert_eq!(
                 proto::render_analysis(9, "query", &served),
-                direct_response(9, "query", 2, cfg, backend, filtered),
+                direct_response(9, "query", 2, &[], cfg, backend, filtered),
                 "backend {backend:?}, detector {id:?}"
             );
         }
@@ -212,4 +231,134 @@ fn linear_and_indexed_backends_serve_identical_responses() {
         serve_all(BackendChoice::Indexed),
         "responses must never depend on the search backend"
     );
+}
+
+/// A scratch directory removed on drop (no tempfile crate vendored).
+struct ScratchDir(std::path::PathBuf);
+
+impl ScratchDir {
+    fn new(tag: &str) -> Self {
+        let dir = std::env::temp_dir().join(format!(
+            "backdroid-service-test-{tag}-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        ScratchDir(dir)
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn render(a: &AppAnalysis) -> String {
+    proto::render_analysis(0, "analyze", a)
+}
+
+#[test]
+fn updated_images_stay_resident_and_counted_without_a_disk_tier() {
+    // Zero budget and no disk tier: the loader only knows version 1, so
+    // the store keeps an updated image resident, outside the budget —
+    // and counts it, where nothing else stays.
+    let cfg = BenchsetConfig::sized(6, 0.04);
+    let service = Service::over_benchset(
+        cfg,
+        ServiceConfig {
+            budget_bytes: 0,
+            ..ServiceConfig::default()
+        },
+    );
+    let resident = || {
+        let snap = service.metrics().snapshot();
+        (
+            snap.value("store_resident_bytes"),
+            snap.value("store_resident_apps"),
+        )
+    };
+    service.analyze_app("1").unwrap();
+    assert_eq!(resident(), (0, 0), "a zero budget keeps no loader build");
+    assert_eq!(service.put_version("1", 7).unwrap().version, 2);
+    let updated = updated_app(1, cfg, &[7], BackendChoice::default());
+    assert_eq!(resident(), (updated.estimated_bytes(), 1));
+    let a = service.analyze_app("1").unwrap();
+    assert_eq!(a.fetch, Fetch::Hit, "the updated image stays resident");
+    // Other apps still come and go under the zero budget.
+    service.analyze_app("2").unwrap();
+    assert_eq!(resident(), (updated.estimated_bytes(), 1));
+    assert_eq!(service.store().resident_bytes(), updated.estimated_bytes());
+    let (image, _) = service.store().get("1").unwrap();
+    assert_eq!(image.program(), updated.program());
+    let b = service.analyze_delta("1").unwrap();
+    assert_eq!(render(&a), render(&b));
+}
+
+/// A disk-tier service whose budget holds about one image, with app 1
+/// updated by `seed` and then evicted by a read of app 0.
+fn evicted_update(scratch: &ScratchDir, cfg: BenchsetConfig, seed: u64) -> Service {
+    let service = Service::over_benchset(
+        cfg,
+        ServiceConfig {
+            budget_bytes: updated_app(1, cfg, &[seed], BackendChoice::default()).estimated_bytes(),
+            snapshot_dir: Some(scratch.0.clone()),
+            ..ServiceConfig::default()
+        },
+    );
+    assert_eq!(service.put_version("1", seed).unwrap().version, 2);
+    assert!(service.store().contains("1"));
+    service.analyze_app("0").unwrap();
+    assert!(
+        !service.store().contains("1"),
+        "the read evicted the update"
+    );
+    service
+}
+
+#[test]
+fn an_evicted_update_is_restored_from_its_snapshot() {
+    let scratch = ScratchDir::new("evicted-update");
+    let cfg = BenchsetConfig::sized(4, 0.04);
+    let service = evicted_update(&scratch, cfg, 11);
+    let served = service.analyze_app("1").unwrap();
+    assert_eq!(served.fetch, Fetch::Disk, "the update came back from disk");
+    let backend = BackendChoice::default();
+    assert_eq!(
+        render(&served),
+        direct_response(
+            0,
+            "analyze",
+            1,
+            &[11],
+            cfg,
+            backend,
+            DetectorRegistry::paper()
+        )
+    );
+    let (image, fetch) = service.store().get("1").unwrap();
+    assert_eq!(fetch, Fetch::Hit);
+    let updated = updated_app(1, cfg, &[11], backend);
+    assert_eq!(image.program(), updated.program(), "not the loader's build");
+    assert_eq!(service.store().version("1"), 2);
+}
+
+#[test]
+fn an_evicted_update_without_its_snapshot_fails_to_load() {
+    let scratch = ScratchDir::new("lost-update");
+    let cfg = BenchsetConfig::sized(4, 0.04);
+    let service = evicted_update(&scratch, cfg, 11);
+    let tier = service.store().disk_tier().expect("disk tier configured");
+    std::fs::remove_file(tier.path_for("1")).expect("put wrote the snapshot");
+    let before = service.metrics().snapshot();
+    match service.analyze_app("1") {
+        Err(ServiceError::Load(message)) => assert!(message.contains("version 2"), "{message}"),
+        other => panic!("expected a load error, got {other:?}"),
+    }
+    let after = service.metrics().snapshot();
+    assert_eq!(
+        after.value("store_misses_total"),
+        before.value("store_misses_total"),
+        "the loader, which only builds version 1, never ran"
+    );
+    assert_eq!(after.value("store_load_failures_total"), 1);
 }
