@@ -37,7 +37,7 @@ use backdroid_appgen::benchset::{bench_app, BenchsetConfig};
 use backdroid_appgen::mutate_version;
 use backdroid_bench::json::JsonObject;
 use backdroid_bench::{backend_from_args, json_path_from_args, Baseline};
-use backdroid_core::{AppArtifacts, Backdroid, BackdroidOptions, ChunkManifest};
+use backdroid_core::{AppArtifacts, Backdroid, BackdroidOptions, DeltaManifest};
 use backdroid_search::BackendChoice;
 use backdroid_service::cli::{has_flag, parsed_arg, reject_unknown_flags};
 use std::time::Instant;
@@ -97,9 +97,7 @@ fn main() {
         for step in 0..updates {
             let seed = (i as u64) * 1_000 + step as u64;
             let (next, _) = mutate_version(&program, seed);
-            let prior_manifest = ChunkManifest::of_program(&program);
-            let next_manifest = ChunkManifest::of_program(&next);
-            let delta = prior_manifest.diff(&next_manifest);
+            let delta = DeltaManifest::between(&program, &next);
             chunks_reused += delta.unchanged.len() as u64;
             chunks_total +=
                 (delta.unchanged.len() + delta.changed.len() + delta.added.len()) as u64;

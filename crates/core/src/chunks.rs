@@ -1,34 +1,29 @@
-//! Per-class chunk manifests and version-to-version deltas.
+//! Version-to-version class deltas.
 //!
 //! An app update rarely rewrites the whole program: most classes of
-//! v(n+1) are byte-identical to v(n). This module gives the snapshot
-//! container, the serving layer and the delta analyzer a shared
-//! vocabulary for saying which:
+//! v(n+1) equal those of v(n). This module gives the serving layer and
+//! the delta analyzer a shared vocabulary for saying which:
 //!
-//! * **Chunk** — one class definition encoded with
-//!   [`backdroid_ir::wire::write_class`]. The encoding is canonical
-//!   (deterministic field/method order as declared), so a class's
-//!   *chunk key* ([`chunk_key`]: [`fnv1a64_wide`] over exactly those
-//!   bytes) is a content address: equal classes collide, different
-//!   classes don't (modulo hash collision).
-//! * **[`ChunkManifest`]** — the `class name → chunk key` map of one
-//!   program version. Stored as snapshot section 6 so a restore can
-//!   diff two versions without decoding either program.
-//! * **[`DeltaManifest`]** — the diff of two manifests: which classes
-//!   are unchanged / changed / added / removed across an update. The
-//!   serving layer's `put_version` reply reports its counts.
+//! * **[`DeltaManifest`]** — which classes are unchanged / changed /
+//!   added / removed across an update, from one by-value walk over the
+//!   two programs ([`DeltaManifest::between`]). The serving layer's
+//!   `put_version` reply reports its counts.
 //! * **[`classify_delta`]** — the soundness gate for verdict reuse:
 //!   only *pure method-body* deltas (identical class set, hierarchy,
 //!   fields, modifiers, and method signatures — just different
 //!   statements) allow the analysis engine to replay prior sink
 //!   verdicts selectively; anything structural forces a full
 //!   re-analysis.
-//!
-//! A chunk is only ever hashed, never stored: an updated version is
-//! built from the program the update produced and persists as its
-//! image's snapshot (see [`crate::snapshot`]), manifest included.
+//! * **[`ChunkManifest`]** — the `class name → chunk key` map of one
+//!   program version, where a class's *chunk key* ([`chunk_key`]:
+//!   [`fnv1a64_wide`] over its canonical
+//!   [`backdroid_ir::wire::write_class`] encoding) is a content address.
+//!   [`ChunkManifest::diff`] computes the same [`DeltaManifest`] from
+//!   hashes. The serving path never builds one: tests and the
+//!   repository benchmark keep it as the oracle the walk is checked
+//!   against.
 
-use backdroid_ir::wire::{self, fnv1a64_wide, WireError, WireReader, WireWriter};
+use backdroid_ir::wire::{self, fnv1a64_wide, WireWriter};
 use backdroid_ir::{Class, ClassName, MethodSig, Program};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -42,11 +37,8 @@ pub fn chunk_key(class: &Class) -> u64 {
     fnv1a64_wide(&w.into_bytes())
 }
 
-/// The `class name → chunk key` map of one program version.
-///
-/// Deterministic by construction (`BTreeMap` name order), so equal
-/// programs produce byte-identical encoded manifests and the snapshot
-/// round-trip stays exact.
+/// The `class name → chunk key` map of one program version, in class
+/// name order.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct ChunkManifest {
     entries: BTreeMap<ClassName, u64>,
@@ -61,48 +53,6 @@ impl ChunkManifest {
                 .map(|c| (c.name().clone(), chunk_key(c)))
                 .collect(),
         }
-    }
-
-    /// Number of classes in this version.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the version defines no classes.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Wire-encodes the manifest: count, then (name, key) in name
-    /// order.
-    pub fn write(&self, w: &mut WireWriter) {
-        w.put_len(self.entries.len());
-        for (name, &key) in &self.entries {
-            wire::write_class_name(w, name);
-            w.put_u64(key);
-        }
-    }
-
-    /// Decodes a manifest, rejecting duplicate or out-of-order names
-    /// so the encoding stays canonical.
-    pub fn read(r: &mut WireReader<'_>) -> Result<ChunkManifest, WireError> {
-        let count = r.get_len(1)?;
-        let mut entries = BTreeMap::new();
-        let mut prev: Option<ClassName> = None;
-        for _ in 0..count {
-            let name = wire::read_class_name(r)?;
-            let key = r.get_u64()?;
-            if let Some(p) = &prev {
-                if *p >= name {
-                    return Err(WireError::Malformed(
-                        "chunk manifest names out of order".to_string(),
-                    ));
-                }
-            }
-            prev = Some(name.clone());
-            entries.insert(name, key);
-        }
-        Ok(ChunkManifest { entries })
     }
 
     /// Diffs this (prior) manifest against `next`, producing the
@@ -129,14 +79,45 @@ impl ChunkManifest {
 /// class-name order.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct DeltaManifest {
-    /// Classes whose chunk keys match.
+    /// Classes present in both versions, equal in both.
     pub unchanged: Vec<ClassName>,
-    /// Classes present in both versions with different chunk keys.
+    /// Classes present in both versions that differ.
     pub changed: Vec<ClassName>,
     /// Classes only the new version defines.
     pub added: Vec<ClassName>,
     /// Classes only the old version defines.
     pub removed: Vec<ClassName>,
+}
+
+impl DeltaManifest {
+    /// Diffs two versions of a program by value: classes are matched by
+    /// name and compared with `==`. The lists come out in class-name
+    /// order, as [`Program::classes`] walks a `BTreeMap`.
+    ///
+    /// The result equals
+    /// `ChunkManifest::of_program(old).diff(&ChunkManifest::of_program(new))`
+    /// except on a NaN or −0.0 `f64` constant, which compares
+    /// differently by value than by wire bytes (NaN ≠ NaN, −0.0 == 0.0):
+    /// by value, a class holding a NaN counts as changed against an
+    /// identical copy, and a 0.0 → −0.0 edit as unchanged. No app
+    /// generator emits either constant.
+    pub fn between(old: &Program, new: &Program) -> DeltaManifest {
+        let mut delta = DeltaManifest::default();
+        for class in new.classes() {
+            let name = class.name().clone();
+            match old.class(class.name()) {
+                Some(prior) if prior == class => delta.unchanged.push(name),
+                Some(_) => delta.changed.push(name),
+                None => delta.added.push(name),
+            }
+        }
+        delta.removed = old
+            .classes()
+            .filter(|c| new.class(c.name()).is_none())
+            .map(|c| c.name().clone())
+            .collect();
+        delta
+    }
 }
 
 /// The soundness classification of an update, from the analysis
@@ -240,27 +221,35 @@ mod tests {
     }
 
     #[test]
-    fn manifest_round_trips_and_diffs() {
-        let old = ChunkManifest::of_program(&two_class_program("hello"));
-        let mut w = WireWriter::new();
-        old.write(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = WireReader::new(&bytes);
-        assert_eq!(ChunkManifest::read(&mut r).unwrap(), old);
-        assert!(r.is_empty());
-
-        let new = ChunkManifest::of_program(&two_class_program("world"));
-        let delta = old.diff(&new);
+    fn walk_and_manifest_diff_agree() {
+        let old = two_class_program("hello");
+        let new = two_class_program("world");
+        let delta = DeltaManifest::between(&old, &new);
         assert_eq!(delta.unchanged, vec![ClassName::new("com.chunk.B")]);
         assert_eq!(delta.changed, vec![ClassName::new("com.chunk.A")]);
         assert!(delta.added.is_empty() && delta.removed.is_empty());
         assert_eq!(
-            old.diff(&old),
+            ChunkManifest::of_program(&old).diff(&ChunkManifest::of_program(&new)),
+            delta
+        );
+        assert_eq!(
+            DeltaManifest::between(&old, &old),
             DeltaManifest {
                 unchanged: vec![ClassName::new("com.chunk.A"), ClassName::new("com.chunk.B")],
                 ..DeltaManifest::default()
             }
         );
+
+        let mut extra = two_class_program("hello");
+        let c = ClassName::new("com.chunk.C");
+        let mut m = MethodBuilder::public(&c, "x", vec![], Type::Void);
+        m.ret_void();
+        extra.add_class(ClassBuilder::new("com.chunk.C").method(m.build()).build());
+        let grown = DeltaManifest::between(&old, &extra);
+        assert_eq!(grown.added, vec![c.clone()]);
+        let shrunk = DeltaManifest::between(&extra, &old);
+        assert_eq!(shrunk.removed, vec![c]);
+        assert_eq!(shrunk.unchanged.len(), 2);
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! artifacts, a cloned [`SearchEngine`] handle (clones share the index,
 //! caches, and statistics), and the task's private loop counters.
 
-use crate::chunks::ChunkManifest;
 use crate::loops::LoopStats;
 use backdroid_dex::{dump_image, DexImage};
 use backdroid_ir::wire::{self, WireReader};
@@ -82,24 +81,21 @@ impl LazyProgram {
 }
 
 /// The immutable per-app artifacts: the IR program (program analysis
-/// space), the manifest, and the search engine over the indexed dexdump
-/// text (bytecode search space). Owned — no lifetime parameter — and
-/// `Send + Sync`, so one instance can be shared by `Arc` (or plain
+/// space), the Android manifest, and the search engine over the indexed
+/// dexdump text (bytecode search space). Owned — no lifetime parameter
+/// — and `Send + Sync`, so one instance can be shared by `Arc` (or plain
 /// reference inside a scope) across any number of analysis tasks.
 ///
 /// The engine's command caches use interior mutability, but they are
 /// semantically transparent: they only memoize pure functions of the
-/// dump, so the artifacts behave as an immutable value.
+/// dump, so the artifacts behave as an immutable value. An image keeps
+/// no per-class digest: an update's class delta is walked from the two
+/// programs ([`crate::DeltaManifest::between`]).
 #[derive(Debug)]
 pub struct AppArtifacts {
     program: LazyProgram,
     manifest: Manifest,
     engine: SearchEngine,
-    /// The per-class chunk manifest (see [`crate::chunks`]). Fresh
-    /// builds compute it lazily from the program; a snapshot restore
-    /// decodes it from its own section, so version diffing never
-    /// forces the program decode.
-    chunk_manifest: OnceLock<ChunkManifest>,
 }
 
 /// Encode → disassemble → index: the shared preprocessing step of §III,
@@ -126,7 +122,6 @@ impl AppArtifacts {
             program: LazyProgram::ready(program),
             manifest,
             engine,
-            chunk_manifest: OnceLock::new(),
         }
     }
 
@@ -145,7 +140,6 @@ impl AppArtifacts {
             program: LazyProgram::ready(program),
             manifest,
             engine: SearchEngine::with_backend(text, backend),
-            chunk_manifest: OnceLock::new(),
         }
     }
 
@@ -161,15 +155,11 @@ impl AppArtifacts {
         manifest: Manifest,
         text: BytecodeText,
         backend: BackendChoice,
-        chunk_manifest: ChunkManifest,
     ) -> Self {
-        let cell = OnceLock::new();
-        cell.set(chunk_manifest).expect("fresh cell");
         AppArtifacts {
             program: LazyProgram::deferred(program_blob, class_count, method_count),
             manifest,
             engine: SearchEngine::with_backend(text, backend),
-            chunk_manifest: cell,
         }
     }
 
@@ -200,14 +190,6 @@ impl AppArtifacts {
     /// The app's manifest.
     pub fn manifest(&self) -> &Manifest {
         &self.manifest
-    }
-
-    /// The per-class chunk manifest. Snapshot restores decode it from
-    /// its own section; fresh builds compute (and memoize) it from the
-    /// program on first touch.
-    pub fn chunk_manifest(&self) -> &ChunkManifest {
-        self.chunk_manifest
-            .get_or_init(|| ChunkManifest::of_program(self.program()))
     }
 
     /// The shared bytecode search engine (one index + cache for every

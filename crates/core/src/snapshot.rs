@@ -30,18 +30,17 @@
 //! ```text
 //! id  section   contents                                decoded
 //!  0  program   class/method counts + wire IR program   on first touch
-//!  1  manifest  wire-encoded manifest                   eagerly
+//!  1  manifest  wire-encoded Android manifest           eagerly
 //!  2  text      dump arena + line table + descs         on first touch
 //!  3  spans     method spans + line → span map          on first touch
 //!  4  symbols   interned search tokens                  on first touch
 //!  5  postings  flattened posting lists + owners        on first touch
-//!  6  chunks    per-class chunk manifest                eagerly
 //! ```
 //!
-//! Each section is independently checksummed, but only the manifest is
-//! *decoded* eagerly: the program section parks its blob behind a
-//! `OnceLock` inside [`AppArtifacts`] (its count prefix answers the
-//! store's `estimated_bytes` accounting up front), and the text and
+//! Each section is independently checksummed, but only the Android
+//! manifest is *decoded* eagerly: the program section parks its blob
+//! behind a `OnceLock` inside [`AppArtifacts`] (its count prefix answers
+//! the store's `estimated_bytes` accounting up front), and the text and
 //! index sections park inside [`BytecodeText::from_sections`] after
 //! structural validation — a disk-warm load that only answers
 //! manifest-level questions never pays the program decode, the arena
@@ -78,16 +77,16 @@ pub const SNAPSHOT_MAGIC: [u8; 8] = *b"BDSNAP\r\n";
 /// The current snapshot format version. Bump on **any** payload layout
 /// change: readers reject other versions and the store re-parses.
 /// Version 2 introduced the section directory and the interned,
-/// arena-backed text sections; version 3 added the per-class chunk
-/// manifest section that anchors incremental updates
-/// (see [`crate::chunks`]).
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// arena-backed text sections; version 3 added a per-class chunk
+/// manifest as section 6; version 4 dropped it again, since an update
+/// diffs the two programs by value (see [`crate::chunks`]).
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 /// Bytes before the payload: magic + version + payload length.
 const HEADER_LEN: usize = 8 + 4 + 8;
 
 /// Number of payload sections; ids `0..SECTION_COUNT` in order.
-const SECTION_COUNT: usize = 7;
+const SECTION_COUNT: usize = 6;
 
 /// Why a snapshot failed to load. Every variant is an expected runtime
 /// condition for the disk tier (partially written file, stale format,
@@ -185,8 +184,7 @@ impl AppArtifacts {
                 2 => text.write_text_section(&mut w),
                 3 => text.write_spans_section(&mut w),
                 4 => text.write_symbols_section(&mut w),
-                5 => text.write_postings_section(&mut w),
-                _ => self.chunk_manifest().write(&mut w),
+                _ => text.write_postings_section(&mut w),
             }
             sections.push(w.into_bytes());
         }
@@ -307,10 +305,6 @@ impl AppArtifacts {
             blobs[4].to_vec(),
             blobs[5].to_vec(),
         )?;
-        let chunk_manifest = decode_section(blobs[6], crate::chunks::ChunkManifest::read)?;
-        if chunk_manifest.len() != class_count {
-            return Err(malformed("chunk manifest disagrees with class count"));
-        }
         Ok(AppArtifacts::from_deferred_parts(
             program_blob,
             class_count,
@@ -318,7 +312,6 @@ impl AppArtifacts {
             manifest,
             text,
             backend,
-            chunk_manifest,
         ))
     }
 }
@@ -438,22 +431,25 @@ mod tests {
         assert!(matches!(
             AppArtifacts::from_snapshot(&bad, BackendChoice::default()).unwrap_err(),
             SnapshotError::VersionMismatch {
-                found: 4,
-                expected: 3
+                found: 5,
+                expected: 4
             }
         ));
 
-        // A version-2 file (the pre-chunk-manifest format) is stale,
-        // not corrupt — still rejected with a version mismatch.
-        let mut bad = bytes.clone();
-        bad[8] = 2;
-        assert!(matches!(
-            AppArtifacts::from_snapshot(&bad, BackendChoice::default()).unwrap_err(),
-            SnapshotError::VersionMismatch {
-                found: 2,
-                expected: 3
-            }
-        ));
+        // Version-2 files (before the chunk manifest section) and
+        // version-3 files (with it) are stale, not corrupt — still
+        // rejected with a version mismatch.
+        for stale in [2u8, 3] {
+            let mut bad = bytes.clone();
+            bad[8] = stale;
+            assert_eq!(
+                AppArtifacts::from_snapshot(&bad, BackendChoice::default()).unwrap_err(),
+                SnapshotError::VersionMismatch {
+                    found: stale.into(),
+                    expected: 4
+                }
+            );
+        }
 
         // Payload bit flip.
         let mut bad = bytes.clone();

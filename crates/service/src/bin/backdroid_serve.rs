@@ -97,7 +97,8 @@ Observability:
 Incremental updates (JSONL ops over any transport):
   {\"id\":N,\"op\":\"put_version\",\"app\":A,\"seed\":S}
                        publish a seeded mutated version of app A; replies with
-                       the new version number and the per-class chunk delta
+                       the new version number and its changed, added and
+                       removed class counts
   {\"id\":N,\"op\":\"analyze_delta\",\"app\":A}
                        re-analyze only what the last update could have changed,
                        reusing prior verdicts — byte-identical to a full

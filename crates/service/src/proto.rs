@@ -424,8 +424,8 @@ pub enum Op {
     /// (`backdroid_appgen::mutate_version`), builds the new version's
     /// image and serves it from then on (with a snapshot directory, its
     /// snapshot is written at once). The response carries only
-    /// deterministic fields (version number, the class counts of the
-    /// chunk-manifest diff) so update traces replay byte-for-byte.
+    /// deterministic fields (version number, the counts of changed,
+    /// added and removed classes) so update traces replay byte-for-byte.
     PutVersion {
         /// App id.
         app: String,

@@ -19,8 +19,8 @@ use crate::store::{AppStore, Fetch};
 use backdroid_appgen::benchset::{bench_app, BenchsetConfig};
 use backdroid_appgen::mutate_version;
 use backdroid_core::{
-    AppArtifacts, AppReport, Backdroid, BackdroidOptions, BackendChoice, DeltaBase, DeltaStats,
-    DetectorRegistry,
+    AppArtifacts, AppReport, Backdroid, BackdroidOptions, BackendChoice, DeltaBase, DeltaManifest,
+    DeltaStats, DetectorRegistry,
 };
 use backdroid_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use std::collections::HashMap;
@@ -84,16 +84,16 @@ impl std::fmt::Display for ServiceError {
 impl std::error::Error for ServiceError {}
 
 /// The deterministic outcome of a [`Service::put_version`] call: the
-/// new version number plus the class counts of the chunk-manifest diff
-/// between the displaced and the new version. Pure functions of
-/// (current version, seed).
+/// new version number plus the class counts of the by-value class diff
+/// ([`DeltaManifest::between`]) between the displaced and the new
+/// version. Pure functions of (current version, seed).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct PutVersionOutcome {
     /// The app id the request named.
     pub app_id: String,
     /// The version now being served (the loader's pristine app is 1).
     pub version: u64,
-    /// Classes present in both versions with different chunk keys.
+    /// Classes present in both versions that differ.
     pub classes_changed: usize,
     /// Classes only the new version defines.
     pub classes_added: usize,
@@ -351,11 +351,12 @@ impl Service {
 
     /// Publishes version *n+1* of an app: mutates the current program
     /// with the deterministic update generator and builds the new image
-    /// from the mutated program. The reply's class counts come from the
-    /// chunk-manifest diff of the displaced and the new image. The
-    /// image is handed to [`AppStore::put`], which writes its snapshot
-    /// (with a disk tier) and swaps it in; the store's version number is
-    /// the reply's. The delta map is taken only afterwards, to keep the
+    /// from the mutated program. The reply's class counts come from one
+    /// by-value walk over the displaced and the new program
+    /// ([`DeltaManifest::between`]); `mutate_version` has already
+    /// decoded the displaced one. The image is handed to
+    /// [`AppStore::put`], which writes its snapshot (with a disk tier)
+    /// and swaps it in; the store's version number is the reply's. The delta map is taken only afterwards, to keep the
     /// displaced image for the next delta run, so no other app's request
     /// waits on the build. Same-app updates chain on the per-app update
     /// lock.
@@ -368,7 +369,7 @@ impl Service {
         let (mutated, _mutation) = mutate_version(current.program(), seed);
         let artifacts =
             AppArtifacts::with_backend(mutated, current.manifest().clone(), self.base.backend);
-        let delta = current.chunk_manifest().diff(artifacts.chunk_manifest());
+        let delta = DeltaManifest::between(current.program(), artifacts.program());
         let c = &self.counters;
         c.chunks_reused.add(delta.unchanged.len() as u64);
         c.chunks_written

@@ -157,6 +157,14 @@ impl DiskTier {
     /// `put`, whose rename replaces the old version's snapshot. Returns
     /// the snapshot size on success; failures are reported and counted
     /// by the store.
+    ///
+    /// The rename goes over the old file rather than after removing it,
+    /// although on ext4 a rename over an existing file also starts
+    /// writeback of the new one (about 0.5 ms per update on a 2-vCPU
+    /// host): an evicted updated app (epoch above 0) can only come back
+    /// from its snapshot, since the loader cannot rebuild version 2 or
+    /// later, so while no file existed a concurrent cold `get` of that
+    /// app would answer a load error instead of the old version.
     fn store(&self, app_id: &str, artifacts: &AppArtifacts) -> std::io::Result<u64> {
         static TMP_SEQ: AtomicU64 = AtomicU64::new(0);
         std::fs::create_dir_all(&self.dir)?;
@@ -742,13 +750,17 @@ impl AppStore {
     /// With a disk tier, the new image's snapshot is written first,
     /// under the app's write guard, and its atomic rename replaces the
     /// old version's snapshot: the loader cannot rebuild the new
-    /// version, so it is written at once, not back. Then one critical
-    /// section bumps the app's epoch, detaches any in-flight load or
-    /// spill of the old version, and makes the new image resident in
-    /// place of the old one — so no `get` can slip between the bump and
-    /// the swap. The image leaves memory only once its snapshot is on
-    /// disk: if the write fails, or without a disk tier, it stays
-    /// resident, outside the budget (see the module docs).
+    /// version, so it is written at once, not back. The old file is
+    /// never removed first: a cold `get` of an evicted updated app
+    /// restores from that file, so the app's path holds a whole
+    /// snapshot of one version or the other at every instant (see
+    /// `DiskTier::store`). Then one critical section bumps the app's
+    /// epoch, detaches any in-flight load or spill of the old version,
+    /// and makes the new image resident in place of the old one — so no
+    /// `get` can slip between the bump and the swap. The image leaves
+    /// memory only once its snapshot is on disk: if the write fails, or
+    /// without a disk tier, it stays resident, outside the budget (see
+    /// the module docs).
     pub fn put(&self, app_id: &str, artifacts: AppArtifacts) -> u64 {
         let artifacts = Arc::new(artifacts);
         let guard = self.write_guard(app_id);
@@ -1043,6 +1055,23 @@ mod tests {
             3
         );
 
+        // A version-3 file (the format that still carried the chunk
+        // manifest section) is just as stale: invalidate, reparse, and
+        // re-write it in the current format.
+        let writes = store.metrics().snapshot().value("store_disk_writes_total");
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[8] = 3;
+        std::fs::write(&path, &bytes).unwrap();
+        let (_, fetch) = store.get("a").unwrap();
+        assert_eq!(fetch, Fetch::Miss, "a version-3 snapshot must not serve");
+        let stats = store.metrics().snapshot();
+        assert_eq!(stats.value("store_disk_invalidations_total"), 4);
+        assert_eq!(stats.value("store_disk_writes_total"), writes + 1);
+        assert_eq!(
+            std::fs::read(&path).unwrap()[8..12],
+            backdroid_core::SNAPSHOT_VERSION.to_le_bytes()
+        );
+
         // Truncate: same again.
         let bytes = std::fs::read(&path).unwrap();
         std::fs::write(&path, &bytes[..bytes.len() / 3]).unwrap();
@@ -1053,7 +1082,7 @@ mod tests {
                 .metrics()
                 .snapshot()
                 .value("store_disk_invalidations_total"),
-            4
+            5
         );
 
         // The re-written snapshot serves again.

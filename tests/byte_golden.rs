@@ -310,37 +310,37 @@ fn forced_multidex_split_matches_recorded_bytes() {
 }
 
 const FIXTURES: &[Prints] = &[
-    (0x6e5bdc8550e83994, 0x470d4ccfbd881f65),
-    (0x34f0d8d798266643, 0xda92e820110aa75a),
-    (0x4ac91edbea4544d4, 0x5bcbbbbe4ed80dd2),
-    (0x84f49c1b479e8eb1, 0x5b5f782ac669713f),
-    (0x6dcedc1eb7afd26f, 0xb011d7553bcb0e3c),
-    (0xa0a077726e14c326, 0x63afb4fc90286eea),
-    (0x6bc04eba86b86314, 0x8378b4bb6e233193),
-    (0xc1f8e89af404eb8f, 0xb37769ce836fef40),
-    (0x6903bd599fc43f17, 0x2f650acac5429390),
-    (0x708931c182ed2014, 0xadd3513a55ddd51e),
-    (0xf3096137c5779839, 0x11735ab14c5ee78d),
-    (0xe36d0adfe47a191b, 0x869cebd9dc098fe8),
-    (0x815c021fecd66854, 0x78efc4f7ad000ff1),
-    (0x5d1176d368ec6292, 0x04c6784a6468194e),
-    (0x065a666bb3d8cec2, 0x11b9922f3f1554ea),
-    (0x590cf4d3e53f0b51, 0xa1df37fd7bf2ac7e),
-    (0x125892376cdcb144, 0x3436cf980ff9a550),
-    (0xfcb2930558a3bec8, 0xdd2e4345d34ae1da),
+    (0x6e5bdc8550e83994, 0x2d9bd5541e4c9395),
+    (0x34f0d8d798266643, 0x0e99571336944d06),
+    (0x4ac91edbea4544d4, 0xf5d07b8d7489a050),
+    (0x84f49c1b479e8eb1, 0x5080b554a2e28f00),
+    (0x6dcedc1eb7afd26f, 0xcc1c6d4939f8b6ab),
+    (0xa0a077726e14c326, 0x39f690e127cd8fe2),
+    (0x6bc04eba86b86314, 0xfe012762952c8aa6),
+    (0xc1f8e89af404eb8f, 0x644999eb4d041d91),
+    (0x6903bd599fc43f17, 0x7478ce5f3e71d263),
+    (0x708931c182ed2014, 0xcfaa90a5bffd539c),
+    (0xf3096137c5779839, 0x874fbcf47483fed0),
+    (0xe36d0adfe47a191b, 0x219488ef1a7afdcf),
+    (0x815c021fecd66854, 0x95eb2d2336787903),
+    (0x5d1176d368ec6292, 0xd0fd769ac8b0ae6d),
+    (0x065a666bb3d8cec2, 0x31118029d4a09519),
+    (0x590cf4d3e53f0b51, 0xc64d6f5c6238b398),
+    (0x125892376cdcb144, 0x2081641d4bdaa227),
+    (0xfcb2930558a3bec8, 0x51037627c660c850),
 ];
 
 const BENCH_APPS: &[Prints] = &[
-    (0x0d3d7aab5f2c607b, 0xf15560d66aa4a8a2),
-    (0x27e9f4e473070746, 0x62c3113f742b129c),
-    (0xa9fa85a0752b4e11, 0xcbe7e487fca96513),
-    (0xd67b218bf6ee4392, 0x9ddae33d62482c79),
-    (0xa5c86004a2b6ac84, 0xe94b87dad5d54fe4),
-    (0xb6e0dd2525ecff2f, 0x40698d5d1d86deb5),
-    (0x61f4a7a9380a2c49, 0x9950f587a7db9410),
-    (0x30a3245dcfe88316, 0x98a8d47ddd7ccae7),
+    (0x0d3d7aab5f2c607b, 0xf4f04761cf578622),
+    (0x27e9f4e473070746, 0x2ff42c1dd188e9c5),
+    (0xa9fa85a0752b4e11, 0x2eddb26abd438fb5),
+    (0xd67b218bf6ee4392, 0xd4fd56cfbdd78161),
+    (0xa5c86004a2b6ac84, 0x81dcb5285b5734cf),
+    (0xb6e0dd2525ecff2f, 0x0bd4fc27a1236bfb),
+    (0x61f4a7a9380a2c49, 0x1848b54e805853ff),
+    (0x30a3245dcfe88316, 0x3eb02ff47f2ee3ec),
 ];
 
-const EVERY_FORM: &[Prints] = &[(0xb7318f1bf3ff645e, 0xbae7e8f3520007d9)];
+const EVERY_FORM: &[Prints] = &[(0xb7318f1bf3ff645e, 0xb9319b29f3d22dde)];
 
-const MULTIDEX: &[Prints] = &[(0xfe0c0708cc236319, 0xe98eea8eb71ee66c)];
+const MULTIDEX: &[Prints] = &[(0xfe0c0708cc236319, 0x95e8d4a5c689b1c2)];

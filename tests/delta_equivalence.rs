@@ -8,7 +8,8 @@
 //! * a proptest walking fuzzed `mutate_version` chains (v1 → v2 → … →
 //!   vN, arbitrary seeds, so body-only, structural, and mixed updates
 //!   all occur) comparing every delta report against a freshly built
-//!   from-scratch image;
+//!   from-scratch image, and every update's by-value class diff (what
+//!   `put_version` replies with) against the chunk-hash diff;
 //! * an identity update, which must replay every verdict and still
 //!   match a from-scratch analysis.
 //!
@@ -17,7 +18,10 @@
 //! restart through its snapshot is `tests/snapshot_roundtrip.rs`'s job.
 
 use backdroid_appgen::{mutate_version, AppSpec, Mechanism, Scenario, SinkKind};
-use backdroid_core::{AppArtifacts, AppReport, Backdroid, BackdroidOptions, BackendChoice};
+use backdroid_core::{
+    AppArtifacts, AppReport, Backdroid, BackdroidOptions, BackendChoice, ChunkManifest,
+    DeltaManifest,
+};
 use backdroid_service::proto::render_analysis;
 use backdroid_service::{AppAnalysis, Fetch};
 use proptest::prelude::*;
@@ -57,7 +61,8 @@ fn wire(report: AppReport) -> String {
 /// Walks `seeds` as an update chain under one backend, asserting at
 /// every version that the delta report (verdict reuse engaged wherever
 /// the planner allows) renders to the same bytes as a from-scratch
-/// analysis of a freshly built image.
+/// analysis of a freshly built image, and that the by-value class diff
+/// equals the chunk-hash diff, all four lists.
 fn check_chain(app: &backdroid_appgen::AndroidApp, seeds: &[u64], backend: BackendChoice) {
     let tool = Backdroid::with_options(BackdroidOptions {
         backend,
@@ -68,6 +73,11 @@ fn check_chain(app: &backdroid_appgen::AndroidApp, seeds: &[u64], backend: Backe
     let (_, mut base) = tool.analyze_artifacts_traced(&old);
     for &seed in seeds {
         let (next, _) = mutate_version(&program, seed);
+        assert_eq!(
+            DeltaManifest::between(&program, &next),
+            ChunkManifest::of_program(&program).diff(&ChunkManifest::of_program(&next)),
+            "class walk diverged from the chunk-hash diff (seed {seed})"
+        );
         let new = AppArtifacts::with_backend(next.clone(), app.manifest.clone(), backend);
         let (delta_report, new_base, stats) = tool.analyze_delta(&old, Some(&base), &new);
         let scratch = AppArtifacts::with_backend(next.clone(), app.manifest.clone(), backend);

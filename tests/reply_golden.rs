@@ -1,5 +1,6 @@
 //! Byte goldens for the reply renderer: `render_analysis`,
-//! `render_batch` and `render_put_version`, each pinned as a
+//! `render_batch` and `render_put_version` (also over an update chain
+//! served by `Service::put_version`), each pinned as a
 //! `wire::fnv1a64_wide` fingerprint recorded from a known-good build,
 //! and the `stats` reply of a plain service and of a shard pool, pinned
 //! as literal lines.
@@ -105,6 +106,37 @@ fn batch_and_put_version_replies_match_recorded_bytes() {
         ],
         BATCH_AND_PUT,
     );
+}
+
+/// Served `put_version` replies: every app of a small benchset walks
+/// the same update chain through `Service::put_version`, so the class
+/// counts the service computes for each update are pinned, not only
+/// the renderer. The update generator's edit kinds follow from its
+/// seed more than from the app: on this benchset seeds 11–13 only
+/// change classes, 1 adds one and 15 removes one.
+#[test]
+fn served_put_version_chain_matches_recorded_bytes() {
+    let cfg = BenchsetConfig::sized(6, 0.04);
+    let service = Service::over_benchset(cfg, ServiceConfig::default());
+    let mut got = Vec::new();
+    let (mut changed, mut added, mut removed) = (0, 0, 0);
+    for i in 0..cfg.count {
+        for seed in [11, 12, 13, 1, 15] {
+            let outcome = service
+                .put_version(&i.to_string(), seed)
+                .expect("every benchset app updates");
+            changed += outcome.classes_changed;
+            added += outcome.classes_added;
+            removed += outcome.classes_removed;
+            let id = 300 + got.len() as u64;
+            got.push(print(&render_put_version(id, &outcome)));
+        }
+    }
+    assert!(
+        changed > 0 && added > 0 && removed > 0,
+        "the chain must pin every kind of class delta: {changed} {added} {removed}"
+    );
+    check("served put_version chain", &got, PUT_VERSION_CHAIN);
 }
 
 /// Every string the hand-built reply carries needs at least one escape
@@ -287,9 +319,9 @@ fn shard_pool_reply_to_stats_matches_recorded_line() {
     assert_eq!(reply, POOL_STATS);
 }
 
-const SERVICE_STATS: &str = r#"{"id":90,"op":"stats","requests":9,"analyze":6,"query":2,"batch":1,"errors":1,"peak_in_flight":1,"store":{"hits":1,"misses":5,"coalesced":0,"loads":9,"load_failures":1,"evictions":7,"bytes_evicted":1324125,"disk_hits":5,"disk_misses":5,"disk_invalidations":0,"disk_writes":4,"disk_bytes_written":576474,"disk_write_failures":0,"resident_bytes":306733,"resident_apps":2,"peak_resident_bytes":396488}}"#;
+const SERVICE_STATS: &str = r#"{"id":90,"op":"stats","requests":9,"analyze":6,"query":2,"batch":1,"errors":1,"peak_in_flight":1,"store":{"hits":1,"misses":5,"coalesced":0,"loads":9,"load_failures":1,"evictions":7,"bytes_evicted":1324125,"disk_hits":5,"disk_misses":5,"disk_invalidations":0,"disk_writes":4,"disk_bytes_written":570934,"disk_write_failures":0,"resident_bytes":306733,"resident_apps":2,"peak_resident_bytes":396488}}"#;
 
-const POOL_STATS: &str = r#"{"id":91,"op":"stats","requests":9,"analyze":6,"query":2,"batch":1,"errors":1,"peak_in_flight":2,"store":{"hits":3,"misses":6,"coalesced":0,"loads":7,"load_failures":1,"evictions":3,"bytes_evicted":499968,"disk_hits":2,"disk_misses":6,"disk_invalidations":0,"disk_writes":4,"disk_bytes_written":576474,"disk_write_failures":0,"resident_bytes":734402,"resident_apps":4,"peak_resident_bytes":751777}}"#;
+const POOL_STATS: &str = r#"{"id":91,"op":"stats","requests":9,"analyze":6,"query":2,"batch":1,"errors":1,"peak_in_flight":2,"store":{"hits":3,"misses":6,"coalesced":0,"loads":7,"load_failures":1,"evictions":3,"bytes_evicted":499968,"disk_hits":2,"disk_misses":6,"disk_invalidations":0,"disk_writes":4,"disk_bytes_written":570934,"disk_write_failures":0,"resident_bytes":734402,"resident_apps":4,"peak_resident_bytes":751777}}"#;
 
 const FIXTURES: &[u64] = &[
     0xee3c12d88e706c4a,
@@ -326,3 +358,36 @@ const BENCH_APPS: &[u64] = &[
 const BATCH_AND_PUT: &[u64] = &[0xe50065fb2a995c65, 0x11ee6defd2f68e7a];
 
 const HAND_BUILT: &[u64] = &[0xf88a5bf3a9b2cd3e];
+
+const PUT_VERSION_CHAIN: &[u64] = &[
+    0x95049b064065e187,
+    0xf2c012eacb64f3b4,
+    0x091b23d7f9275a81,
+    0x4db49325c8df720e,
+    0x29ea2931a88065b3,
+    0xdd9c4e850e6be2d0,
+    0x03e87217e2d56f6d,
+    0x956904d04b7732ea,
+    0x2c6ad59c6901733f,
+    0xb838ac8cf201018c,
+    0x0d41ca544065e187,
+    0xaab02050cb64f3b4,
+    0x403f11a5f9275a81,
+    0x21347337c8df720e,
+    0xc5d3ca77a88065b3,
+    0xed12b38f0e6be2d0,
+    0x2e693b15e2d56f6d,
+    0x11143b164b7732ea,
+    0xac0a7b426901733f,
+    0x00de16f2f201018c,
+    0xfaa0e99a4065e187,
+    0x2d26d9aecb64f3b4,
+    0xc11dc73bf9275a81,
+    0x73e26061c8df720e,
+    0xe84125c5a88065b3,
+    0xc06fc7210e6be2d0,
+    0xa8ef3c1be2d56f6d,
+    0x9fc90be44b7732ea,
+    0xa73b0f806901733f,
+    0xee909f60f201018c,
+];
