@@ -14,6 +14,7 @@
 use crate::dataset::probit;
 use crate::scenario::{Mechanism, Scenario, SinkKind};
 use crate::{AndroidApp, AppSpec};
+use backdroid_ir::wire::fnv1a64;
 
 /// The §VI-C population a benchmark app belongs to.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -151,27 +152,16 @@ impl std::fmt::Display for BenchsetConfigError {
 
 impl std::error::Error for BenchsetConfigError {}
 
-/// FNV-1a hash of a string — the same function the whole-app baseline
-/// uses for its deterministic occasional-error injection, exposed here so
-/// the generator can pick app names that do (or do not) trigger it.
-pub fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
 /// The modulus the baseline's error injection uses: an app errors iff
-/// `fnv1a(name) % ERROR_MODULUS == 0`.
+/// `fnv1a64(name) % ERROR_MODULUS == 0`, so the generator can pick app
+/// names that do (or do not) trigger it.
 pub const ERROR_MODULUS: u64 = 1000;
 
 /// Finds an app name with the requested error-injection behaviour.
 fn pick_name(base: &str, want_error: bool) -> String {
     for salt in 0..100_000u32 {
         let name = format!("{base}.v{salt}");
-        let triggers = fnv1a(&name).is_multiple_of(ERROR_MODULUS);
+        let triggers = fnv1a64(name.as_bytes()).is_multiple_of(ERROR_MODULUS);
         if triggers == want_error {
             return name;
         }
@@ -498,9 +488,9 @@ mod tests {
     #[test]
     fn error_name_picking() {
         let err = pick_name("com.t.err", true);
-        assert_eq!(fnv1a(&err) % ERROR_MODULUS, 0);
+        assert_eq!(fnv1a64(err.as_bytes()) % ERROR_MODULUS, 0);
         let ok = pick_name("com.t.ok", false);
-        assert_ne!(fnv1a(&ok) % ERROR_MODULUS, 0);
+        assert_ne!(fnv1a64(ok.as_bytes()) % ERROR_MODULUS, 0);
     }
 
     #[test]

@@ -51,7 +51,7 @@ use backdroid_appgen::workload::{self, WorkloadConfig};
 use backdroid_bench::json::{array, JsonObject};
 use backdroid_bench::{backend_from_args, json_path_from_args, percentile, Baseline};
 use backdroid_obs::RegistrySnapshot;
-use backdroid_service::cli::{arg_value, has_flag, parsed_arg, reject_unknown_flags};
+use backdroid_service::cli::{arg_value, budget_arg, has_flag, parsed_arg, reject_unknown_flags};
 use backdroid_service::proto::workload_request_line;
 use backdroid_service::store::hit_rate;
 use backdroid_service::{Responder, Service, ServiceConfig, ShardPool, ShardPoolConfig};
@@ -122,8 +122,7 @@ fn main() {
         parsed_arg::<NonZeroUsize>("--workers", "a positive integer").map_or(4, NonZeroUsize::get);
     let shards =
         parsed_arg::<NonZeroUsize>("--shards", "a positive integer").map_or(1, NonZeroUsize::get);
-    let budget_mb =
-        parsed_arg::<u64>("--budget-mb", "a byte budget in MiB").unwrap_or(def_budget_mb);
+    let shard_budget = budget_arg("--budget-mb").unwrap_or(def_budget_mb << 20);
     let seed = parsed_arg("--seed", "an integer").unwrap_or(7u64);
     let backend = backend_from_args();
 
@@ -136,7 +135,7 @@ fn main() {
     let snapshot_dir = arg_value("--snapshot-dir").map(std::path::PathBuf::from);
     let trace = workload::generate(wl_cfg);
     let service_cfg = ServiceConfig {
-        budget_bytes: budget_mb * 1024 * 1024,
+        budget_bytes: shard_budget,
         backend,
         snapshot_dir: snapshot_dir.clone(),
         ..ServiceConfig::default()
@@ -224,7 +223,7 @@ fn main() {
     let peak_resident_bytes = v("store_peak_resident_bytes");
     // The budget the peak is judged against: the per-shard budget times
     // the shard count (aggregated peaks are summed the same way).
-    let budget_bytes = budget_mb * 1024 * 1024 * shards as u64;
+    let budget_bytes = shard_budget.saturating_mul(shards as u64);
 
     let rps = if wall_s > 0.0 {
         samples.len() as f64 / wall_s
@@ -240,8 +239,9 @@ fn main() {
         trace.len()
     );
     println!(
-        "  config: backend {}, {shards} shard(s) × {workers} workers, budget {budget_mb} MiB per shard",
+        "  config: backend {}, {shards} shard(s) × {workers} workers, budget {} MiB per shard",
         backend.name(),
+        shard_budget >> 20,
     );
     println!(
         "  throughput: {rps:.1} req/s ({:.1} ms wall for {} requests), p50 {p50:.3} ms, p99 {p99:.2} ms",
@@ -381,7 +381,7 @@ fn main() {
     } else {
         (&disk, "disk")
     };
-    let warm_cold_checked = if budget_mb == 0 {
+    let warm_cold_checked = if shard_budget == 0 {
         eprintln!("note: zero-budget store — warm<cold comparison not applicable");
         false
     } else if tier_base.n == 0 || warm.n == 0 {

@@ -16,69 +16,9 @@ use backdroid_dex::{dump_image, DexImage};
 use backdroid_ir::wire::{self, WireReader};
 use backdroid_ir::{Class, ClassName, Method, MethodSig, Program};
 use backdroid_manifest::Manifest;
-use backdroid_search::{BackendChoice, BytecodeText, SearchEngine};
+use backdroid_search::{BackendChoice, BytecodeText, Lazy, SearchEngine};
 use std::collections::BTreeSet;
-use std::sync::{Arc, Mutex, OnceLock};
-
-/// The IR-program half of the artifacts, restorable lazily.
-///
-/// A snapshot restore parks the wire-encoded program blob here along
-/// with the class/method counts read from the section's count prefix,
-/// so [`AppArtifacts::estimated_bytes`] answers without decoding; the
-/// full decode runs once, on the first [`AppArtifacts::program`] touch.
-/// Freshly-built artifacts store the program directly and never defer.
-#[derive(Debug)]
-struct LazyProgram {
-    cell: OnceLock<Program>,
-    pending: Mutex<Option<Vec<u8>>>,
-    class_count: usize,
-    method_count: usize,
-}
-
-impl LazyProgram {
-    fn ready(program: Program) -> Self {
-        let class_count = program.class_count();
-        let method_count = program.method_count();
-        let cell = OnceLock::new();
-        cell.set(program).expect("fresh cell");
-        LazyProgram {
-            cell,
-            pending: Mutex::new(None),
-            class_count,
-            method_count,
-        }
-    }
-
-    fn deferred(blob: Vec<u8>, class_count: usize, method_count: usize) -> Self {
-        LazyProgram {
-            cell: OnceLock::new(),
-            pending: Mutex::new(Some(blob)),
-            class_count,
-            method_count,
-        }
-    }
-
-    fn get(&self) -> &Program {
-        self.cell.get_or_init(|| {
-            let blob = self
-                .pending
-                .lock()
-                .expect("lazy program lock")
-                .take()
-                .unwrap_or_default();
-            // The blob passed its section checksum at load time, so the
-            // decode cannot fail on bytes a writer produced; an empty
-            // program is the total fallback (same stance as the lazy
-            // text sections).
-            let mut r = WireReader::new(&blob);
-            wire::read_program(&mut r).unwrap_or_default()
-        })
-    }
-
-    fn is_materialized(&self) -> bool {
-        self.cell.get().is_some()
-    }
-}
+use std::sync::{Arc, Mutex};
 
 /// The immutable per-app artifacts: the IR program (program analysis
 /// space), the Android manifest, and the search engine over the indexed
@@ -91,9 +31,15 @@ impl LazyProgram {
 /// dump, so the artifacts behave as an immutable value. An image keeps
 /// no per-class digest: an update's class delta is walked from the two
 /// programs ([`crate::DeltaManifest::between`]).
+///
+/// A snapshot restore parks the wire-encoded program in its lazy cell;
+/// the class and method counts, read from the section's count prefix,
+/// let [`AppArtifacts::estimated_bytes`] answer without decoding it.
 #[derive(Debug)]
 pub struct AppArtifacts {
-    program: LazyProgram,
+    program: Lazy<Program, Vec<u8>>,
+    class_count: usize,
+    method_count: usize,
     manifest: Manifest,
     engine: SearchEngine,
 }
@@ -118,11 +64,7 @@ impl AppArtifacts {
     /// Builds the artifacts with an explicit search-backend choice.
     pub fn with_backend(program: Program, manifest: Manifest, backend: BackendChoice) -> Self {
         let engine = build_engine(&program, backend);
-        AppArtifacts {
-            program: LazyProgram::ready(program),
-            manifest,
-            engine,
-        }
+        Self::assemble(program, manifest, engine)
     }
 
     /// Reassembles artifacts from already-built parts — the restore path
@@ -136,10 +78,17 @@ impl AppArtifacts {
         text: BytecodeText,
         backend: BackendChoice,
     ) -> Self {
+        Self::assemble(program, manifest, SearchEngine::with_backend(text, backend))
+    }
+
+    /// The artifacts of an already-decoded program.
+    fn assemble(program: Program, manifest: Manifest, engine: SearchEngine) -> Self {
         AppArtifacts {
-            program: LazyProgram::ready(program),
+            class_count: program.class_count(),
+            method_count: program.method_count(),
+            program: Lazy::ready(program),
             manifest,
-            engine: SearchEngine::with_backend(text, backend),
+            engine,
         }
     }
 
@@ -157,7 +106,9 @@ impl AppArtifacts {
         backend: BackendChoice,
     ) -> Self {
         AppArtifacts {
-            program: LazyProgram::deferred(program_blob, class_count, method_count),
+            program: Lazy::deferred(program_blob),
+            class_count,
+            method_count,
             manifest,
             engine: SearchEngine::with_backend(text, backend),
         }
@@ -166,7 +117,14 @@ impl AppArtifacts {
     /// The app's IR program. On a snapshot-restored image the first call
     /// decodes the parked program section; fresh builds pay nothing.
     pub fn program(&self) -> &Program {
-        self.program.get()
+        self.program.force(|blob| {
+            // The blob passed its section checksum at load time, so the
+            // decode cannot fail on bytes a writer produced; an empty
+            // program is the total fallback (same stance as the lazy
+            // text sections).
+            let blob = blob.unwrap_or_default();
+            wire::read_program(&mut WireReader::new(&blob)).unwrap_or_default()
+        })
     }
 
     /// Whether the IR program has been decoded. Always `true` for fresh
@@ -211,8 +169,8 @@ impl AppArtifacts {
         const PER_METHOD: u64 = 512;
         const PER_COMPONENT: u64 = 128;
         self.engine.text().resident_bytes()
-            + self.program.class_count as u64 * PER_CLASS
-            + self.program.method_count as u64 * PER_METHOD
+            + self.class_count as u64 * PER_CLASS
+            + self.method_count as u64 * PER_METHOD
             + self.manifest.components().count() as u64 * PER_COMPONENT
     }
 
@@ -222,7 +180,7 @@ impl AppArtifacts {
     /// counters. Call from as many threads as you like.
     pub fn task(&self) -> TaskContext<'_> {
         TaskContext {
-            program: self.program.get(),
+            program: self.program(),
             manifest: &self.manifest,
             engine: self.engine.clone(),
             loops: LoopStats::default(),

@@ -38,15 +38,16 @@
 //! ```
 //!
 //! Each section is independently checksummed, but only the Android
-//! manifest is *decoded* eagerly: the program section parks its blob
-//! behind a `OnceLock` inside [`AppArtifacts`] (its count prefix answers
-//! the store's `estimated_bytes` accounting up front), and the text and
-//! index sections park inside [`BytecodeText::from_sections`] after
-//! structural validation — a disk-warm load that only answers
-//! manifest-level questions never pays the program decode, the arena
-//! copy, or the posting-list build, so restore cost scales with what a
-//! request reads, not with app size (the paper's §IV search-cost
-//! argument applied to the persistence layer).
+//! manifest is *decoded* eagerly: the program section parks its blob in
+//! a [`backdroid_search::Lazy`] cell inside [`AppArtifacts`] (its count
+//! prefix answers the store's `estimated_bytes` accounting up front),
+//! and the text and index sections park inside
+//! [`BytecodeText::from_sections`] after structural validation — a
+//! disk-warm load that only answers manifest-level questions never pays
+//! the program decode, the arena copy, or the posting-list build, so
+//! restore cost scales with what a request reads, not with app size
+//! (the paper's §IV search-cost argument applied to the persistence
+//! layer).
 //!
 //! The payload uses the deterministic wire vocabulary of
 //! [`backdroid_ir::wire`], so **equal artifacts encode byte-identically**

@@ -52,7 +52,7 @@
 //!   thread interleaving;
 //! * statistics are engine-wide atomic counters; [`CacheStats::since`]
 //!   recovers a per-analysis delta from a long-lived shared engine;
-//! * the posting lists build lazily through a `OnceLock`, so the first
+//! * the posting lists build lazily in a [`Lazy`] cell, so the first
 //!   indexed query from any thread pays the one tokenization pass —
 //!   and a text restored from snapshot sections
 //!   ([`BytecodeText::from_sections`]) defers even the arena copy and
@@ -97,7 +97,7 @@ pub use backend::{BackendChoice, Indexed, LinearScan, SearchBackend};
 pub use engine::{CacheStats, Hit, SearchCmd, SearchEngine, SearchTrace};
 pub use index::SearchIndex;
 pub use symbol::{Sym, SymbolTable};
-pub use text::{parse_proto, BytecodeText, MethodSpan};
+pub use text::{parse_proto, BytecodeText, Lazy, MethodSpan};
 
 #[doc(hidden)]
 pub use index::string_keyed_postings;

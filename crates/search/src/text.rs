@@ -91,20 +91,22 @@ impl TextBody {
     }
 }
 
-/// A value that is either already built or parked as validated wire
-/// bytes, materialized on first touch. The `OnceLock` carries the
-/// built value; the mutex serializes the one decode so concurrent
-/// first readers do the work exactly once (the same single-flight
-/// shape as the engine's command cache).
+/// A value that is either already built or parked as a validated
+/// payload `P` (wire bytes), materialized on first touch — the one lazy
+/// cell of a restored image: the text body, the posting lists and the
+/// IR program each sit in one. The `OnceLock` carries the built value;
+/// the mutex serializes the one decode so concurrent first readers do
+/// the work exactly once (the same single-flight shape as the engine's
+/// command cache).
 #[derive(Debug)]
-struct Lazy<T> {
+pub struct Lazy<T, P> {
     cell: OnceLock<T>,
-    pending: Mutex<Option<(Vec<u8>, Vec<u8>)>>,
+    pending: Mutex<Option<P>>,
 }
 
-impl<T> Lazy<T> {
+impl<T, P> Lazy<T, P> {
     /// Already materialized.
-    fn ready(value: T) -> Lazy<T> {
+    pub fn ready(value: T) -> Self {
         let cell = OnceLock::new();
         let _ = cell.set(value);
         Lazy {
@@ -113,30 +115,32 @@ impl<T> Lazy<T> {
         }
     }
 
-    /// Not materialized, no parked bytes — `force`'s fallback builds it.
-    fn absent() -> Lazy<T> {
+    /// Not materialized, nothing parked — `force`'s `init` builds it
+    /// from `None`.
+    pub(crate) fn absent() -> Self {
         Lazy {
             cell: OnceLock::new(),
             pending: Mutex::new(None),
         }
     }
 
-    /// Parked as two validated section blobs.
-    fn deferred(a: Vec<u8>, b: Vec<u8>) -> Lazy<T> {
+    /// Parked as a validated payload.
+    pub fn deferred(parked: P) -> Self {
         Lazy {
             cell: OnceLock::new(),
-            pending: Mutex::new(Some((a, b))),
+            pending: Mutex::new(Some(parked)),
         }
     }
 
-    fn is_materialized(&self) -> bool {
+    /// Whether the value has been built.
+    pub fn is_materialized(&self) -> bool {
         self.cell.get().is_some()
     }
 
     /// Returns the value, materializing it via `init` on first touch.
-    /// `init` receives the parked bytes, if any; they are dropped after
+    /// `init` receives the parked payload, if any; it is dropped after
     /// materialization.
-    fn force(&self, init: impl FnOnce(Option<(Vec<u8>, Vec<u8>)>) -> T) -> &T {
+    pub fn force(&self, init: impl FnOnce(Option<P>) -> T) -> &T {
         if let Some(v) = self.cell.get() {
             return v;
         }
@@ -159,13 +163,13 @@ impl<T> Lazy<T> {
 pub struct BytecodeText {
     line_count: usize,
     resident: u64,
-    body: Lazy<TextBody>,
+    body: Lazy<TextBody, (Vec<u8>, Vec<u8>)>,
     /// Posting lists over the lines, built (or decoded) once on first
     /// use so the [`Indexed`](crate::Indexed) backend answers commands
     /// without scanning the dump — and the
     /// [`LinearScan`](crate::LinearScan) oracle never pays the
     /// tokenization pass.
-    index: Lazy<SearchIndex>,
+    index: Lazy<SearchIndex, (Vec<u8>, Vec<u8>)>,
 }
 
 impl BytecodeText {
@@ -424,8 +428,8 @@ impl BytecodeText {
         Ok(BytecodeText {
             line_count: info.line_count,
             resident,
-            body: Lazy::deferred(text, spans),
-            index: Lazy::deferred(symbols, postings),
+            body: Lazy::deferred((text, spans)),
+            index: Lazy::deferred((symbols, postings)),
         })
     }
 

@@ -40,7 +40,9 @@ use backdroid_appgen::benchset::BenchsetConfig;
 use backdroid_appgen::workload::{self, WorkloadConfig};
 use backdroid_core::BackendChoice;
 use backdroid_obs::RegistrySnapshot;
-use backdroid_service::cli::{arg_value, has_flag, parsed_arg, reject_unknown_flags, usage_error};
+use backdroid_service::cli::{
+    arg_value, budget_arg, has_flag, parsed_arg, reject_unknown_flags, usage_error,
+};
 use backdroid_service::proto::{self, workload_request_line};
 use backdroid_service::shard::execute_request;
 use backdroid_service::store::hit_rate;
@@ -210,7 +212,7 @@ fn main() {
     let budget_bytes = if has_flag("--direct") {
         0
     } else {
-        parsed_arg::<u64>("--budget-mb", "a byte budget in MiB").unwrap_or(512) * 1024 * 1024
+        budget_arg("--budget-mb").unwrap_or(512 << 20)
     };
     let workers = count_arg("--workers").unwrap_or(1);
     let service_cfg = ServiceConfig {
@@ -254,7 +256,7 @@ fn main() {
         // Shutting down writes back every shard's unwritten snapshots, so
         // the summary counts those writes.
         pool.shutdown();
-        let pool_budget = budget_bytes * pool.shard_count() as u64;
+        let pool_budget = budget_bytes.saturating_mul(pool.shard_count() as u64);
         print_summary(&pool.metrics(), pool_budget, disk_tier, Some(&pool));
         return;
     }

@@ -59,6 +59,24 @@ pub fn parsed_arg<T: FromStr>(flag: &str, expected: &str) -> Option<T> {
     })
 }
 
+/// The byte budget `flag` gives in MiB, or `None` when the flag is
+/// absent. A value that is not an integer, or whose byte count does not
+/// fit a `u64` (it would wrap to a smaller budget), is a
+/// [`usage_error`].
+pub fn budget_arg(flag: &str) -> Option<u64> {
+    arg_value(flag).map(|v| {
+        mib_to_bytes(&v).unwrap_or_else(|| {
+            usage_error(flag, &v, "a byte budget in MiB, at most 17592186044415")
+        })
+    })
+}
+
+/// `mib` MiB in bytes, if `mib` is an integer whose byte count fits a
+/// `u64`.
+fn mib_to_bytes(mib: &str) -> Option<u64> {
+    mib.parse::<u64>().ok()?.checked_mul(1 << 20)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -98,5 +116,16 @@ mod tests {
         // for flags, and an empty list accepts no flag at all.
         assert_eq!(unknown_flag(&argv(&["10", "out.json"]), &[]), None);
         assert_eq!(unknown_flag(&argv(&["--small"]), &[]), Some("--small"));
+    }
+
+    #[test]
+    fn budgets_whose_byte_count_overflows_are_rejected() {
+        assert_eq!(mib_to_bytes("64"), Some(64 << 20));
+        assert_eq!(
+            mib_to_bytes("17592186044415"),
+            Some(u64::MAX - ((1 << 20) - 1))
+        );
+        assert_eq!(mib_to_bytes("17592186044416"), None);
+        assert_eq!(mib_to_bytes("-1"), None);
     }
 }

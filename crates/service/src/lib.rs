@@ -71,7 +71,7 @@ pub mod shard;
 pub mod store;
 pub mod transport;
 
-pub use proto::{Op, Reply};
+pub use proto::Op;
 pub use service::{AppAnalysis, PutVersionOutcome, Service, ServiceConfig, ServiceError};
 pub use shard::{Responder, ShardPool, ShardPoolConfig};
 pub use store::{AppStore, DiskTier, Fetch};

@@ -1,11 +1,13 @@
 //! The typed request/response protocol every transport of
 //! `backdroid-serve` speaks: one [`Op`] enum for everything a client
-//! can ask, one [`Reply`] enum for everything the server can answer,
-//! and exactly one decode path ([`parse_request`]) and one encode path
-//! ([`Reply::encode`]) between them. The JSONL stdin/stdout loop, the
-//! length-framed socket transport, and the shard pool all carry the
-//! same encoded lines — a framed payload *is* a JSONL line — so adding
-//! an op here makes it available on every transport at once.
+//! can ask, exactly one decode path ([`parse_request`]), and one
+//! `render_*` function per reply kind ([`render_analysis`],
+//! [`render_batch`], [`render_put_version`], [`render_stats`],
+//! [`render_metrics`], [`render_error`], [`render_deadline_error`]).
+//! The JSONL stdin/stdout loop, the length-framed socket transport, and
+//! the shard pool all carry the same rendered lines — a framed payload
+//! *is* a JSONL line — so adding an op here makes it available on every
+//! transport at once.
 //!
 //! The vendored `serde` stand-in has neither a serializer nor a
 //! deserializer, so this module carries a small hand-rolled JSON reader
@@ -37,8 +39,13 @@ use std::fmt::{self, Write as _};
 // JSON reading
 // ---------------------------------------------------------------------
 
-/// A parsed JSON value (numbers are kept as `f64`; the protocol only
-/// uses small integer ids and indices, which `f64` holds exactly).
+/// The largest integer a request may carry, 2^53 − 1: every integer up
+/// to it has its own `f64`, so its literal is read back unchanged.
+const MAX_EXACT_INT: u64 = (1 << 53) - 1;
+
+/// A parsed JSON value. Numbers are kept as `f64`, so an integer
+/// literal above 2^53 − 1 may be rounded as it is parsed;
+/// [`Json::as_u64`] rejects those.
 #[derive(Clone, PartialEq, Debug)]
 pub enum Json {
     /// `null`
@@ -72,10 +79,11 @@ impl Json {
         }
     }
 
-    /// The value as a non-negative integer, if it is one.
+    /// The value as a non-negative integer, if it is one that an `f64`
+    /// holds exactly (at most 2^53 − 1).
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= MAX_EXACT_INT as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -362,8 +370,8 @@ pub struct Request {
     pub deadline_ms: Option<u64>,
 }
 
-/// The protocol operations — the request half of the [`Op`]/[`Reply`]
-/// pair every transport shares.
+/// The protocol operations every transport shares; each op's reply is
+/// written by its `render_*` function.
 #[derive(Clone, PartialEq, Debug)]
 pub enum Op {
     /// Full-registry analysis of one app.
@@ -404,10 +412,14 @@ pub enum Op {
     /// it once every request submitted ahead of it has been answered.
     Metrics,
     /// Admin op: take shard N down (its queued requests served first,
-    /// later ones routed past it, memory tier dropped). Produces **no output** and is a no-op on a plain
-    /// [`crate::Service`] (the single-threaded `backdroid-serve` loop),
-    /// so a trace spliced with admin lines still diffs byte-for-byte
-    /// against any golden.
+    /// later ones routed past it, memory tier dropped). Produces **no
+    /// output** and is a no-op on a plain [`crate::Service`] (the
+    /// single-threaded `backdroid-serve` loop), so a trace spliced with
+    /// admin lines still diffs byte-for-byte against any golden — unless
+    /// it publishes updates: without a snapshot directory the kill loses
+    /// the shard's published updates, and the restarted shard serves
+    /// version 1 again; with one, the updated content survives but the
+    /// version number starts over.
     KillShard {
         /// The shard index to kill.
         shard: u64,
@@ -790,104 +802,6 @@ pub fn render_put_version(id: u64, o: &crate::service::PutVersionOutcome) -> Str
     out
 }
 
-// ---------------------------------------------------------------------
-// The typed reply
-// ---------------------------------------------------------------------
-
-/// The response half of the [`Op`]/[`Reply`] pair: everything the
-/// server can say, as one typed enum with [`Reply::encode`] as the
-/// single wire encoder shared by the JSONL stdin/stdout loop, the
-/// length-framed socket transport, and the shard pool.
-#[derive(Debug)]
-pub enum Reply {
-    /// A single-app analysis. The echoed `op` string (`"analyze"`,
-    /// `"query"`, or `"analyze_delta"`) is the only part that varies —
-    /// the body renders identically, which is what lets delta responses
-    /// diff byte-for-byte against from-scratch ones.
-    Analysis {
-        /// The request id, echoed.
-        id: u64,
-        /// The op name to echo.
-        op: &'static str,
-        /// The analysis to render.
-        analysis: AppAnalysis,
-    },
-    /// A batch response: one result object (or error object) per
-    /// requested app, in request order.
-    Batch {
-        /// The request id, echoed.
-        id: u64,
-        /// Per-app outcomes, in request order.
-        items: Vec<Result<AppAnalysis, ServiceError>>,
-    },
-    /// Service + store counters, read from a registry snapshot.
-    Stats {
-        /// The request id, echoed.
-        id: u64,
-        /// The snapshot to read the counters from.
-        snapshot: RegistrySnapshot,
-    },
-    /// Metrics-registry snapshots: the aggregate plus per-shard views.
-    Metrics {
-        /// The request id, echoed.
-        id: u64,
-        /// The cross-shard aggregate snapshot.
-        aggregate: RegistrySnapshot,
-        /// Per-shard snapshots (`None` renders `null` for dead shards).
-        shards: Vec<Option<RegistrySnapshot>>,
-    },
-    /// Acknowledgement of a published app version.
-    PutVersion {
-        /// The request id, echoed.
-        id: u64,
-        /// The deterministic outcome fields.
-        outcome: crate::service::PutVersionOutcome,
-    },
-    /// A deterministic error.
-    Error {
-        /// The request id, echoed.
-        id: u64,
-        /// The error message.
-        message: String,
-    },
-    /// The deadline-exceeded error, with the measured queue wait.
-    DeadlineExpired {
-        /// The request id, echoed.
-        id: u64,
-        /// How long the request sat queued, in milliseconds.
-        queue_wait_ms: u64,
-    },
-    /// No output — admin ops acknowledge silently so traces spliced
-    /// with admin lines still diff byte-for-byte against any golden.
-    Silent,
-}
-
-impl Reply {
-    /// Encodes the reply as its wire line — the one encode path every
-    /// transport shares. `None` means "send nothing": the JSONL loop
-    /// prints no line and the framed transport sends an empty frame.
-    /// Each arm delegates to the corresponding public renderer, so the
-    /// bytes are exactly what the pre-enum render functions produced.
-    pub fn encode(&self) -> Option<String> {
-        match self {
-            Reply::Analysis { id, op, analysis } => Some(render_analysis(*id, op, analysis)),
-            Reply::Batch { id, items } => Some(render_batch(*id, items)),
-            Reply::Stats { id, snapshot } => Some(render_stats(*id, snapshot)),
-            Reply::Metrics {
-                id,
-                aggregate,
-                shards,
-            } => Some(render_metrics(*id, aggregate, shards)),
-            Reply::PutVersion { id, outcome } => Some(render_put_version(*id, outcome)),
-            Reply::Error { id, message } => Some(render_error(*id, message)),
-            Reply::DeadlineExpired { id, queue_wait_ms } => {
-                Some(render_deadline_error(*id, *queue_wait_ms))
-            }
-            Reply::Silent => None,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -981,15 +895,24 @@ mod tests {
             "{\"id\":0,\"op\":\"query\",\"app\":\"0\",\"sinks\":[1]}", // non-string detector id
             "{\"id\":0,\"op\":\"batch\"}",        // missing apps
             "{\"id\":-1,\"op\":\"analyze\",\"app\":\"0\"}", // negative id
+            // Ids an `f64` cannot hold exactly: 2^53, 2^53 + 1, 2^64.
+            "{\"id\":9007199254740992,\"op\":\"analyze\",\"app\":\"0\"}",
+            "{\"id\":9007199254740993,\"op\":\"analyze\",\"app\":\"0\"}",
+            "{\"id\":18446744073709551616,\"op\":\"analyze\",\"app\":\"0\"}",
         ] {
             assert!(parse_request(bad).is_err(), "{bad:?} must not parse");
         }
+        // 2^53 − 1, the largest id accepted, is echoed exactly.
+        let top = "{\"id\":9007199254740991,\"op\":\"analyze\",\"app\":\"0\"}";
+        assert_eq!(parse_request(top).unwrap().id, 9_007_199_254_740_991);
         // Every serving loop decodes lines alike: blanks answer nothing,
         // and a malformed line's error carries its id when it has one.
         assert_eq!(decode_line(" \t "), None);
         let error = |line| decode_line(line).unwrap().unwrap_err();
         assert!(error(" {\"id\":7,\"op\":\"explode\"} ").starts_with("{\"id\":7,\"error\":"));
         assert!(error("not json").starts_with("{\"id\":0,\"error\":"));
+        assert!(error("{\"id\":9007199254740991,\"op\":\"explode\"}")
+            .starts_with("{\"id\":9007199254740991,\"error\":"));
         assert!(decode_line("{\"id\":1,\"op\":\"stats\"}").unwrap().is_ok());
     }
 

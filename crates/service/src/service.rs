@@ -356,10 +356,10 @@ impl Service {
     /// ([`DeltaManifest::between`]); `mutate_version` has already
     /// decoded the displaced one. The image is handed to
     /// [`AppStore::put`], which writes its snapshot (with a disk tier)
-    /// and swaps it in; the store's version number is the reply's. The delta map is taken only afterwards, to keep the
-    /// displaced image for the next delta run, so no other app's request
-    /// waits on the build. Same-app updates chain on the per-app update
-    /// lock.
+    /// and swaps it in; the store's version number is the reply's. The
+    /// delta map is taken only afterwards, to keep the displaced image
+    /// for the next delta run, so no other app's request waits on the
+    /// build. Same-app updates chain on the per-app update lock.
     pub fn put_version(&self, app_id: &str, seed: u64) -> Result<PutVersionOutcome, ServiceError> {
         let _guard = self.begin_request(&self.counters.put_version_requests);
         let app_lock = self.update_lock(app_id);

@@ -39,7 +39,10 @@
 //! `tests/shard_equivalence.rs` and `tests/shard_fault_injection.rs`
 //! tiers enforce exactly that.
 
-use crate::proto::{decode_line, Op, Reply, Request};
+use crate::proto::{
+    decode_line, render_analysis, render_batch, render_deadline_error, render_error,
+    render_metrics, render_put_version, render_stats, Op, Request,
+};
 use crate::service::Service;
 use backdroid_ir::wire::fnv1a64;
 use backdroid_obs::{Counter, Histogram, MetricsRegistry, RegistrySnapshot, TraceBuilder, Tracer};
@@ -230,7 +233,7 @@ pub fn execute_request_traced(
     mut tb: Option<&mut TraceBuilder>,
 ) -> Option<String> {
     let exec = tb.as_deref_mut().map(|tb| tb.open(Some(0), "exec"));
-    let reply = match &req.op {
+    let line = match &req.op {
         Op::Analyze { app } | Op::AnalyzeDelta { app } | Op::Query { app, .. } => {
             let result = match &req.op {
                 Op::AnalyzeDelta { .. } => service.analyze_delta(app),
@@ -242,27 +245,14 @@ pub fn execute_request_traced(
                     if let (Some(tb), Some(exec)) = (tb.as_deref_mut(), exec) {
                         open_analysis_spans(tb, exec, &a);
                     }
-                    Reply::Analysis {
-                        id: req.id,
-                        op: op_name(&req.op),
-                        analysis: a,
-                    }
+                    render_analysis(req.id, op_name(&req.op), &a)
                 }
-                Err(e) => Reply::Error {
-                    id: req.id,
-                    message: e.to_string(),
-                },
+                Err(e) => render_error(req.id, &e.to_string()),
             }
         }
         Op::PutVersion { app, seed } => match service.put_version(app, *seed) {
-            Ok(outcome) => Reply::PutVersion {
-                id: req.id,
-                outcome,
-            },
-            Err(e) => Reply::Error {
-                id: req.id,
-                message: e.to_string(),
-            },
+            Ok(outcome) => render_put_version(req.id, &outcome),
+            Err(e) => render_error(req.id, &e.to_string()),
         },
         Op::Batch { apps } => {
             let results = service.analyze_batch(apps);
@@ -276,37 +266,24 @@ pub fn execute_request_traced(
                     tb.close(item);
                 }
             }
-            Reply::Batch {
-                id: req.id,
-                items: results,
-            }
+            render_batch(req.id, &results)
         }
-        Op::Stats => Reply::Stats {
-            id: req.id,
-            snapshot: service.metrics().snapshot(),
-        },
+        Op::Stats => render_stats(req.id, &service.metrics().snapshot()),
         Op::Metrics => {
             let snap = service.metrics().snapshot();
-            Reply::Metrics {
-                id: req.id,
-                aggregate: snap.clone(),
-                shards: vec![Some(snap)],
-            }
+            render_metrics(req.id, &snap, &[Some(snap.clone())])
         }
-        Op::KillShard { .. } | Op::RestartShard { .. } => Reply::Silent,
-    };
-    if matches!(reply, Reply::Silent) {
         // Silent ops emit nothing, so the `exec`/`emit` spans are not
         // recorded either — a trace spliced with admin lines still diffs
         // byte-for-byte against an unsharded golden.
-        return None;
-    }
+        Op::KillShard { .. } | Op::RestartShard { .. } => return None,
+    };
     if let (Some(tb), Some(exec)) = (tb, exec) {
         tb.close(exec);
         let emit = tb.open(Some(0), "emit");
         tb.close(emit);
     }
-    reply.encode()
+    Some(line)
 }
 
 impl ShardPool {
@@ -388,40 +365,32 @@ impl ShardPool {
         match &req.op {
             Op::Stats => {
                 self.drain();
-                let reply = Reply::Stats {
-                    id: req.id,
-                    snapshot: self.metrics(),
-                };
-                respond(seq, reply.encode());
+                respond(seq, Some(render_stats(req.id, &self.metrics())));
             }
             Op::Metrics => {
                 self.drain();
-                let reply = Reply::Metrics {
-                    id: req.id,
-                    aggregate: self.metrics(),
-                    shards: self.shard_metrics(),
-                };
-                respond(seq, reply.encode());
+                let line = render_metrics(req.id, &self.metrics(), &self.shard_metrics());
+                respond(seq, Some(line));
             }
             &Op::KillShard { shard } => {
                 self.kill_shard(shard as usize);
-                respond(seq, Reply::Silent.encode());
+                respond(seq, None);
             }
             &Op::RestartShard { shard } => {
                 self.restart_shard(shard as usize);
-                respond(seq, Reply::Silent.encode());
+                respond(seq, None);
             }
             Op::Analyze { .. }
             | Op::AnalyzeDelta { .. }
             | Op::PutVersion { .. }
             | Op::Query { .. }
             | Op::Batch { .. } => {
-                let primary = primary_app(&req.op);
+                let primary = self.route(job_apps(&req.op).first().map_or("", String::as_str));
                 let deadline = req
                     .deadline_ms
                     .map(|ms| Instant::now() + Duration::from_millis(ms));
                 self.route_job(
-                    self.route(&primary),
+                    primary,
                     Job {
                         seq,
                         req,
@@ -451,11 +420,8 @@ impl ShardPool {
             }
         }
         self.inner.no_shard_errors.inc();
-        let reply = Reply::Error {
-            id: job.req.id,
-            message: "no shard available".to_string(),
-        };
-        (job.respond)(job.seq, reply.encode());
+        let line = render_error(job.req.id, "no shard available");
+        (job.respond)(job.seq, Some(line));
     }
 
     /// Blocking bounded put; `Err(job)` if the shard is (or went) dead.
@@ -484,8 +450,12 @@ impl ShardPool {
     /// on it and then exit. Once they have, it writes back every image
     /// its store built but never spilled, folds its counters into the
     /// retired total, and drops its service (memory tier gone; its
-    /// snapshots stay on disk). Returns `false` if the index is out of
-    /// range or the shard was already dead.
+    /// snapshots stay on disk). Updates do not fully survive: without a
+    /// snapshot directory the shard's published updates are lost, and
+    /// the restarted shard serves version 1; with one, the updated
+    /// content survives but the version number starts over. Returns
+    /// `false` if the index is out of range or the shard was already
+    /// dead.
     pub fn kill_shard(&self, idx: usize) -> bool {
         let Some(shard) = self.inner.shards.get(idx) else {
             return false;
@@ -667,29 +637,17 @@ fn op_name(op: &Op) -> &'static str {
     }
 }
 
-/// The routing app id: the single app, a batch's first app, or empty.
-fn primary_app(op: &Op) -> String {
-    match op {
-        Op::Analyze { app }
-        | Op::AnalyzeDelta { app }
-        | Op::PutVersion { app, .. }
-        | Op::Query { app, .. } => app.clone(),
-        Op::Batch { apps } => apps.first().cloned().unwrap_or_default(),
-        _ => String::new(),
-    }
-}
-
 /// Every app an op reads or writes — what the per-app ordering guard
 /// serializes on. A batch holds all of its apps so it cannot interleave
-/// with an update to any of them.
-fn job_apps(op: &Op) -> Vec<String> {
+/// with an update to any of them. The first app routes the job.
+fn job_apps(op: &Op) -> &[String] {
     match op {
         Op::Analyze { app }
         | Op::AnalyzeDelta { app }
         | Op::PutVersion { app, .. }
-        | Op::Query { app, .. } => vec![app.clone()],
-        Op::Batch { apps } => apps.clone(),
-        _ => Vec::new(),
+        | Op::Query { app, .. } => std::slice::from_ref(app),
+        Op::Batch { apps } => apps,
+        _ => &[],
     }
 }
 
@@ -713,24 +671,24 @@ fn worker_loop(inner: &PoolInner, idx: usize) {
                 // same-app jobs in submission order even when a busy
                 // app forces a later job to jump ahead.
                 let pick = {
-                    let mut claimed: HashSet<String> = HashSet::new();
+                    let mut claimed: HashSet<&str> = HashSet::new();
                     let mut pick = None;
                     for (i, queued) in state.queue.iter().enumerate() {
                         let apps = job_apps(&queued.req.op);
                         if apps
                             .iter()
-                            .all(|a| !state.busy.contains(a) && !claimed.contains(a))
+                            .all(|a| !state.busy.contains(a) && !claimed.contains(a.as_str()))
                         {
                             pick = Some(i);
                             break;
                         }
-                        claimed.extend(apps);
+                        claimed.extend(apps.iter().map(String::as_str));
                     }
                     pick
                 };
                 if let Some(i) = pick {
                     let job = state.queue.remove(i).expect("picked index in range");
-                    state.busy.extend(job_apps(&job.req.op));
+                    state.busy.extend(job_apps(&job.req.op).iter().cloned());
                     state.in_flight += 1;
                     shard.not_full.notify_all();
                     let service =
@@ -746,7 +704,8 @@ fn worker_loop(inner: &PoolInner, idx: usize) {
             let mut tb = t.begin(job.seq);
             let root = tb.open(None, "request");
             tb.attr(root, "op", op_name(&job.req.op));
-            tb.attr(root, "app", &primary_app(&job.req.op));
+            let app = job_apps(&job.req.op).first().map_or("", String::as_str);
+            tb.attr(root, "app", app);
             tb.wall_attr(root, "shard", &idx.to_string());
             let q = tb.open(Some(root), "queue");
             tb.wall_attr(q, "wait_us", &wait.as_micros().to_string());
@@ -760,11 +719,7 @@ fn worker_loop(inner: &PoolInner, idx: usize) {
                 tb.wall_attr(s, "wait_ms", &wait.as_millis().to_string());
                 tb.close(s);
             }
-            Reply::DeadlineExpired {
-                id: job.req.id,
-                queue_wait_ms: wait.as_millis() as u64,
-            }
-            .encode()
+            Some(render_deadline_error(job.req.id, wait.as_millis() as u64))
         } else {
             execute_request_traced(&service, &job.req, tb.as_mut())
         };
@@ -775,7 +730,7 @@ fn worker_loop(inner: &PoolInner, idx: usize) {
         drop(service);
         let mut state = shard.lock();
         for app in job_apps(&job.req.op) {
-            state.busy.remove(&app);
+            state.busy.remove(app);
         }
         state.in_flight -= 1;
         // Queued jobs skipped while this job's apps were busy are now

@@ -15,6 +15,7 @@ use crate::dataflow::{self, AbstractVal};
 use backdroid_core::detect::Verdict;
 use backdroid_core::detector::DetectorRegistry;
 use backdroid_core::forward::DataflowValue;
+use backdroid_ir::wire::fnv1a64;
 use backdroid_ir::{MethodSig, Program};
 use backdroid_manifest::{AsyncFlowTable, Manifest};
 use std::time::{Duration, Instant};
@@ -156,19 +157,9 @@ impl Outcome {
     }
 }
 
-/// FNV-1a — the occasional-error injection hash (an app errors iff
-/// `fnv1a(name) % 1000 == 0`, modeling real Amandroid's input-dependent
-/// flakiness deterministically).
-pub fn fnv1a(s: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in s.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
-}
-
-/// Error-injection modulus.
+/// Error-injection modulus: an app errors iff
+/// `fnv1a64(name) % ERROR_MODULUS == 0`, modeling real Amandroid's
+/// input-dependent flakiness deterministically.
 pub const ERROR_MODULUS: u64 = 1000;
 
 /// Runs the whole-app baseline on one app, vetting the given detectors'
@@ -181,7 +172,7 @@ pub fn analyze(
     cfg: &AmandroidConfig,
 ) -> Outcome {
     let start = Instant::now();
-    if cfg.error_injection && fnv1a(app_name).is_multiple_of(ERROR_MODULUS) {
+    if cfg.error_injection && fnv1a64(app_name.as_bytes()).is_multiple_of(ERROR_MODULUS) {
         return Outcome::Error {
             message: "Could not find procedure (key not found)".into(),
             elapsed: start.elapsed(),
@@ -452,7 +443,7 @@ mod tests {
         let mut clean = None;
         for i in 0..100_000 {
             let name = format!("com.t.err{i}");
-            if fnv1a(&name).is_multiple_of(ERROR_MODULUS) {
+            if fnv1a64(name.as_bytes()).is_multiple_of(ERROR_MODULUS) {
                 trigger.get_or_insert(name);
             } else {
                 clean.get_or_insert(name);

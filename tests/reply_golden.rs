@@ -1,9 +1,10 @@
 //! Byte goldens for the reply renderer: `render_analysis`,
 //! `render_batch` and `render_put_version` (also over an update chain
-//! served by `Service::put_version`), each pinned as a
-//! `wire::fnv1a64_wide` fingerprint recorded from a known-good build,
-//! and the `stats` reply of a plain service and of a shard pool, pinned
-//! as literal lines.
+//! served by `Service::put_version`), the replies the executor writes
+//! for a traced request mix (through a plain service and a shard pool)
+//! and for requests that fail, each pinned as a `wire::fnv1a64_wide`
+//! fingerprint recorded from a known-good build, and the `stats` reply
+//! of a plain service and of a shard pool, pinned as literal lines.
 //!
 //! Every equivalence suite renders both of its sides with the same
 //! renderer (served ≡ direct, delta ≡ scratch, sharded ≡ unsharded), so a
@@ -273,11 +274,13 @@ fn service_reply_to_stats_matches_recorded_line() {
     let dir = stats_dir("service");
     let service = stats_service(&dir);
     let run = |line: &str| execute_request(&service, &parse_request(line).unwrap());
-    for line in STATS_TRACE {
-        run(line).expect("every traced op replies");
-    }
+    let got: Vec<u64> = STATS_TRACE
+        .iter()
+        .map(|line| print(&run(line).expect("every traced op replies")))
+        .collect();
     let reply = run(r#"{"id":90,"op":"stats"}"#).expect("stats replies");
     let _ = std::fs::remove_dir_all(&dir);
+    check("service trace", &got, STATS_TRACE_REPLIES);
     assert_eq!(reply, SERVICE_STATS);
 }
 
@@ -312,16 +315,68 @@ fn shard_pool_reply_to_stats_matches_recorded_line() {
     let seq = STATS_TRACE.len() as u64;
     pool.submit_line(seq, r#"{"id":91,"op":"stats"}"#, &responder);
     pool.drain();
-    let reply = replies.lock().unwrap()[&seq]
-        .clone()
-        .expect("stats replies");
+    let replies = replies.lock().unwrap();
+    let got: Vec<u64> = (0..seq)
+        .map(|s| print(replies[&s].as_deref().expect("every traced op replies")))
+        .collect();
+    let reply = replies[&seq].clone().expect("stats replies");
     let _ = std::fs::remove_dir_all(&dir);
+    check("pool trace", &got, STATS_TRACE_REPLIES);
     assert_eq!(reply, POOL_STATS);
+}
+
+/// Error replies that only the executor builds: an unknown detector, an
+/// empty batch, a batch with one bad id, and an update and a delta
+/// analysis of an app the loader cannot build.
+#[test]
+fn executor_error_replies_match_recorded_bytes() {
+    let service = Service::over_benchset(BenchsetConfig::sized(4, 0.04), ServiceConfig::default());
+    let lines = [
+        r#"{"id":20,"op":"query","app":"0","sinks":["crypto","no_such_detector"]}"#,
+        r#"{"id":21,"op":"batch","apps":[]}"#,
+        r#"{"id":22,"op":"batch","apps":["1","99","2"]}"#,
+        r#"{"id":23,"op":"put_version","app":"99","seed":5}"#,
+        r#"{"id":24,"op":"analyze_delta","app":"99"}"#,
+    ];
+    let replies: Vec<String> = lines
+        .iter()
+        .map(|line| execute_request(&service, &parse_request(line).unwrap()).expect("replies"))
+        .collect();
+    for i in [0, 3, 4] {
+        let id = 20 + i;
+        assert!(
+            replies[i].starts_with(&format!("{{\"id\":{id},\"error\":")),
+            "{}",
+            replies[i]
+        );
+    }
+    let got: Vec<u64> = replies.iter().map(|r| print(r)).collect();
+    check("executor errors", &got, EXECUTOR_ERRORS);
 }
 
 const SERVICE_STATS: &str = r#"{"id":90,"op":"stats","requests":9,"analyze":6,"query":2,"batch":1,"errors":1,"peak_in_flight":1,"store":{"hits":1,"misses":5,"coalesced":0,"loads":9,"load_failures":1,"evictions":7,"bytes_evicted":1324125,"disk_hits":5,"disk_misses":5,"disk_invalidations":0,"disk_writes":4,"disk_bytes_written":570934,"disk_write_failures":0,"resident_bytes":306733,"resident_apps":2,"peak_resident_bytes":396488}}"#;
 
 const POOL_STATS: &str = r#"{"id":91,"op":"stats","requests":9,"analyze":6,"query":2,"batch":1,"errors":1,"peak_in_flight":2,"store":{"hits":3,"misses":6,"coalesced":0,"loads":7,"load_failures":1,"evictions":3,"bytes_evicted":499968,"disk_hits":2,"disk_misses":6,"disk_invalidations":0,"disk_writes":4,"disk_bytes_written":570934,"disk_write_failures":0,"resident_bytes":734402,"resident_apps":4,"peak_resident_bytes":751777}}"#;
+
+const STATS_TRACE_REPLIES: &[u64] = &[
+    0x53ee3bff3b9e0841,
+    0x28c5e74ee4d7ca0f,
+    0x11b6dbcce7ffc247,
+    0xd60d792cfc1f5189,
+    0xf9adc9dfc3b41262,
+    0x5d35db432abf17fe,
+    0x3edd321c6aef6604,
+    0x533f3bff3b9e0841,
+    0x9e0adebc436bdc1b,
+];
+
+const EXECUTOR_ERRORS: &[u64] = &[
+    0x3046f7719a046a0f,
+    0xda33fa46a8b29e26,
+    0xc32d98691919ea44,
+    0xde25907667ead091,
+    0x4925907667ead091,
+];
 
 const FIXTURES: &[u64] = &[
     0xee3c12d88e706c4a,
