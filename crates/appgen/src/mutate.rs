@@ -37,7 +37,7 @@ pub struct VersionMutation {
 
 impl VersionMutation {
     /// Whether the update only edited method bodies — the shape
-    /// `classify_delta` labels `BodyOnly`, eligible for verdict reuse.
+    /// `DeltaManifest::gate` labels `BodyOnly`, eligible for verdict reuse.
     pub fn is_body_only(&self) -> bool {
         !self.body_edits.is_empty()
             && self.added_methods.is_empty()

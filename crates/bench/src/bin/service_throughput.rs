@@ -138,7 +138,6 @@ fn main() {
         budget_bytes: shard_budget,
         backend,
         snapshot_dir: snapshot_dir.clone(),
-        ..ServiceConfig::default()
     };
 
     // Drive the trace through the pool's wire path and record each

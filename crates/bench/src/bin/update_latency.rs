@@ -5,9 +5,9 @@
 //! and times each version twice:
 //!
 //! * **delta-warm** — what `put_version` + `analyze_delta` pay: rebuild
-//!   the image, posting lists included, then a delta run that replays
-//!   prior verdicts for every sink the update provably cannot have
-//!   affected;
+//!   the image, posting lists included, then the update's class walk and
+//!   reuse gate plus a delta run that replays prior verdicts for every
+//!   sink the update provably cannot have affected;
 //! * **cold** — a from-scratch image build plus a full analysis of the
 //!   same version, the cost an update would incur without the
 //!   incremental path.
@@ -93,22 +93,25 @@ fn main() {
         let mut old = AppArtifacts::with_backend(program.clone(), manifest.clone(), backend);
         // The serving layer captures the base on the first delta request;
         // here it is part of setup, not of either timed path.
-        let (_, mut base) = tool.analyze_artifacts_traced(&old);
+        let (_, mut base, _) = tool.analyze_delta(None, None, &old);
         for step in 0..updates {
             let seed = (i as u64) * 1_000 + step as u64;
             let (next, _) = mutate_version(&program, seed);
-            let delta = DeltaManifest::between(&program, &next);
-            chunks_reused += delta.unchanged.len() as u64;
-            chunks_total +=
-                (delta.unchanged.len() + delta.changed.len() + delta.added.len()) as u64;
 
             let t0 = Instant::now();
             let new = AppArtifacts::with_backend(next.clone(), manifest.clone(), backend);
             new.engine().text().search_index();
             warm_build_ms += t0.elapsed().as_secs_f64() * 1_000.0;
+            // The class walk gives the gate as well as the chunk counts,
+            // so it is timed with the analysis the gate serves.
             let t0 = Instant::now();
-            let (warm_report, new_base, stats) = tool.analyze_delta(&old, Some(&base), &new);
+            let delta = DeltaManifest::between(old.program(), new.program());
+            let gate = delta.gate(&old, &new);
+            let (warm_report, new_base, stats) = tool.analyze_delta(Some(&gate), Some(&base), &new);
             warm_analyze_ms += t0.elapsed().as_secs_f64() * 1_000.0;
+            chunks_reused += delta.unchanged.len() as u64;
+            chunks_total +=
+                (delta.unchanged.len() + delta.changed.len() + delta.added.len()) as u64;
 
             let t1 = Instant::now();
             let scratch = AppArtifacts::with_backend(next.clone(), manifest.clone(), backend);

@@ -224,8 +224,9 @@ fn handle_invoke(
 
     // Step into an app-defined callee carrying the taint (the maintained
     // call chain of §IV-B step 4).
-    let resolved = resolve_app_callee(ctx, ie);
-    let Some(resolved) = resolved else { return };
+    let Some(resolved) = ctx.program.resolve_app_callee(&ie.callee) else {
+        return;
+    };
     if visited.contains(&resolved) {
         ctx.loops.record(LoopKind::CrossForward);
         return;
@@ -308,18 +309,6 @@ fn is_supertype_of(ctx: &TaskContext<'_>, maybe_super: &ClassName, class: &Class
     }
     ctx.program.interfaces_of(class).contains(maybe_super)
         || ctx.program.superclass_chain(class).contains(maybe_super)
-}
-
-/// Resolves an invoke to an app-defined concrete method (virtual dispatch
-/// walks up the defined hierarchy).
-fn resolve_app_callee(ctx: &TaskContext<'_>, ie: &backdroid_ir::InvokeExpr) -> Option<MethodSig> {
-    if ctx.program.method(&ie.callee).is_some() {
-        return Some(ie.callee.clone());
-    }
-    if ctx.program.defines(ie.callee.class()) {
-        return ctx.program.resolve_dispatch(ie.callee.class(), &ie.callee);
-    }
-    None
 }
 
 #[cfg(test)]

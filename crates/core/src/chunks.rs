@@ -8,12 +8,13 @@
 //!   added / removed across an update, from one by-value walk over the
 //!   two programs ([`DeltaManifest::between`]). The serving layer's
 //!   `put_version` reply reports its counts.
-//! * **[`classify_delta`]** — the soundness gate for verdict reuse:
-//!   only *pure method-body* deltas (identical class set, hierarchy,
-//!   fields, modifiers, and method signatures — just different
-//!   statements) allow the analysis engine to replay prior sink
-//!   verdicts selectively; anything structural forces a full
-//!   re-analysis.
+//! * **[`DeltaKind`]** — the soundness gate for verdict reuse, read off
+//!   that walk by [`DeltaManifest::gate`], which looks again only at the
+//!   classes the walk found changed: only *pure method-body* deltas
+//!   (identical class set, hierarchy, fields, modifiers, method
+//!   signatures and manifest — just different statements) allow the
+//!   analysis engine to replay prior sink verdicts selectively;
+//!   anything structural forces a full re-analysis.
 //! * **[`ChunkManifest`]** — the `class name → chunk key` map of one
 //!   program version, where a class's *chunk key* ([`chunk_key`]:
 //!   [`fnv1a64_wide`] over its canonical
@@ -23,6 +24,7 @@
 //!   repository benchmark keep it as the oracle the walk is checked
 //!   against.
 
+use crate::context::AppArtifacts;
 use backdroid_ir::wire::{self, fnv1a64_wide, WireWriter};
 use backdroid_ir::{Class, ClassName, MethodSig, Program};
 use std::collections::{BTreeMap, BTreeSet};
@@ -118,13 +120,62 @@ impl DeltaManifest {
             .collect();
         delta
     }
+
+    /// The verdict-reuse gate of the update `old → new`, whose by-value
+    /// class diff this is (`DeltaManifest::between(old.program(),
+    /// new.program())`). An added or removed class, or a changed
+    /// manifest, makes the update [`DeltaKind::Structural`]. Otherwise
+    /// only the `changed` classes are compared again, pair by pair:
+    /// superclass, interfaces, modifiers, fields and method count, then
+    /// each method's signature, modifiers and body presence. The methods
+    /// whose bodies differ are the changed methods. A class the walk
+    /// found equal needs no second look, since [`Class`] equality covers
+    /// all of it.
+    pub fn gate(&self, old: &AppArtifacts, new: &AppArtifacts) -> DeltaKind {
+        if !self.added.is_empty() || !self.removed.is_empty() || old.manifest() != new.manifest() {
+            return DeltaKind::Structural;
+        }
+        let mut changed_methods = BTreeSet::new();
+        for name in &self.changed {
+            let (Some(oc), Some(nc)) = (old.program().class(name), new.program().class(name))
+            else {
+                return DeltaKind::Structural;
+            };
+            if oc.superclass() != nc.superclass()
+                || oc.interfaces() != nc.interfaces()
+                || oc.modifiers() != nc.modifiers()
+                || oc.fields() != nc.fields()
+                || oc.methods().len() != nc.methods().len()
+            {
+                return DeltaKind::Structural;
+            }
+            for (om, nm) in oc.methods().iter().zip(nc.methods()) {
+                if om.sig() != nm.sig()
+                    || om.modifiers() != nm.modifiers()
+                    || om.body().is_some() != nm.body().is_some()
+                {
+                    return DeltaKind::Structural;
+                }
+                if om.body() != nm.body() {
+                    changed_methods.insert(nm.sig().clone());
+                }
+            }
+        }
+        if changed_methods.is_empty() {
+            DeltaKind::Identity
+        } else {
+            DeltaKind::BodyOnly { changed_methods }
+        }
+    }
 }
 
 /// The soundness classification of an update, from the analysis
-/// engine's point of view.
+/// engine's point of view: the verdict-reuse gate
+/// [`DeltaManifest::gate`] computes and [`crate::Backdroid::analyze_delta`]
+/// takes.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum DeltaKind {
-    /// The two versions are equal programs.
+    /// The two versions are equal programs with equal manifests.
     Identity,
     /// Only method *statements* changed: the class set, hierarchy,
     /// interfaces, fields, modifiers, and every method signature are
@@ -141,48 +192,11 @@ pub enum DeltaKind {
     Structural,
 }
 
-/// Classifies an update by structural comparison of the two programs.
-pub fn classify_delta(old: &Program, new: &Program) -> DeltaKind {
-    let old_names: Vec<&ClassName> = old.classes().map(Class::name).collect();
-    let new_names: Vec<&ClassName> = new.classes().map(Class::name).collect();
-    if old_names != new_names {
-        return DeltaKind::Structural;
-    }
-    let mut changed_methods = BTreeSet::new();
-    for (oc, nc) in old.classes().zip(new.classes()) {
-        if oc.superclass() != nc.superclass()
-            || oc.interfaces() != nc.interfaces()
-            || oc.modifiers() != nc.modifiers()
-            || oc.fields() != nc.fields()
-        {
-            return DeltaKind::Structural;
-        }
-        if oc.methods().len() != nc.methods().len() {
-            return DeltaKind::Structural;
-        }
-        for (om, nm) in oc.methods().iter().zip(nc.methods()) {
-            if om.sig() != nm.sig()
-                || om.modifiers() != nm.modifiers()
-                || om.body().is_some() != nm.body().is_some()
-            {
-                return DeltaKind::Structural;
-            }
-            if om.body() != nm.body() {
-                changed_methods.insert(nm.sig().clone());
-            }
-        }
-    }
-    if changed_methods.is_empty() {
-        DeltaKind::Identity
-    } else {
-        DeltaKind::BodyOnly { changed_methods }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use backdroid_ir::{ClassBuilder, Const, MethodBuilder, Type};
+    use backdroid_manifest::Manifest;
 
     fn two_class_program(greeting: &str) -> Program {
         let a = ClassName::new("com.chunk.A");
@@ -252,13 +266,19 @@ mod tests {
         assert_eq!(shrunk.unchanged.len(), 2);
     }
 
-    #[test]
-    fn classify_distinguishes_body_only_from_structural() {
-        let old = two_class_program("hello");
-        assert_eq!(classify_delta(&old, &old), DeltaKind::Identity);
+    /// The gate of `old → new`, from their by-value class diff.
+    fn gate_between(old: Program, new: Program, new_package: &str) -> DeltaKind {
+        let old = AppArtifacts::new(old, Manifest::new("com.chunk"));
+        let new = AppArtifacts::new(new, Manifest::new(new_package));
+        DeltaManifest::between(old.program(), new.program()).gate(&old, &new)
+    }
 
-        let new = two_class_program("world");
-        match classify_delta(&old, &new) {
+    #[test]
+    fn gate_distinguishes_body_only_from_structural() {
+        let old = || two_class_program("hello");
+        assert_eq!(gate_between(old(), old(), "com.chunk"), DeltaKind::Identity);
+
+        match gate_between(old(), two_class_program("world"), "com.chunk") {
             DeltaKind::BodyOnly { changed_methods } => {
                 assert_eq!(changed_methods.len(), 1);
                 assert_eq!(
@@ -274,6 +294,15 @@ mod tests {
         let mut m = MethodBuilder::public(&c, "x", vec![], Type::Void);
         m.ret_void();
         extra.add_class(ClassBuilder::new("com.chunk.C").method(m.build()).build());
-        assert_eq!(classify_delta(&old, &extra), DeltaKind::Structural);
+        assert_eq!(
+            gate_between(old(), extra, "com.chunk"),
+            DeltaKind::Structural
+        );
+
+        // Equal programs under a changed manifest are structural too.
+        assert_eq!(
+            gate_between(old(), old(), "com.other"),
+            DeltaKind::Structural
+        );
     }
 }

@@ -12,8 +12,19 @@
 //! later site of a method an earlier site proved unreachable. Requests
 //! run concurrently one level up, on the service's shard pool workers,
 //! never inside one analysis.
+//!
+//! ## Incremental runs
+//!
+//! [`Backdroid::analyze_delta`] analyzes an updated image given two
+//! things from before it: the update's reuse gate ([`DeltaKind`], from
+//! [`crate::DeltaManifest::gate`]) and the [`DeltaBase`] of the last
+//! traced run, which holds each sink site's outcome and what its
+//! analysis read: method bodies, class definitions, and every search
+//! with the answer it got. A site is replayed when the update changed
+//! none of what it read, which the planner checks against the new image
+//! alone. The displaced image is never needed.
 
-use crate::chunks::{classify_delta, DeltaKind};
+use crate::chunks::DeltaKind;
 use crate::context::{build_engine, AppArtifacts, DepTrace, TaskContext};
 use crate::detect::Verdict;
 use crate::detector::DetectorRegistry;
@@ -24,7 +35,7 @@ use crate::sinks::SinkRegistry;
 use crate::slicer::{slice_sink, SlicerConfig};
 use backdroid_ir::{ClassName, MethodSig, Program};
 use backdroid_manifest::Manifest;
-use backdroid_search::{BackendChoice, CacheStats, SearchCmd, SearchEngine, SearchTrace};
+use backdroid_search::{BackendChoice, CacheStats, Hit, SearchCmd, SearchEngine, SearchTrace};
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::{Arc, Mutex};
@@ -168,7 +179,7 @@ pub struct Backdroid {
 
 /// One sink site's full dependency footprint: the method bodies and
 /// class definitions the analysis read ([`DepTrace`]) plus every search
-/// command and `classes_using` target it issued
+/// command and `classes_using` target it issued, each with its answer
 /// ([`backdroid_search::SearchTrace`]).
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct SiteTrace {
@@ -180,9 +191,8 @@ pub struct SiteTrace {
 
 /// Everything a later incremental run needs from one analysis: the
 /// located sink sites, their outcomes (`None` for a site the §IV-F skip
-/// rule skipped), and per-site dependency traces. Produced by
-/// [`Backdroid::analyze_artifacts_traced`] (and by every
-/// [`Backdroid::analyze_delta`] call, for the *next* update); valid only
+/// rule skipped), and per-site dependency traces. Produced by every
+/// [`Backdroid::analyze_delta`] call, for the *next* update; valid only
 /// for the same tool options it was captured with — `analyze_delta`
 /// verifies that and falls back to a full run otherwise.
 #[derive(Clone, Debug)]
@@ -192,13 +202,6 @@ pub struct DeltaBase {
     traces: Vec<Option<SiteTrace>>,
     detector_ids: Vec<String>,
     hierarchy_initial_search: bool,
-}
-
-impl DeltaBase {
-    /// Number of sink sites the base run located.
-    pub fn site_count(&self) -> usize {
-        self.sites.len()
-    }
 }
 
 /// What one [`Backdroid::analyze_delta`] run did — the serving layer
@@ -335,22 +338,6 @@ impl Backdroid {
         (report, trace, slice_ns, verdict_ns)
     }
 
-    /// [`Backdroid::analyze_artifacts`] plus delta capture: records each
-    /// sink site's dependency footprint and returns the [`DeltaBase`] a
-    /// later [`Backdroid::analyze_delta`] replays verdicts from. The
-    /// report is identical to the untraced run's.
-    pub fn analyze_artifacts_traced(&self, artifacts: &AppArtifacts) -> (AppReport, DeltaBase) {
-        let (report, base, _) = self.run_sites(
-            artifacts.program(),
-            artifacts.manifest(),
-            artifacts.engine(),
-            Instant::now(),
-            true,
-            None,
-        );
-        (report, base.expect("capture mode produces a base"))
-    }
-
     /// Incremental analysis of an app update (the delta path): analyzes
     /// `new` re-running only the sink sites an update could have
     /// affected, replaying prior verdicts for the rest.
@@ -360,21 +347,22 @@ impl Backdroid {
     /// the deterministic report surface (sites, reachability, values,
     /// verdicts, skip decisions) — to a from-scratch analysis of `new`.
     ///
-    /// Verdict reuse engages only for **method-body-only** updates
-    /// (see [`crate::chunks::classify_delta`]): hierarchy, signature,
-    /// and manifest queries are provably unchanged there, so a prior
-    /// verdict is replayed iff the site's recorded body/class reads
-    /// avoid every changed method and its recorded search queries
-    /// answer identically over the old and new images. Structural
-    /// updates, a missing/mismatched `base`, or a changed manifest fall
-    /// back to re-analyzing every site — still byte-identical, by
-    /// determinism.
+    /// `gate` is the update's [`DeltaKind`] ([`crate::DeltaManifest::gate`])
+    /// and `base` the traced run of the version it displaced. Verdict
+    /// reuse engages only for **method-body-only** updates: hierarchy,
+    /// signature, and manifest queries are provably unchanged there, so
+    /// a prior verdict is replayed iff the site's recorded body/class
+    /// reads avoid every changed method and the new image answers each
+    /// of its recorded searches as the base run saw it answered. A
+    /// missing gate or base, a structural update, or a base captured
+    /// under other options re-analyzes every site (`full_fallback`) —
+    /// still byte-identical, by determinism.
     ///
     /// Always returns a fresh [`DeltaBase`] for the next update in the
     /// chain.
     pub fn analyze_delta(
         &self,
-        old: &AppArtifacts,
+        gate: Option<&DeltaKind>,
         base: Option<&DeltaBase>,
         new: &AppArtifacts,
     ) -> (AppReport, DeltaBase, DeltaStats) {
@@ -388,70 +376,57 @@ impl Backdroid {
                 true,
                 None,
             );
-            let reanalyzed = base.as_ref().map_or(0, DeltaBase::site_count);
-            (
-                report,
-                base.expect("capture mode produces a base"),
-                DeltaStats {
-                    full_fallback: true,
-                    sinks_reused: 0,
-                    sinks_reanalyzed: reanalyzed,
-                },
-            )
+            let base = base.expect("capture mode produces a base");
+            let stats = DeltaStats {
+                full_fallback: true,
+                sinks_reused: 0,
+                sinks_reanalyzed: base.sites.len(),
+            };
+            (report, base, stats)
         };
 
-        let Some(base) = base else { return full(self) };
+        let (Some(gate), Some(base)) = (gate, base) else {
+            return full(self);
+        };
         if base
             .detector_ids
             .iter()
             .map(String::as_str)
             .ne(self.options.detectors.ids())
             || base.hierarchy_initial_search != self.options.hierarchy_initial_search
-            || old.manifest() != new.manifest()
         {
             return full(self);
         }
-        let changed_methods: BTreeSet<MethodSig> =
-            match classify_delta(old.program(), new.program()) {
-                DeltaKind::Identity => BTreeSet::new(),
-                DeltaKind::BodyOnly { changed_methods } => changed_methods,
-                DeltaKind::Structural => return full(self),
-            };
+        let no_methods = BTreeSet::new();
+        let changed_methods = match gate {
+            DeltaKind::Identity => &no_methods,
+            DeltaKind::BodyOnly { changed_methods } => changed_methods,
+            DeltaKind::Structural => return full(self),
+        };
         let changed_classes: BTreeSet<ClassName> =
             changed_methods.iter().map(|m| m.class().clone()).collect();
 
-        // Memoized exact checks: a traced search answer is "unchanged"
-        // iff re-running it over the old and new images yields the same
-        // hit-method sequence (line numbers may shift with unrelated
-        // edits; no analysis pass reads them). The old engine's §IV-F
-        // caches make the old side cheap; the new side pre-warms the
-        // caches the fresh subset will use anyway.
-        let cmd_ok: RefCell<HashMap<SearchCmd, bool>> = RefCell::new(HashMap::new());
-        let use_ok: RefCell<HashMap<ClassName, bool>> = RefCell::new(HashMap::new());
-        let identity = changed_methods.is_empty();
-        let same_cmd = |cmd: &SearchCmd| -> bool {
-            if identity {
-                return true;
+        // A recorded search answer still holds iff the new image answers
+        // the command with the same hit-method sequence (line numbers
+        // may shift with unrelated edits; no analysis pass reads them).
+        // Each question is put to the new image once, which pre-warms
+        // the caches the fresh subset will use anyway.
+        let new_hits: RefCell<HashMap<SearchCmd, Vec<Hit>>> = RefCell::default();
+        let new_users: RefCell<HashMap<ClassName, Vec<ClassName>>> = RefCell::default();
+        let same_hits = |(cmd, seen): (&SearchCmd, &Vec<MethodSig>)| -> bool {
+            let mut memo = new_hits.borrow_mut();
+            if !memo.contains_key(cmd) {
+                memo.insert(cmd.clone(), new.engine().run(cmd));
             }
-            if let Some(&ok) = cmd_ok.borrow().get(cmd) {
-                return ok;
-            }
-            let a = old.engine().run(cmd);
-            let b = new.engine().run(cmd);
-            let ok = a.len() == b.len() && a.iter().zip(&b).all(|(x, y)| x.method == y.method);
-            cmd_ok.borrow_mut().insert(cmd.clone(), ok);
-            ok
+            let hits = &memo[cmd];
+            hits.len() == seen.len() && hits.iter().zip(seen).all(|(h, m)| h.method == *m)
         };
-        let same_use = |target: &ClassName| -> bool {
-            if identity {
-                return true;
+        let same_users = |(target, seen): (&ClassName, &Vec<ClassName>)| -> bool {
+            let mut memo = new_users.borrow_mut();
+            if !memo.contains_key(target) {
+                memo.insert(target.clone(), new.engine().classes_using(target));
             }
-            if let Some(&ok) = use_ok.borrow().get(target) {
-                return ok;
-            }
-            let ok = old.engine().classes_using(target) == new.engine().classes_using(target);
-            use_ok.borrow_mut().insert(target.clone(), ok);
-            ok
+            memo[target] == *seen
         };
 
         let by_key: HashMap<(usize, &MethodSig, usize), usize> = base
@@ -478,10 +453,15 @@ impl Backdroid {
                         // the skip rule settles it again in this run.
                         return SitePlan::Fresh;
                     };
-                    let untouched = trace.deps.methods.is_disjoint(&changed_methods)
-                        && trace.deps.classes.is_disjoint(&changed_classes)
-                        && trace.search.cmds.iter().all(&same_cmd)
-                        && trace.search.class_uses.iter().all(&same_use);
+                    // A reused site's trace carries into the next base:
+                    // its recorded answers are also the new image's, since
+                    // an identity update changes none of them and any
+                    // other update was checked against each one here.
+                    let untouched = changed_methods.is_empty()
+                        || trace.deps.methods.is_disjoint(changed_methods)
+                            && trace.deps.classes.is_disjoint(&changed_classes)
+                            && trace.search.cmds.iter().all(&same_hits)
+                            && trace.search.class_uses.iter().all(&same_users);
                     if untouched {
                         SitePlan::Reuse(Box::new((outcome.clone(), trace.clone())))
                     } else {
@@ -503,15 +483,15 @@ impl Backdroid {
         let stats = DeltaStats {
             full_fallback: false,
             sinks_reused: reused,
-            sinks_reanalyzed: new_base.site_count() - reused,
+            sinks_reanalyzed: new_base.sites.len() - reused,
         };
         (report, new_base, stats)
     }
 
-    /// The sink loop shared by full, traced, and delta runs. `started`
-    /// is the caller's clock start, so `analysis_time` is measured
-    /// exactly once per report — `analyze` includes its preprocessing
-    /// span, the other entry points start here. `planner` (delta mode)
+    /// The sink loop shared by full and delta runs. `started` is the
+    /// caller's clock start, so `analysis_time` is measured exactly once
+    /// per report — `analyze` includes its preprocessing span, the other
+    /// entry points start here. `planner` (delta mode)
     /// maps located sites to per-site plans; `capture` additionally
     /// records dependency traces and returns a [`DeltaBase`]. Returns
     /// `(report, base, sites_reused)`.

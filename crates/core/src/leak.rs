@@ -277,14 +277,9 @@ fn check_invoke(
         }
     }
     // Step into app callees carrying the taint.
-    let resolved = if ctx.program.method(&ie.callee).is_some() {
-        Some(ie.callee.clone())
-    } else if ctx.program.defines(ie.callee.class()) {
-        ctx.program.resolve_dispatch(ie.callee.class(), &ie.callee)
-    } else {
-        None
+    let Some(resolved) = ctx.program.resolve_app_callee(&ie.callee) else {
+        return;
     };
-    let Some(resolved) = resolved else { return };
     if visited.contains(&resolved) {
         ctx.loops.record(LoopKind::CrossForward);
         return;

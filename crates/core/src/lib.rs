@@ -81,7 +81,7 @@ pub mod ssg;
 
 pub use backdroid_search::BackendChoice;
 pub use backtrack::{find_callers, CallerEdge, ChainStep, EdgeKind, Reached};
-pub use chunks::{chunk_key, classify_delta, ChunkManifest, DeltaKind, DeltaManifest};
+pub use chunks::{chunk_key, ChunkManifest, DeltaKind, DeltaManifest};
 pub use context::{AppArtifacts, DepTrace, TaskContext};
 pub use detect::Verdict;
 pub use detector::{DetectorError, DetectorRegistry, DetectorSpec, RuleFn, VerdictRule};

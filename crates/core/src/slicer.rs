@@ -172,7 +172,7 @@ impl BackwardSlicer<'_, '_> {
                     }
                     let u = self.ssg.add_unit(method, idx, stmt);
                     self.ssg.add_edge(u, last_unit, SsgEdge::Intra);
-                    self.transfer_assign(method, idx, place, rvalue, &mut taints, u, guard, depth);
+                    self.transfer_assign(place, rvalue, &mut taints, u, guard, depth);
                     last_unit = u;
                 }
                 Stmt::Invoke(ie) => {
@@ -192,7 +192,7 @@ impl BackwardSlicer<'_, '_> {
                         // Dive into an app-defined constructor to capture
                         // the field writes that initialize the object.
                         if ie.callee.is_init() {
-                            self.dive_into_contained(method, ie, u, guard, depth);
+                            self.dive_into_contained(ie, u, guard, depth);
                         }
                         last_unit = u;
                     }
@@ -267,11 +267,8 @@ impl BackwardSlicer<'_, '_> {
     }
 
     /// Backward transfer for one relevant assignment.
-    #[allow(clippy::too_many_arguments)]
     fn transfer_assign(
         &mut self,
-        method: &MethodSig,
-        _idx: usize,
         place: &Place,
         rvalue: &Rvalue,
         taints: &mut TaintSet,
@@ -349,7 +346,7 @@ impl BackwardSlicer<'_, '_> {
                         taints.taint_local(*l);
                     }
                 }
-                self.dive_into_contained(method, ie, unit, guard, depth);
+                self.dive_into_contained(ie, unit, guard, depth);
             }
         }
     }
@@ -426,23 +423,14 @@ impl BackwardSlicer<'_, '_> {
     /// slice. Connects call and return edges (§V-A).
     fn dive_into_contained(
         &mut self,
-        caller: &MethodSig,
         ie: &InvokeExpr,
         call_unit: usize,
         guard: &mut PathGuard,
         depth: usize,
     ) {
-        let _ = caller;
-        let resolved = if self.ctx.program.method(&ie.callee).is_some() {
-            Some(ie.callee.clone())
-        } else if self.ctx.program.defines(ie.callee.class()) {
-            self.ctx
-                .program
-                .resolve_dispatch(ie.callee.class(), &ie.callee)
-        } else {
-            None
+        let Some(callee) = self.ctx.program.resolve_app_callee(&ie.callee) else {
+            return;
         };
-        let Some(callee) = resolved else { return };
         if guard.would_loop(&callee) {
             self.ctx.loops.record(LoopKind::InnerBackward);
             return;

@@ -234,6 +234,18 @@ impl Program {
         }
     }
 
+    /// The app-defined method an invoke of `callee` runs: `callee`
+    /// itself if the app defines that method, else virtual dispatch from
+    /// its class ([`Program::resolve_dispatch`]). Reads signatures and
+    /// the hierarchy only, never a body.
+    pub fn resolve_app_callee(&self, callee: &MethodSig) -> Option<MethodSig> {
+        if self.method(callee).is_some() {
+            Some(callee.clone())
+        } else {
+            self.resolve_dispatch(callee.class(), callee)
+        }
+    }
+
     /// All concrete override targets of `declared` over the defined
     /// hierarchy — the CHA call-target set used by the whole-app baseline.
     pub fn cha_targets(&self, declared: &MethodSig) -> Vec<MethodSig> {

@@ -8,7 +8,7 @@ use crate::text::BytecodeText;
 use backdroid_dex::{class_descriptor, field_ref_string, method_ref_string};
 use backdroid_ir::{ClassName, FieldSig, MethodSig};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -195,25 +195,22 @@ struct EngineShared {
     caching: AtomicBool,
 }
 
-/// Everything one analysis task asked the search engine: the command
-/// set and the class-level "invoked by" targets. The delta analyzer
-/// records one per sink site, then decides whether an app update could
-/// have changed any recorded answer — if not (and the site's method
-/// footprint is also untouched), the prior verdict is replayed.
+/// Everything one analysis task asked the search engine, with the
+/// answers it got: each command with its hit methods, and each
+/// class-level "invoked by" target with the classes that use it. The
+/// delta analyzer records one per sink site, then asks the updated
+/// image the same questions: if every answer is the same (and the
+/// site's method footprint is also untouched), the prior verdict is
+/// replayed. Line numbers are not kept: no analysis pass reads them,
+/// and unrelated edits shift them.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct SearchTrace {
-    /// Distinct [`SearchEngine::run`] commands issued.
-    pub cmds: std::collections::BTreeSet<SearchCmd>,
-    /// Distinct [`SearchEngine::classes_using`] targets queried.
-    pub class_uses: std::collections::BTreeSet<ClassName>,
-}
-
-impl SearchTrace {
-    /// Folds another trace into this one.
-    pub fn merge(&mut self, other: &SearchTrace) {
-        self.cmds.extend(other.cmds.iter().cloned());
-        self.class_uses.extend(other.class_uses.iter().cloned());
-    }
+    /// Each distinct [`SearchEngine::run`] command issued, with the
+    /// method of each hit, in hit order.
+    pub cmds: BTreeMap<SearchCmd, Vec<MethodSig>>,
+    /// Each distinct [`SearchEngine::classes_using`] target queried,
+    /// with the classes it answered.
+    pub class_uses: BTreeMap<ClassName, Vec<ClassName>>,
 }
 
 /// The per-app search engine: a cheaply cloneable **handle** on one
@@ -263,12 +260,20 @@ impl SearchEngine {
     }
 
     /// A handle over the same shared engine that records every command
-    /// and `classes_using` target into `trace`. Recording never changes
-    /// results, caching, or statistics — it only observes.
+    /// and `classes_using` target, with its answer, into `trace`.
+    /// Recording never changes results, caching, or statistics — it
+    /// only observes.
     pub fn with_recorder(&self, trace: Arc<Mutex<SearchTrace>>) -> SearchEngine {
         SearchEngine {
             shared: Arc::clone(&self.shared),
             recorder: Some(trace),
+        }
+    }
+
+    /// Runs `f` on this handle's recorder, if it has one.
+    fn record(&self, f: impl FnOnce(&mut SearchTrace)) {
+        if let Some(rec) = &self.recorder {
+            f(&mut rec.lock().unwrap_or_else(|e| e.into_inner()));
         }
     }
 
@@ -312,12 +317,17 @@ impl SearchEngine {
 
     /// Runs (or replays from cache) a search command.
     pub fn run(&self, cmd: &SearchCmd) -> Vec<Hit> {
-        if let Some(rec) = &self.recorder {
-            rec.lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .cmds
-                .insert(cmd.clone());
-        }
+        let hits = self.run_cached(cmd);
+        self.record(|t| {
+            t.cmds
+                .entry(cmd.clone())
+                .or_insert_with(|| hits.iter().map(|h| h.method.clone()).collect());
+        });
+        hits
+    }
+
+    /// [`SearchEngine::run`] without the recording.
+    fn run_cached(&self, cmd: &SearchCmd) -> Vec<Hit> {
         let s = &self.shared;
         s.stats.commands.fetch_add(1, Ordering::Relaxed);
         if !s.caching.load(Ordering::Relaxed) {
@@ -344,12 +354,17 @@ impl SearchEngine {
     /// the containing method's class) with `Superclass`/`Interfaces`
     /// header hits.
     pub fn classes_using(&self, target: &ClassName) -> Vec<ClassName> {
-        if let Some(rec) = &self.recorder {
-            rec.lock()
-                .unwrap_or_else(|e| e.into_inner())
-                .class_uses
-                .insert(target.clone());
-        }
+        let users = self.classes_using_cached(target);
+        self.record(|t| {
+            t.class_uses
+                .entry(target.clone())
+                .or_insert_with(|| users.clone());
+        });
+        users
+    }
+
+    /// [`SearchEngine::classes_using`] without the recording.
+    fn classes_using_cached(&self, target: &ClassName) -> Vec<ClassName> {
         let s = &self.shared;
         s.stats.commands.fetch_add(1, Ordering::Relaxed);
         let execute = || {
@@ -685,5 +700,32 @@ mod tests {
         let before = e.stats().hits;
         let _ = e.classes_using(&ClassName::new("com.a.Server"));
         assert_eq!(e.stats().hits, before + 1);
+    }
+
+    #[test]
+    fn a_recorder_keeps_each_answer_and_changes_no_result() {
+        let p = sample();
+        let plain = engine_for(&p);
+        let trace = Arc::new(Mutex::new(SearchTrace::default()));
+        let recording = plain.with_recorder(Arc::clone(&trace));
+        let start =
+            SearchCmd::InvokeOf(MethodSig::new("com.a.Server", "start", vec![], Type::Void));
+        let server = ClassName::new("com.a.Server");
+        assert_eq!(recording.run(&start), plain.run(&start));
+        assert_eq!(recording.run(&start), plain.run(&start));
+        assert_eq!(
+            recording.classes_using(&server),
+            plain.classes_using(&server)
+        );
+        let _ = plain.run(&SearchCmd::MethodNameCall("getInstance".into()));
+        let trace = trace.lock().unwrap();
+        // Only the recording handle's questions, each once, with the
+        // methods of its hits and the classes using the target.
+        let go = MethodSig::new("com.a.Caller", "go", vec![], Type::Void);
+        assert_eq!(trace.cmds, BTreeMap::from([(start, vec![go])]));
+        assert_eq!(
+            trace.class_uses,
+            BTreeMap::from([(server, vec![ClassName::new("com.a.Caller")])])
+        );
     }
 }

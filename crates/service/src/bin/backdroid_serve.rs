@@ -64,7 +64,8 @@ Benchset (the app universe; ids are decimal indices):
 Serving:
   --backend B          search backend: linear | indexed (default indexed)
   --budget-mb N        resident app-store byte budget (default 512; per shard when sharded)
-  --direct             zero-budget store: every request cold-loads (golden mode)
+  --direct             zero-budget store: every request cold-loads (golden mode);
+                       a usage error together with --budget-mb
   --workers N          worker threads per shard (default 1); above 1 serves through
                        a shard pool — one shard unless --shards says otherwise
   --snapshot-dir DIR   persistent disk tier: cold loads restore from versioned,
@@ -209,17 +210,19 @@ fn main() {
             .unwrap_or_else(|| usage_error("--backend", &v, "\"linear\" or \"indexed\"")),
         None => BackendChoice::default(),
     };
-    let budget_bytes = if has_flag("--direct") {
-        0
-    } else {
-        budget_arg("--budget-mb").unwrap_or(512 << 20)
+    let budget_bytes = match (has_flag("--direct"), budget_arg("--budget-mb")) {
+        (false, budget) => budget.unwrap_or(512 << 20),
+        (true, None) => 0,
+        (true, Some(_)) => {
+            eprintln!("error: --direct serves with a zero budget and takes no --budget-mb");
+            std::process::exit(2)
+        }
     };
     let workers = count_arg("--workers").unwrap_or(1);
     let service_cfg = ServiceConfig {
         budget_bytes,
         backend,
         snapshot_dir: arg_value("--snapshot-dir").map(std::path::PathBuf::from),
-        ..ServiceConfig::default()
     };
     let disk_tier = service_cfg.snapshot_dir.is_some();
 

@@ -12,15 +12,16 @@
 //!
 //! The store owns each app's served image and version number: every
 //! analyzing op gets its image from [`AppStore::get`], and updates go
-//! through [`AppStore::put`]. The service keeps only what a delta run
-//! diffs against, outside the store's budget.
+//! through [`AppStore::put`]. The service keeps only what the next delta
+//! run needs, outside the store's budget: the last update's reuse gate
+//! and the last traced analysis base, never an image.
 
 use crate::store::{AppStore, Fetch};
 use backdroid_appgen::benchset::{bench_app, BenchsetConfig};
 use backdroid_appgen::mutate_version;
 use backdroid_core::{
-    AppArtifacts, AppReport, Backdroid, BackdroidOptions, BackendChoice, DeltaBase, DeltaManifest,
-    DeltaStats, DetectorRegistry,
+    AppArtifacts, AppReport, Backdroid, BackdroidOptions, BackendChoice, DeltaBase, DeltaKind,
+    DeltaManifest, DetectorRegistry,
 };
 use backdroid_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use std::collections::HashMap;
@@ -42,10 +43,6 @@ pub struct ServiceConfig {
     /// [`crate::store::DiskTier`] and [`AppStore::flush`]).
     /// Responses are byte-identical with or without it.
     pub snapshot_dir: Option<std::path::PathBuf>,
-    /// The detectors this service instance runs. Defaults to the
-    /// paper's set ([`DetectorRegistry::paper`]); query requests may
-    /// restrict to a subset by detector id.
-    pub detectors: DetectorRegistry,
 }
 
 impl Default for ServiceConfig {
@@ -54,7 +51,6 @@ impl Default for ServiceConfig {
             budget_bytes: 256 * 1024 * 1024,
             backend: BackendChoice::default(),
             snapshot_dir: None,
-            detectors: DetectorRegistry::paper(),
         }
     }
 }
@@ -199,17 +195,24 @@ impl Drop for InFlightGuard<'_> {
     }
 }
 
-/// What the next delta run of an updated app diffs against: the image
-/// of the version before the current one, and the last traced analysis
-/// base with the version it describes. The served image and the version
-/// number live in the store; this is the only per-app state the service
-/// keeps, and it sits outside the store's byte budget.
+/// What the next delta run of an app needs: the reuse gate of its last
+/// update, and the last traced analysis base with the version it
+/// describes. The served image and the version number live in the
+/// store; this is the only per-app state the service keeps, and it sits
+/// outside the store's byte budget. No image is kept: the base's traces
+/// hold the search answers the displaced version gave.
+///
+/// A delta run uses the gate only while the base describes the version
+/// just displaced (`base_version + 1` is the served version); a base
+/// that describes the served version makes the run an identity update;
+/// a second `put_version` before any delta run drops the base, and the
+/// next run is a full one.
 #[derive(Default)]
 struct DeltaState {
-    /// The previously served image — the `old` side of the next delta
-    /// run. Set by `put_version`, dropped once a delta run has captured
-    /// the base for the current version.
-    prev: Option<Arc<AppArtifacts>>,
+    /// The reuse gate `put_version` computed for the update to the
+    /// served version ([`DeltaManifest::gate`]). Dropped once a delta
+    /// run has captured the base for that version.
+    gate: Option<DeltaKind>,
     /// Per-site outcomes + traces from the last traced analysis.
     base: Option<Arc<DeltaBase>>,
     /// Which version `base` was captured against.
@@ -246,8 +249,9 @@ impl std::fmt::Debug for Service {
 
 impl Service {
     /// Creates a service over a custom app loader. The loader builds the
-    /// artifacts for a cold app id; the service fixes the search backend
-    /// and detectors via `cfg`-derived [`BackdroidOptions`].
+    /// artifacts for a cold app id; the service runs the paper's
+    /// detectors ([`DetectorRegistry::paper`]) with `cfg`'s search
+    /// backend, and a `query` may restrict them by detector id.
     pub fn new(
         cfg: ServiceConfig,
         loader: impl Fn(&str) -> Result<AppArtifacts, String> + Send + Sync + 'static,
@@ -265,7 +269,6 @@ impl Service {
             update_locks: Mutex::default(),
             base: BackdroidOptions {
                 backend: cfg.backend,
-                detectors: cfg.detectors,
                 ..BackdroidOptions::default()
             },
             registry,
@@ -351,15 +354,17 @@ impl Service {
 
     /// Publishes version *n+1* of an app: mutates the current program
     /// with the deterministic update generator and builds the new image
-    /// from the mutated program. The reply's class counts come from one
-    /// by-value walk over the displaced and the new program
-    /// ([`DeltaManifest::between`]); `mutate_version` has already
-    /// decoded the displaced one. The image is handed to
+    /// from the mutated program. One by-value walk over the displaced
+    /// and the new program ([`DeltaManifest::between`]; `mutate_version`
+    /// has already decoded the displaced one) gives both the reply's
+    /// class counts and the update's reuse gate
+    /// ([`DeltaManifest::gate`]), which is all the next delta run needs
+    /// of the displaced version. The image is handed to
     /// [`AppStore::put`], which writes its snapshot (with a disk tier)
     /// and swaps it in; the store's version number is the reply's. The
-    /// delta map is taken only afterwards, to keep the displaced image
-    /// for the next delta run, so no other app's request waits on the
-    /// build. Same-app updates chain on the per-app update lock.
+    /// delta map is taken only afterwards, to keep the gate, so no other
+    /// app's request waits on the build. Same-app updates chain on the
+    /// per-app update lock.
     pub fn put_version(&self, app_id: &str, seed: u64) -> Result<PutVersionOutcome, ServiceError> {
         let _guard = self.begin_request(&self.counters.put_version_requests);
         let app_lock = self.update_lock(app_id);
@@ -370,6 +375,8 @@ impl Service {
         let artifacts =
             AppArtifacts::with_backend(mutated, current.manifest().clone(), self.base.backend);
         let delta = DeltaManifest::between(current.program(), artifacts.program());
+        let gate = delta.gate(&current, &artifacts);
+        drop(current);
         let c = &self.counters;
         c.chunks_reused.add(delta.unchanged.len() as u64);
         c.chunks_written
@@ -381,7 +388,7 @@ impl Service {
         {
             let mut deltas = self.deltas.lock().expect("delta map poisoned");
             let state = deltas.entry(app_id.to_string()).or_default();
-            state.prev = Some(current);
+            state.gate = Some(gate);
             if state.base_version + 1 != version {
                 // The base no longer describes the version just displaced;
                 // the next delta run re-captures from scratch.
@@ -400,10 +407,11 @@ impl Service {
     }
 
     /// Incremental full-registry analysis of the app's current version.
-    /// With a traced base from the previous version, only sinks whose
-    /// recorded dependencies intersect the update are re-analyzed
-    /// ([`Backdroid::analyze_delta`]); without one, a full traced run
-    /// captures the base for next time. Either way the report — and
+    /// With a traced base from the previous version and the gate of the
+    /// update since, only sinks whose recorded dependencies intersect
+    /// the update are re-analyzed ([`Backdroid::analyze_delta`]); without
+    /// them, a full traced run captures the base for next time. Either
+    /// way the report — and
     /// therefore the wire response body — is **byte-identical** to a
     /// from-scratch analysis of the same version. Holds the app's update
     /// lock, so no `put_version` moves the version between the fetch and
@@ -415,36 +423,20 @@ impl Service {
         let started = Instant::now();
         let (current, fetch) = self.fetch(app_id)?;
         let version = self.store.version(app_id);
-        let (old, base) = {
+        let (gate, base) = {
             let deltas = self.deltas.lock().expect("delta map poisoned");
             match deltas.get(app_id).filter(|s| s.base.is_some()) {
                 // Base describes the served version: an identity delta
                 // reuses every verdict.
-                Some(s) if s.base_version == version => {
-                    (Some(Arc::clone(&current)), s.base.clone())
-                }
-                Some(s) if s.base_version + 1 == version => (s.prev.clone(), s.base.clone()),
+                Some(s) if s.base_version == version => (Some(DeltaKind::Identity), s.base.clone()),
+                Some(s) if s.base_version + 1 == version => (s.gate.clone(), s.base.clone()),
                 _ => (None, None),
             }
         };
         let tool = Backdroid::with_options(self.base.clone());
         let sections_before = current.materialized_sections();
-        let (report, new_base, stats) = match old {
-            Some(old) => tool.analyze_delta(&old, base.as_deref(), &current),
-            None => {
-                let (report, new_base) = tool.analyze_artifacts_traced(&current);
-                let reanalyzed = new_base.site_count();
-                (
-                    report,
-                    new_base,
-                    DeltaStats {
-                        full_fallback: true,
-                        sinks_reused: 0,
-                        sinks_reanalyzed: reanalyzed,
-                    },
-                )
-            }
-        };
+        let (report, new_base, stats) =
+            tool.analyze_delta(gate.as_ref(), base.as_deref(), &current);
         let c = &self.counters;
         if stats.full_fallback {
             c.delta_full_fallbacks.inc();
@@ -453,20 +445,11 @@ impl Service {
         c.sinks_reanalyzed.add(stats.sinks_reanalyzed as u64);
         c.delta_analysis_us
             .record(started.elapsed().as_micros() as u64);
-        c.search_commands.add(report.cache_stats.commands);
-        c.search_cache_hits.add(report.cache_stats.hits);
-        c.search_lines_scanned.add(report.cache_stats.lines_scanned);
-        c.search_postings_touched
-            .add(report.cache_stats.postings_touched);
-        c.lazy_sections_materialized.add(
-            current
-                .materialized_sections()
-                .saturating_sub(sections_before),
-        );
+        self.record_work(&report, &current, sections_before);
         {
             let mut deltas = self.deltas.lock().expect("delta map poisoned");
             let state = deltas.entry(app_id.to_string()).or_default();
-            state.prev = None;
+            state.gate = None;
             state.base = Some(Arc::new(new_base));
             state.base_version = version;
         }
@@ -533,6 +516,19 @@ impl Service {
         c.phase_locate_us.record(report.phases.locate_ns / 1_000);
         c.phase_slice_us.record(report.phases.slice_ns / 1_000);
         c.phase_verdict_us.record(report.phases.verdict_ns / 1_000);
+        self.record_work(&report, &artifacts, sections_before);
+        Ok(AppAnalysis {
+            app_id: app_id.to_string(),
+            app_name: artifacts.manifest().package().to_string(),
+            report,
+            fetch,
+        })
+    }
+
+    /// Records one analysis's search work and the lazy sections of
+    /// `artifacts` it materialized (those past `sections_before`).
+    fn record_work(&self, report: &AppReport, artifacts: &AppArtifacts, sections_before: u64) {
+        let c = &self.counters;
         c.search_commands.add(report.cache_stats.commands);
         c.search_cache_hits.add(report.cache_stats.hits);
         c.search_lines_scanned.add(report.cache_stats.lines_scanned);
@@ -543,12 +539,6 @@ impl Service {
                 .materialized_sections()
                 .saturating_sub(sections_before),
         );
-        Ok(AppAnalysis {
-            app_id: app_id.to_string(),
-            app_name: artifacts.manifest().package().to_string(),
-            report,
-            fetch,
-        })
     }
 }
 

@@ -195,13 +195,7 @@ pub fn build(
             let mut targets: Vec<MethodSig> = Vec::new();
             match ie.kind {
                 InvokeKind::Static | InvokeKind::Special | InvokeKind::Super => {
-                    if program.method(&ie.callee).is_some() {
-                        targets.push(ie.callee.clone());
-                    } else if program.defines(ie.callee.class()) {
-                        if let Some(r) = program.resolve_dispatch(ie.callee.class(), &ie.callee) {
-                            targets.push(r);
-                        }
-                    }
+                    targets.extend(program.resolve_app_callee(&ie.callee));
                 }
                 InvokeKind::Virtual | InvokeKind::Interface => {
                     let cha = program.cha_targets(&ie.callee);

@@ -122,7 +122,6 @@ fn killing_a_shard_mid_burst_loses_nothing_and_restarts_disk_warm() {
                     budget_bytes: u64::MAX,
                     backend,
                     snapshot_dir: Some(snapshot_dir.clone()),
-                    ..ServiceConfig::default()
                 },
             )
         },
