@@ -15,14 +15,18 @@
 //! non-zero if either fails:
 //!
 //! * the resident store never exceeds its byte budget
-//!   (`peak_resident_bytes <= budget`, both summed across shards; the
-//!   workload publishes no update, the store's one exception);
+//!   (`peak_resident_bytes <= budget`, both summed across shards, the
+//!   analysis memos included; the workload publishes no update, the
+//!   store's one exception);
 //! * the mean warm-hit latency is below the mean cold-load latency
 //!   (residency actually amortizes preprocessing). An empty warm
 //!   bucket fails the check rather than skipping it — a workload that
 //!   never hits the store cannot demonstrate residency (only a
 //!   zero-budget store, which by design has no warm hits, skips the
 //!   comparison).
+//!
+//! It also reports the analysis memo's hit ratio: the share of reads a
+//! resident image's memo answered without analyzing.
 //!
 //! Latency tiers are read from the service's metrics registry: the
 //! `request_{miss,disk,hit,coalesced}_us` histograms record each
@@ -224,6 +228,14 @@ fn main() {
     // the shard count (aggregated peaks are summed the same way).
     let budget_bytes = shard_budget.saturating_mul(shards as u64);
 
+    let memo_hits = v("analysis_memo_hits_total");
+    let memo_reads = memo_hits + v("analysis_memo_misses_total");
+    let memo_hit_rate = if memo_reads > 0 {
+        memo_hits as f64 / memo_reads as f64
+    } else {
+        0.0
+    };
+
     let rps = if wall_s > 0.0 {
         samples.len() as f64 / wall_s
     } else {
@@ -292,6 +304,10 @@ fn main() {
         v("store_resident_apps"),
         100.0 * hit_rate(&snap),
     );
+    println!(
+        "  analysis memo: {memo_hits} of {memo_reads} reads answered without analyzing ({:.1}%)",
+        100.0 * memo_hit_rate,
+    );
     match queue_wait {
         Some(h) if h.count > 0 => println!(
             "  queue: peak in-flight {} ({} errors), wait n={} mean={:.1} us p99<={} us (bucket {})",
@@ -343,6 +359,7 @@ fn main() {
             .int("disk_bytes_written", v("store_disk_bytes_written_total"))
             .int("peak_resident_bytes", peak_resident_bytes)
             .int("peak_in_flight", v("service_peak_in_flight"))
+            .float("memo_hit_rate", memo_hit_rate)
             .float("queue_wait_p99_buckets", queue_wait_p99_buckets)
             .raw(
                 "shard_requests",

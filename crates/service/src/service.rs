@@ -1,7 +1,7 @@
 //! The serving front end: per-detector queries against the resident
-//! [`AppStore`], each analyzed by [`Backdroid::analyze_artifacts`] on
-//! the thread that handles the request, with per-request accounting
-//! aggregated atomically (the same pattern as `CacheStats`).
+//! [`AppStore`], each answered on the thread that handles the request,
+//! with per-request accounting aggregated atomically (the same pattern
+//! as `CacheStats`).
 //!
 //! Every response is a pure function of (app version, requested
 //! detectors): the store only changes *where* the artifacts come from —
@@ -10,23 +10,31 @@
 //! CI service-smoke leg enforce byte-for-byte against golden
 //! direct-analysis runs.
 //!
+//! Because a resident image never changes, a read (`analyze`, `query`,
+//! a batch member) first fetches its image and then asks the store for
+//! that image's memo of the requested detector set. A hit answers from
+//! the memo. A miss runs [`Backdroid::analyze_artifacts`] and offers
+//! the outcome to the store, which keeps it within its byte budget (see
+//! the `store` module). `analyze_delta` never reads or writes the memo:
+//! it always analyzes, to capture its delta base.
+//!
 //! The store owns each app's served image and version number: every
 //! analyzing op gets its image from [`AppStore::get`], and updates go
 //! through [`AppStore::put`]. The service keeps only what the next delta
 //! run needs, outside the store's budget: the last update's reuse gate
 //! and the last traced analysis base, never an image.
 
-use crate::store::{AppStore, Fetch};
+use crate::store::{AppStore, Fetch, Outcome};
 use backdroid_appgen::benchset::{bench_app, BenchsetConfig};
 use backdroid_appgen::mutate_version;
 use backdroid_core::{
     AppArtifacts, AppReport, Backdroid, BackdroidOptions, BackendChoice, DeltaBase, DeltaKind,
-    DeltaManifest, DetectorRegistry,
+    DeltaManifest,
 };
 use backdroid_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::sync::{Arc, Mutex, PoisonError};
+use std::time::{Duration, Instant};
 
 /// Service configuration.
 #[derive(Clone, Debug)]
@@ -113,6 +121,10 @@ pub struct AppAnalysis {
     pub fetch: Fetch,
 }
 
+/// A read's analysis plus whether the store's memo answered it — the
+/// `memo` attribute of its trace's `fetch` span.
+pub(crate) type Read = (AppAnalysis, bool);
+
 /// The service's registry handles: request counters, queue-depth
 /// gauges, per-fetch-tier latency histograms (µs), pipeline-phase
 /// histograms (µs), and the search-work counters fed from each
@@ -137,6 +149,8 @@ struct Counters {
     search_lines_scanned: Counter,
     search_postings_touched: Counter,
     lazy_sections_materialized: Counter,
+    memo_hits: Counter,
+    memo_misses: Counter,
     put_version_requests: Counter,
     delta_requests: Counter,
     update_latency_us: Histogram,
@@ -171,6 +185,8 @@ impl Counters {
             search_lines_scanned: registry.counter("search_lines_scanned_total"),
             search_postings_touched: registry.counter("search_postings_touched_total"),
             lazy_sections_materialized: registry.counter("lazy_sections_materialized_total"),
+            memo_hits: registry.counter("analysis_memo_hits_total"),
+            memo_misses: registry.counter("analysis_memo_misses_total"),
             put_version_requests: registry.counter("service_put_version_total"),
             delta_requests: registry.counter("service_analyze_delta_total"),
             update_latency_us: registry.histogram("update_latency_us"),
@@ -223,7 +239,11 @@ struct DeltaState {
 /// instance across every request-handling thread.
 pub struct Service {
     store: AppStore,
-    base: BackdroidOptions,
+    /// The tool over every registered detector: what `analyze`, an
+    /// unrestricted `query`, a batch member and `analyze_delta` run. A
+    /// restricted `query` runs a tool over the selected detectors and
+    /// this tool's other options.
+    tool: Backdroid,
     /// Per-app delta state, shared by every app on this service: held
     /// only to read or record it, never across an analysis, an image
     /// build or a store call.
@@ -250,7 +270,7 @@ impl std::fmt::Debug for Service {
 impl Service {
     /// Creates a service over a custom app loader. The loader builds the
     /// artifacts for a cold app id; the service runs the paper's
-    /// detectors ([`DetectorRegistry::paper`]) with `cfg`'s search
+    /// detectors ([`backdroid_core::DetectorRegistry::paper`]) with `cfg`'s search
     /// backend, and a `query` may restrict them by detector id.
     pub fn new(
         cfg: ServiceConfig,
@@ -267,10 +287,10 @@ impl Service {
             store,
             deltas: Mutex::default(),
             update_locks: Mutex::default(),
-            base: BackdroidOptions {
+            tool: Backdroid::with_options(BackdroidOptions {
                 backend: cfg.backend,
                 ..BackdroidOptions::default()
-            },
+            }),
             registry,
             counters,
         }
@@ -307,8 +327,13 @@ impl Service {
 
     /// Full-registry analysis of one app.
     pub fn analyze_app(&self, app_id: &str) -> Result<AppAnalysis, ServiceError> {
+        self.analyze_read(app_id).map(|(a, _)| a)
+    }
+
+    /// [`Service::analyze_app`], plus whether the memo answered it.
+    pub(crate) fn analyze_read(&self, app_id: &str) -> Result<Read, ServiceError> {
         let _guard = self.begin_request(&self.counters.analyze_requests);
-        self.run(app_id, self.base.detectors.clone())
+        self.run(app_id, &self.tool)
     }
 
     /// Analysis of one app restricted to the given detector ids. An
@@ -320,36 +345,57 @@ impl Service {
         app_id: &str,
         ids: &[S],
     ) -> Result<AppAnalysis, ServiceError> {
+        self.query_read(app_id, ids).map(|(a, _)| a)
+    }
+
+    /// [`Service::query_detectors`], plus whether the memo answered it.
+    pub(crate) fn query_read<S: AsRef<str>>(
+        &self,
+        app_id: &str,
+        ids: &[S],
+    ) -> Result<Read, ServiceError> {
         let _guard = self.begin_request(&self.counters.query_requests);
-        let detectors = if ids.is_empty() {
-            self.base.detectors.clone()
-        } else {
-            self.base.detectors.select(ids).map_err(|e| {
-                self.counters.errors.inc();
-                match e {
-                    backdroid_core::DetectorError::UnknownDetector(id) => {
-                        ServiceError::UnknownDetector(id)
-                    }
-                    other => ServiceError::BadRequest(other.to_string()),
+        if ids.is_empty() {
+            return self.run(app_id, &self.tool);
+        }
+        let base = self.tool.options();
+        let detectors = base.detectors.select(ids).map_err(|e| {
+            self.counters.errors.inc();
+            match e {
+                backdroid_core::DetectorError::UnknownDetector(id) => {
+                    ServiceError::UnknownDetector(id)
                 }
-            })?
-        };
-        self.run(app_id, detectors)
+                other => ServiceError::BadRequest(other.to_string()),
+            }
+        })?;
+        let tool = Backdroid::with_options(BackdroidOptions {
+            detectors,
+            hierarchy_initial_search: base.hierarchy_initial_search,
+            slicer: base.slicer,
+            backend: base.backend,
+        });
+        self.run(app_id, &tool)
     }
 
     /// Batched multi-app analysis: analyzes the apps one after another,
     /// in request order, on the calling thread, and returns the per-app
     /// outcomes in that order.
     pub fn analyze_batch(&self, app_ids: &[String]) -> Vec<Result<AppAnalysis, ServiceError>> {
+        self.batch_reads(app_ids)
+            .into_iter()
+            .map(|r| r.map(|(a, _)| a))
+            .collect()
+    }
+
+    /// [`Service::analyze_batch`], plus whether the memo answered each
+    /// member.
+    pub(crate) fn batch_reads(&self, app_ids: &[String]) -> Vec<Result<Read, ServiceError>> {
         let _guard = self.begin_request(&self.counters.batch_requests);
         if app_ids.is_empty() {
             self.counters.errors.inc();
             return vec![Err(ServiceError::BadRequest("empty batch".into()))];
         }
-        app_ids
-            .iter()
-            .map(|id| self.run(id, self.base.detectors.clone()))
-            .collect()
+        app_ids.iter().map(|id| self.run(id, &self.tool)).collect()
     }
 
     /// Publishes version *n+1* of an app: mutates the current program
@@ -368,12 +414,15 @@ impl Service {
     pub fn put_version(&self, app_id: &str, seed: u64) -> Result<PutVersionOutcome, ServiceError> {
         let _guard = self.begin_request(&self.counters.put_version_requests);
         let app_lock = self.update_lock(app_id);
-        let _update_guard = app_lock.lock().expect("update lock poisoned");
+        let _update_guard = app_lock.lock().unwrap_or_else(PoisonError::into_inner);
         let started = Instant::now();
         let (current, _) = self.fetch(app_id)?;
         let (mutated, _mutation) = mutate_version(current.program(), seed);
-        let artifacts =
-            AppArtifacts::with_backend(mutated, current.manifest().clone(), self.base.backend);
+        let artifacts = AppArtifacts::with_backend(
+            mutated,
+            current.manifest().clone(),
+            self.tool.options().backend,
+        );
         let delta = DeltaManifest::between(current.program(), artifacts.program());
         let gate = delta.gate(&current, &artifacts);
         drop(current);
@@ -419,7 +468,7 @@ impl Service {
     pub fn analyze_delta(&self, app_id: &str) -> Result<AppAnalysis, ServiceError> {
         let _guard = self.begin_request(&self.counters.delta_requests);
         let app_lock = self.update_lock(app_id);
-        let _update_guard = app_lock.lock().expect("update lock poisoned");
+        let _update_guard = app_lock.lock().unwrap_or_else(PoisonError::into_inner);
         let started = Instant::now();
         let (current, fetch) = self.fetch(app_id)?;
         let version = self.store.version(app_id);
@@ -433,10 +482,10 @@ impl Service {
                 _ => (None, None),
             }
         };
-        let tool = Backdroid::with_options(self.base.clone());
         let sections_before = current.materialized_sections();
         let (report, new_base, stats) =
-            tool.analyze_delta(gate.as_ref(), base.as_deref(), &current);
+            self.tool
+                .analyze_delta(gate.as_ref(), base.as_deref(), &current);
         let c = &self.counters;
         if stats.full_fallback {
             c.delta_full_fallbacks.inc();
@@ -476,7 +525,8 @@ impl Service {
         InFlightGuard(c)
     }
 
-    /// The app's update lock, created on first use.
+    /// The app's update lock, created on first use. It guards no data,
+    /// so a request that panicked while holding it leaves it usable.
     fn update_lock(&self, app_id: &str) -> Arc<Mutex<()>> {
         let mut locks = self.update_locks.lock().expect("update locks poisoned");
         Arc::clone(locks.entry(app_id.to_string()).or_default())
@@ -491,21 +541,49 @@ impl Service {
         })
     }
 
-    /// Fetches the image (warm or cold) and runs one analysis with the
-    /// given detector registry, recording per-tier latency, pipeline
-    /// phase timings, search work, and lazy-restore materialization into
-    /// the registry. All of it is observability-only: the returned
-    /// [`AppAnalysis`] is untouched by the instrumentation.
-    fn run(&self, app_id: &str, detectors: DetectorRegistry) -> Result<AppAnalysis, ServiceError> {
+    /// Fetches the image (warm or cold) and answers one read with
+    /// `tool`'s detectors: from the image's memo when it holds this
+    /// detector set, else by analyzing, then offering the outcome to the
+    /// store. Records the request's latency under its fetch tier either
+    /// way; an analysis also records its phase timings, search work and
+    /// lazy-restore materialization, which a memo hit does not have.
+    /// All of it is observability-only: the returned [`AppAnalysis`] is
+    /// untouched by the instrumentation.
+    fn run(&self, app_id: &str, tool: &Backdroid) -> Result<Read, ServiceError> {
         let started = Instant::now();
         let (artifacts, fetch) = self.fetch(app_id)?;
-        let sections_before = artifacts.materialized_sections();
-        let tool = Backdroid::with_options(BackdroidOptions {
-            detectors,
-            ..self.base.clone()
-        });
-        let report = tool.analyze_artifacts(&artifacts);
+        let key = tool.options().detectors.ids();
         let c = &self.counters;
+        let memo = self.store.memo(app_id, &artifacts, &key);
+        let hit = memo.is_some();
+        let report = match memo {
+            Some(outcome) => {
+                c.memo_hits.inc();
+                AppReport {
+                    sink_reports: outcome.sink_reports.clone(),
+                    analysis_time: Duration::ZERO,
+                    cache_stats: Default::default(),
+                    loop_stats: Default::default(),
+                    sink_cache: outcome.sink_cache,
+                    phases: Default::default(),
+                }
+            }
+            None => {
+                c.memo_misses.inc();
+                let sections_before = artifacts.materialized_sections();
+                let report = tool.analyze_artifacts(&artifacts);
+                let outcome = Outcome {
+                    sink_reports: report.sink_reports.clone(),
+                    sink_cache: report.sink_cache,
+                };
+                self.store.memoize(app_id, &artifacts, &key, outcome);
+                c.phase_locate_us.record(report.phases.locate_ns / 1_000);
+                c.phase_slice_us.record(report.phases.slice_ns / 1_000);
+                c.phase_verdict_us.record(report.phases.verdict_ns / 1_000);
+                self.record_work(&report, &artifacts, sections_before);
+                report
+            }
+        };
         let elapsed_us = started.elapsed().as_micros() as u64;
         match fetch {
             Fetch::Hit => c.request_hit_us.record(elapsed_us),
@@ -513,16 +591,13 @@ impl Service {
             Fetch::Disk => c.request_disk_us.record(elapsed_us),
             Fetch::Coalesced => c.request_coalesced_us.record(elapsed_us),
         }
-        c.phase_locate_us.record(report.phases.locate_ns / 1_000);
-        c.phase_slice_us.record(report.phases.slice_ns / 1_000);
-        c.phase_verdict_us.record(report.phases.verdict_ns / 1_000);
-        self.record_work(&report, &artifacts, sections_before);
-        Ok(AppAnalysis {
+        let analysis = AppAnalysis {
             app_id: app_id.to_string(),
             app_name: artifacts.manifest().package().to_string(),
             report,
             fetch,
-        })
+        };
+        Ok((analysis, hit))
     }
 
     /// Records one analysis's search work and the lazy sections of

@@ -15,6 +15,11 @@
 //! * **Deadlines** — a request carrying `"deadline_ms"` that is still
 //!   queued when its deadline passes is answered with a deterministic
 //!   error instead of being analyzed.
+//! * **Fault containment** — a job that panics is answered with
+//!   `{"id":…,"error":"internal error"}` and counted in
+//!   `pool_panics_total`; its worker releases the job's apps and its
+//!   in-flight slot and goes on, so one panic costs one error reply,
+//!   not a wedged shard or a stalled reply stream.
 //! * **Crash + restart** — [`ShardPool::kill_shard`] takes a shard
 //!   down: new submissions route past it at once, while the requests
 //!   already on its queue are served before it stops (so no response is
@@ -147,6 +152,8 @@ struct PoolInner {
     no_shard_errors: Counter,
     kills: Counter,
     restarts: Counter,
+    /// Jobs that panicked and were answered with an internal error.
+    panics: Counter,
     /// Time jobs sat queued before a worker picked them up, in µs.
     queue_wait_us: Histogram,
     /// Optional per-request span ring (`trace_capacity > 0`).
@@ -194,14 +201,23 @@ fn fetch_name(fetch: crate::store::Fetch) -> &'static str {
 }
 
 /// Opens the synthesized phase children under `parent` for one
-/// completed analysis: `fetch` (which tier served the image) and the
-/// pipeline phases with their measured durations. Everything on them is
-/// a **wall** attribute — phase durations and tiers are facts of one
-/// run — so the normalized export keeps only the span skeleton, which
-/// is a pure function of the workload.
-fn open_analysis_spans(tb: &mut TraceBuilder, parent: u32, a: &crate::service::AppAnalysis) {
+/// completed analysis: `fetch` (which tier served the image and, for a
+/// read, whether the store's memo answered it) and the pipeline phases
+/// with their measured durations, zero on a memo hit. Everything on
+/// them is a **wall** attribute — phase durations, tiers and memo
+/// outcomes are facts of one run — so the normalized export keeps only
+/// the span skeleton, which is a pure function of the workload.
+fn open_analysis_spans(
+    tb: &mut TraceBuilder,
+    parent: u32,
+    a: &crate::service::AppAnalysis,
+    memo_hit: Option<bool>,
+) {
     let fetch = tb.open(Some(parent), "fetch");
     tb.wall_attr(fetch, "tier", fetch_name(a.fetch));
+    if let Some(hit) = memo_hit {
+        tb.wall_attr(fetch, "memo", if hit { "hit" } else { "miss" });
+    }
     tb.close(fetch);
     for (name, ns) in [
         ("locate", a.report.phases.locate_ns),
@@ -236,14 +252,16 @@ pub fn execute_request_traced(
     let line = match &req.op {
         Op::Analyze { app } | Op::AnalyzeDelta { app } | Op::Query { app, .. } => {
             let result = match &req.op {
-                Op::AnalyzeDelta { .. } => service.analyze_delta(app),
-                Op::Query { detectors, .. } => service.query_detectors(app, detectors),
-                _ => service.analyze_app(app),
+                Op::AnalyzeDelta { .. } => service.analyze_delta(app).map(|a| (a, None)),
+                Op::Query { detectors, .. } => service
+                    .query_read(app, detectors)
+                    .map(|(a, hit)| (a, Some(hit))),
+                _ => service.analyze_read(app).map(|(a, hit)| (a, Some(hit))),
             };
             match result {
-                Ok(a) => {
+                Ok((a, memo_hit)) => {
                     if let (Some(tb), Some(exec)) = (tb.as_deref_mut(), exec) {
-                        open_analysis_spans(tb, exec, &a);
+                        open_analysis_spans(tb, exec, &a, memo_hit);
                     }
                     render_analysis(req.id, op_name(&req.op), &a)
                 }
@@ -255,13 +273,20 @@ pub fn execute_request_traced(
             Err(e) => render_error(req.id, &e.to_string()),
         },
         Op::Batch { apps } => {
-            let results = service.analyze_batch(apps);
+            let (results, hits): (Vec<_>, Vec<_>) = service
+                .batch_reads(apps)
+                .into_iter()
+                .map(|r| match r {
+                    Ok((a, hit)) => (Ok(a), hit),
+                    Err(e) => (Err(e), false),
+                })
+                .unzip();
             if let (Some(tb), Some(exec)) = (tb.as_deref_mut(), exec) {
-                for (i, result) in results.iter().enumerate() {
+                for (i, (result, hit)) in results.iter().zip(hits).enumerate() {
                     let item = tb.open(Some(exec), "item");
                     tb.attr(item, "index", &i.to_string());
                     if let Ok(a) = result {
-                        open_analysis_spans(tb, item, a);
+                        open_analysis_spans(tb, item, a, Some(hit));
                     }
                     tb.close(item);
                 }
@@ -322,6 +347,7 @@ impl ShardPool {
             no_shard_errors: registry.counter("pool_no_shard_errors_total"),
             kills: registry.counter("pool_kills_total"),
             restarts: registry.counter("pool_restarts_total"),
+            panics: registry.counter("pool_panics_total"),
             queue_wait_us: registry.histogram("pool_queue_wait_us"),
             registry,
             tracer: (cfg.trace_capacity > 0)
@@ -721,7 +747,16 @@ fn worker_loop(inner: &PoolInner, idx: usize) {
             }
             Some(render_deadline_error(job.req.id, wait.as_millis() as u64))
         } else {
-            execute_request_traced(&service, &job.req, tb.as_mut())
+            let run = || execute_request_traced(&service, &job.req, tb.as_mut());
+            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(run)) {
+                Ok(response) => response,
+                Err(_) => {
+                    inner.panics.inc();
+                    // The trace stopped mid-request; record none of it.
+                    tb = None;
+                    Some(render_error(job.req.id, "internal error"))
+                }
+            }
         };
         if let (Some(tb), Some(tracer)) = (tb, inner.tracer.as_ref()) {
             tb.finish(tracer);

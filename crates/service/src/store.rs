@@ -11,25 +11,41 @@
 //! of its version number: [`AppStore::put`] publishes an update, and
 //! [`AppStore::version`] is 1 for the loader's build plus one per `put`.
 //!
+//! Each resident image also owns an **analysis memo**: per detector set,
+//! the deterministic part of the report an analysis of that image
+//! produced (what a reply renders of it). An image never changes while
+//! it is resident, so a repeat read of it is answered from its memo
+//! instead of being analyzed again. A memo lives and dies with its
+//! image: eviction, [`AppStore::put`] and dropping the store end it,
+//! and no snapshot carries one.
+//!
 //! ## Invariants
 //!
-//! * **Budget**: after every insertion settles, the resident total is
-//!   `<= budget_bytes` — least-recently-used images are evicted first
-//!   (an image larger than the whole budget is served to its requester
-//!   and immediately dropped from the store) — with exactly one
-//!   exception: an updated image whose snapshot is not on disk yet. The
-//!   loader cannot rebuild it, so it stays resident until its snapshot
-//!   is written, and [`AppStore::resident_bytes`] counts it. Without a
-//!   disk tier the exception covers every updated app.
+//! * **Budget**: after every insertion or memo admission settles, the
+//!   resident total, memos included, is `<= budget_bytes` —
+//!   least-recently-used images are evicted first (an image larger than
+//!   the whole budget is served to its requester and immediately
+//!   dropped from the store) — with exactly one exception: an updated
+//!   image whose snapshot is not on disk yet. The loader cannot rebuild
+//!   it, so it stays resident until its snapshot is written, and
+//!   [`AppStore::resident_bytes`] counts it. Without a disk tier the
+//!   exception covers every updated app. A memo is admitted like an
+//!   insertion, evicting other least-recently-used images to make room,
+//!   but never its own image; a memo that cannot fit even so is not
+//!   kept, so the exception never grows by a memo.
 //! * **Single-flight**: for any interleaving of concurrent `get`s, the
 //!   loader runs exactly once per cold app; `store_misses_total` counts
 //!   loader executions and `store_coalesced_total` the requests that
-//!   waited on one.
-//! * **Determinism**: sizes come from
-//!   [`AppArtifacts::estimated_bytes`], a pure function of the app, so
-//!   a given request order always produces the same eviction sequence —
-//!   and a snapshot-restored image has the same estimate as a freshly
-//!   parsed one, so the disk tier never changes eviction decisions.
+//!   waited on one. A loader that panics fails its load like a loader
+//!   error: the requests waiting on it wake with an error, and the next
+//!   request retries.
+//! * **Determinism**: an entry's size is
+//!   [`AppArtifacts::estimated_bytes`], a pure function of the app, plus
+//!   a walk of its memo that sums lengths, never capacities, so it is a
+//!   pure function of the memoized reports. A given request order
+//!   therefore always produces the same eviction sequence — and a
+//!   snapshot-restored image has the same estimate as a freshly parsed
+//!   one, so the disk tier never changes eviction decisions.
 //!
 //! ## The disk tier
 //!
@@ -68,12 +84,16 @@
 //! byte-identically — so replays can be diffed across cold-parse,
 //! disk-warm, and memory-warm runs.
 
-use backdroid_core::{AppArtifacts, BackendChoice, SnapshotError};
+use backdroid_core::{
+    AppArtifacts, BackendChoice, DataflowValue, SinkCacheStats, SinkReport, SnapshotError, Verdict,
+};
+use backdroid_ir::MethodSig;
 use backdroid_obs::{Counter, Gauge, MetricsRegistry, RegistrySnapshot};
 use std::collections::HashMap;
+use std::mem::size_of;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
 /// How one [`AppStore::get`] was served.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -241,6 +261,76 @@ impl LoadSlot {
     }
 }
 
+/// Fails a load slot whose load unwinds (a panicking loader) before it
+/// published: the requests coalesced on it wake with an error instead of
+/// waiting forever, and the slot is retired so the next request retries.
+struct UnwindGuard<'a> {
+    store: &'a AppStore,
+    app_id: &'a str,
+    slot: &'a Arc<LoadSlot>,
+    armed: bool,
+}
+
+impl Drop for UnwindGuard<'_> {
+    fn drop(&mut self) {
+        if !self.armed {
+            return;
+        }
+        self.store.counters.load_failures.inc();
+        self.slot
+            .publish(Err(format!("loading app {:?} panicked", self.app_id)));
+        self.store
+            .inner
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .retire(self.app_id, self.slot);
+    }
+}
+
+/// The deterministic part of one analysis report — exactly what a reply
+/// renders of it — memoized on the image it was computed on, per
+/// detector set (see [`AppStore::memo`]).
+#[derive(Debug)]
+pub(crate) struct Outcome {
+    /// The per-site reports, in sink-site order.
+    pub(crate) sink_reports: Vec<SinkReport>,
+    /// Located and skipped site counts.
+    pub(crate) sink_cache: SinkCacheStats,
+}
+
+impl Outcome {
+    /// The memo entry's size under `key`: element sizes times lengths,
+    /// never capacities, plus the string bytes the entry owns. Method,
+    /// class and field names are `Arc`-shared with the image, so they
+    /// count as their handles.
+    fn bytes(&self, key: &[String]) -> u64 {
+        let value = |v: &DataflowValue| match v {
+            DataflowValue::Str(s) | DataflowValue::Expr(s) => s.len(),
+            _ => 0,
+        };
+        let report = |r: &SinkReport| {
+            size_of::<SinkReport>()
+                + r.sink_id.len()
+                + r.entries.len() * size_of::<MethodSig>()
+                + r.param_values.len() * size_of::<DataflowValue>()
+                + r.param_values.iter().map(value).sum::<usize>()
+                + match &r.verdict {
+                    Verdict::Vulnerable(reason) => reason.len(),
+                    Verdict::Safe | Verdict::Undetermined => 0,
+                }
+        };
+        let key_bytes: usize = key.iter().map(|id| size_of::<String>() + id.len()).sum();
+        (size_of::<Outcome>() + key_bytes + self.sink_reports.iter().map(report).sum::<usize>())
+            as u64
+    }
+}
+
+/// A detector set's memo key, as the selected registry's ids in
+/// registry order.
+fn same_key(stored: &[String], key: &[&str]) -> bool {
+    stored.iter().map(String::as_str).eq(key.iter().copied())
+}
+
 /// An image evicted from memory. `slot` is set when the image has no
 /// snapshot yet and a disk tier is configured: it is registered in
 /// `loading` while the image is spilled, so a request in that gap waits
@@ -255,7 +345,10 @@ struct Victim {
 /// One resident image with its accounting.
 struct Resident {
     artifacts: Arc<AppArtifacts>,
+    /// The image's estimate plus the size of every memo entry.
     bytes: u64,
+    /// Analysis outcomes computed on this image, keyed by detector set.
+    memo: Vec<(Vec<String>, Arc<Outcome>)>,
     /// Monotonic recency stamp; the minimum is the LRU victim.
     last_used: u64,
     /// The app's version epoch when this image was produced; a spill of
@@ -265,6 +358,14 @@ struct Resident {
     /// restored from it or has been written since. Eviction and
     /// [`AppStore::flush`] write only images without one.
     on_disk: bool,
+}
+
+impl Resident {
+    /// Whether eviction may take this image: only its snapshot brings an
+    /// updated image back.
+    fn evictable(&self) -> bool {
+        self.epoch == 0 || self.on_disk
+    }
 }
 
 #[derive(Default)]
@@ -466,8 +567,9 @@ impl AppStore {
         self.disk.as_ref()
     }
 
-    /// Estimated bytes currently resident: at most `budget_bytes`, plus
-    /// the updated images whose snapshot is not on disk yet.
+    /// Estimated bytes currently resident, memos included: at most
+    /// `budget_bytes`, plus the updated images whose snapshot is not on
+    /// disk yet.
     pub fn resident_bytes(&self) -> u64 {
         self.lock_inner().total_bytes
     }
@@ -533,7 +635,14 @@ impl AppStore {
                 slot.wait().map(|a| (a, Fetch::Coalesced))
             }
             Step::Load(slot, epoch) => {
+                let mut guard = UnwindGuard {
+                    store: self,
+                    app_id,
+                    slot: &slot,
+                    armed: true,
+                };
                 let outcome = self.load_and_insert(app_id, &slot, epoch);
+                guard.armed = false;
                 // Publish after the store settled: a racing request either
                 // still holds this slot (and wakes with the shared result)
                 // or arrived after `loading` was cleared and sees the
@@ -647,6 +756,7 @@ impl AppStore {
         let resident = Resident {
             artifacts,
             bytes,
+            memo: Vec::new(),
             last_used: inner.tick,
             epoch,
             on_disk,
@@ -655,11 +765,85 @@ impl AppStore {
         if let Some(old) = inner.resident.insert(app_id.to_string(), resident) {
             inner.total_bytes -= old.bytes;
         }
-        let victims = self.evict_to_budget(inner);
+        self.settle(inner, None)
+    }
+
+    /// Evicts down to the budget, sparing `keep`, and publishes the
+    /// residency gauges under the caller's lock. Returns the victims for
+    /// [`AppStore::spill`].
+    fn settle(&self, inner: &mut StoreInner, keep: Option<&str>) -> Vec<Victim> {
+        let victims = self.evict_to_budget(inner, keep);
         self.counters.peak_resident_bytes.set_max(inner.total_bytes);
         self.counters.resident_bytes.set(inner.total_bytes);
         self.counters.resident_apps.set(inner.resident.len() as u64);
         victims
+    }
+
+    /// The outcome memoized for detector set `key` on `artifacts` — the
+    /// image a [`AppStore::get`] of `app_id` returned — if that image is
+    /// still the resident one and holds it. Recency is not touched: the
+    /// `get` already did.
+    pub(crate) fn memo(
+        &self,
+        app_id: &str,
+        artifacts: &Arc<AppArtifacts>,
+        key: &[&str],
+    ) -> Option<Arc<Outcome>> {
+        let inner = self.lock_inner();
+        let r = inner.resident.get(app_id)?;
+        if !Arc::ptr_eq(&r.artifacts, artifacts) {
+            return None;
+        }
+        r.memo
+            .iter()
+            .find(|(k, _)| same_key(k, key))
+            .map(|(_, o)| Arc::clone(o))
+    }
+
+    /// Offers `outcome`, computed on `artifacts` with detector set `key`,
+    /// as that image's memo. It is kept only while `artifacts` is still
+    /// the resident image of `app_id`, and only if it fits: other
+    /// least-recently-used images are evicted to make room, as for an
+    /// insertion, but never this image, and when even that cannot make
+    /// room — a zero budget, an image at or over the budget, or images
+    /// the budget's exception holds — nothing is evicted and the memo
+    /// is dropped. The first entry admitted for a key wins.
+    pub(crate) fn memoize(
+        &self,
+        app_id: &str,
+        artifacts: &Arc<AppArtifacts>,
+        key: &[&str],
+        outcome: Outcome,
+    ) {
+        let victims = {
+            let mut inner = self.lock_inner();
+            let Some(r) = inner.resident.get(app_id) else {
+                return;
+            };
+            if !Arc::ptr_eq(&r.artifacts, artifacts) || r.memo.iter().any(|(k, _)| same_key(k, key))
+            {
+                return;
+            }
+            let key: Vec<String> = key.iter().map(|id| id.to_string()).collect();
+            let bytes = outcome.bytes(&key);
+            // What eviction cannot free: this image and the updated
+            // images still waiting for their snapshot.
+            let pinned: u64 = inner
+                .resident
+                .iter()
+                .filter(|(id, other)| id.as_str() == app_id || !other.evictable())
+                .map(|(_, other)| other.bytes)
+                .sum();
+            if pinned + bytes > self.budget_bytes {
+                return;
+            }
+            let r = inner.resident.get_mut(app_id).expect("checked above");
+            r.memo.push((key, Arc::new(outcome)));
+            r.bytes += bytes;
+            inner.total_bytes += bytes;
+            self.settle(&mut inner, Some(app_id))
+        };
+        self.spill(victims);
     }
 
     /// Writes each evicted victim that has no snapshot, outside the
@@ -806,23 +990,22 @@ impl AppStore {
         }
     }
 
-    /// Evicts least-recently-used images until the resident total fits
-    /// the budget, returning the victims so the caller can spill them to
-    /// the disk tier outside the lock. An updated image without a
-    /// snapshot is never a victim. With a disk tier the slot of each
-    /// victim without a snapshot is registered in `loading` here, under
-    /// the lock that evicts it, so no request can find the victim
-    /// missing from both tiers.
+    /// Evicts least-recently-used images other than `keep` until the
+    /// resident total fits the budget, returning the victims so the
+    /// caller can spill them to the disk tier outside the lock. An
+    /// updated image without a snapshot is never a victim. With a disk
+    /// tier the slot of each victim without a snapshot is registered in
+    /// `loading` here, under the lock that evicts it, so no request can
+    /// find the victim missing from both tiers.
     /// The entry just inserted carries the newest recency stamp, so it
     /// goes last — and does go, if it alone overflows the budget.
-    fn evict_to_budget(&self, inner: &mut StoreInner) -> Vec<Victim> {
+    fn evict_to_budget(&self, inner: &mut StoreInner, keep: Option<&str>) -> Vec<Victim> {
         let mut victims = Vec::new();
         while inner.total_bytes > self.budget_bytes {
             let victim = inner
                 .resident
                 .iter()
-                // Only its snapshot brings an updated image back.
-                .filter(|(_, r)| r.epoch == 0 || r.on_disk)
+                .filter(|(id, r)| r.evictable() && keep != Some(id.as_str()))
                 .min_by_key(|(_, r)| r.last_used)
                 .map(|(k, _)| k.clone());
             let Some(key) = victim else { break };
@@ -1230,6 +1413,59 @@ mod tests {
             n
         );
         assert_eq!(stats.value("store_misses_total"), 1);
+    }
+
+    #[test]
+    fn a_panicking_loader_fails_its_waiters_and_is_retried() {
+        // The first load unwinds only once the other three requests are
+        // coalesced on it.
+        let registry: Arc<std::sync::OnceLock<Arc<MetricsRegistry>>> = Arc::default();
+        let calls = Arc::new(AtomicUsize::new(0));
+        let (r, c) = (Arc::clone(&registry), Arc::clone(&calls));
+        let store = AppStore::new(u64::MAX, move |id: &str| {
+            if c.fetch_add(1, Ordering::SeqCst) == 0 {
+                let registry = r.get().expect("registry set before the first get");
+                while registry.snapshot().value("store_coalesced_total") < 3 {
+                    std::thread::yield_now();
+                }
+                panic!("loader fault on {id}");
+            }
+            tiny_loader(3)(id)
+        });
+        assert!(registry.set(Arc::clone(store.metrics())).is_ok());
+        let mut outcomes: Vec<String> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    let store = &store;
+                    scope.spawn(move || {
+                        let get = std::panic::AssertUnwindSafe(|| store.get("hot"));
+                        match std::panic::catch_unwind(get) {
+                            Ok(Ok(_)) => "served".to_string(),
+                            Ok(Err(e)) => e,
+                            Err(_) => "the request panicked".to_string(),
+                        }
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        outcomes.sort();
+        let failed = "loading app \"hot\" panicked";
+        assert_eq!(
+            outcomes,
+            [failed, failed, failed, "the request panicked"],
+            "the loader's own request unwinds, and its waiters wake with the load error"
+        );
+        // The slot was retired: the next request loads afresh.
+        assert_eq!(store.get("hot").unwrap().1, Fetch::Miss);
+        let stats = store.metrics().snapshot();
+        assert_eq!(stats.value("store_load_failures_total"), 1);
+        assert_eq!(
+            stats.value("store_loads_total"),
+            1,
+            "the retry built the image once"
+        );
+        assert_eq!(calls.load(Ordering::SeqCst), 2);
     }
 
     #[test]

@@ -354,9 +354,9 @@ fn executor_error_replies_match_recorded_bytes() {
     check("executor errors", &got, EXECUTOR_ERRORS);
 }
 
-const SERVICE_STATS: &str = r#"{"id":90,"op":"stats","requests":9,"analyze":6,"query":2,"batch":1,"errors":1,"peak_in_flight":1,"store":{"hits":1,"misses":5,"coalesced":0,"loads":9,"load_failures":1,"evictions":7,"bytes_evicted":1324125,"disk_hits":5,"disk_misses":5,"disk_invalidations":0,"disk_writes":4,"disk_bytes_written":570934,"disk_write_failures":0,"resident_bytes":306733,"resident_apps":2,"peak_resident_bytes":396488}}"#;
+const SERVICE_STATS: &str = r#"{"id":90,"op":"stats","requests":9,"analyze":6,"query":2,"batch":1,"errors":1,"peak_in_flight":1,"store":{"hits":1,"misses":5,"coalesced":0,"loads":9,"load_failures":1,"evictions":7,"bytes_evicted":1360498,"disk_hits":5,"disk_misses":5,"disk_invalidations":0,"disk_writes":4,"disk_bytes_written":570934,"disk_write_failures":0,"resident_bytes":313461,"resident_apps":2,"peak_resident_bytes":407480}}"#;
 
-const POOL_STATS: &str = r#"{"id":91,"op":"stats","requests":9,"analyze":6,"query":2,"batch":1,"errors":1,"peak_in_flight":2,"store":{"hits":3,"misses":6,"coalesced":0,"loads":7,"load_failures":1,"evictions":3,"bytes_evicted":499968,"disk_hits":2,"disk_misses":6,"disk_invalidations":0,"disk_writes":4,"disk_bytes_written":570934,"disk_write_failures":0,"resident_bytes":734402,"resident_apps":4,"peak_resident_bytes":751777}}"#;
+const POOL_STATS: &str = r#"{"id":91,"op":"stats","requests":9,"analyze":6,"query":2,"batch":1,"errors":1,"peak_in_flight":2,"store":{"hits":2,"misses":6,"coalesced":0,"loads":8,"load_failures":1,"evictions":4,"bytes_evicted":680484,"disk_hits":3,"disk_misses":6,"disk_invalidations":0,"disk_writes":4,"disk_bytes_written":570934,"disk_write_failures":0,"resident_bytes":759041,"resident_apps":4,"peak_resident_bytes":774134}}"#;
 
 const STATS_TRACE_REPLIES: &[u64] = &[
     0x53ee3bff3b9e0841,

@@ -9,14 +9,18 @@
 //! * drains cleanly, and
 //! * brings a restarted shard back **disk-warm**: its fresh `AppStore`
 //!   serves first-touch loads from the shared snapshot directory
-//!   instead of cold-parsing.
+//!   instead of cold-parsing, and
+//! * answers a request that panics with one error reply, while the
+//!   stream around it completes unchanged.
 
-use backdroid_appgen::benchset::BenchsetConfig;
+use backdroid_appgen::benchset::{bench_app, BenchsetConfig};
 use backdroid_appgen::workload::{self, WorkloadConfig};
-use backdroid_core::BackendChoice;
+use backdroid_core::{AppArtifacts, BackendChoice};
 use backdroid_service::proto::{self, workload_request_line};
 use backdroid_service::shard::execute_request;
-use backdroid_service::{Responder, Service, ServiceConfig, ShardPool, ShardPoolConfig};
+use backdroid_service::{
+    OrderedEmitter, Responder, Service, ServiceConfig, ShardPool, ShardPoolConfig,
+};
 use std::sync::{Arc, Mutex};
 
 /// A scratch directory removed on drop (no tempfile crate vendored).
@@ -391,4 +395,86 @@ fn dropping_pools_right_after_their_last_reply_never_hangs() {
     done_rx
         .recv_timeout(std::time::Duration::from_secs(120))
         .expect("a pool drop hung: shutdown's wake-up was lost");
+}
+
+#[test]
+fn a_panicking_request_costs_one_error_reply_not_a_wedged_shard() {
+    // The pool's loader panics on app "2"; the plain service builds it.
+    // Two shards, two workers each, all requests through one ordered
+    // stream: were a panic to skip its reply, release neither its app
+    // nor its in-flight slot, the stream would stall at the first
+    // panicking request and the kill below would wait forever.
+    let bench = BenchsetConfig::sized(4, 0.04);
+    let plain = Service::over_benchset(bench, ServiceConfig::default());
+    let mut lines: Vec<String> = Vec::new();
+    for (i, app) in [0, 2, 1, 3, 0, 2, 1, 3, 0].iter().enumerate() {
+        lines.push(analyze_line(i as u64, *app));
+    }
+    lines.push(r#"{"id":20,"op":"query","app":"3","sinks":["ssl"]}"#.into());
+    lines.push(r#"{"id":21,"op":"batch","apps":["1","0"]}"#.into());
+    let panicking = [1usize, 5];
+    let golden: Vec<String> = lines
+        .iter()
+        .map(|l| execute_request(&plain, &proto::parse_request(l).unwrap()).unwrap())
+        .collect();
+
+    let pool = ShardPool::new(
+        ShardPoolConfig {
+            shards: 2,
+            workers_per_shard: 2,
+            ..ShardPoolConfig::default()
+        },
+        move |_| {
+            Service::new(ServiceConfig::default(), move |id: &str| {
+                assert_ne!(id, "2", "injected loader fault");
+                let i: usize = id.parse().map_err(|_| format!("bad id {id:?}"))?;
+                let app = bench_app(i, bench).app;
+                Ok(AppArtifacts::new(app.program, app.manifest))
+            })
+        },
+    );
+    let emitted: Arc<Mutex<Vec<Option<String>>>> = Arc::default();
+    let emitter = {
+        let emitted = Arc::clone(&emitted);
+        Arc::new(OrderedEmitter::new(move |line| {
+            emitted.lock().expect("emitted poisoned").push(line)
+        }))
+    };
+    let responder: Responder = {
+        let emitter = Arc::clone(&emitter);
+        Arc::new(move |seq, line| emitter.emit(seq, line))
+    };
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::scope(|scope| {
+        scope.spawn(|| {
+            for (seq, line) in lines.iter().enumerate() {
+                pool.submit_line(seq as u64, line, &responder);
+            }
+            emitter.wait_for(lines.len() as u64);
+            for shard in 0..pool.shard_count() {
+                assert!(pool.kill_shard(shard), "kill waits on no leaked job");
+            }
+            done_tx.send(()).expect("the test is waiting");
+        });
+        done_rx
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("the stream or a kill hung after a panicking request");
+    });
+
+    let emitted = emitted.lock().expect("emitted poisoned");
+    assert_eq!(emitted.len(), lines.len(), "the stream completed");
+    for (seq, (got, want)) in emitted.iter().zip(&golden).enumerate() {
+        let got = got.as_deref().expect("every op replies");
+        if panicking.contains(&seq) {
+            assert_eq!(
+                got,
+                format!("{{\"id\":{seq},\"error\":\"internal error\"}}")
+            );
+        } else {
+            assert_eq!(got, want, "seq {seq} diverged from the plain service");
+        }
+    }
+    let stats = pool.metrics();
+    assert_eq!(stats.value("pool_panics_total"), 2);
+    assert_eq!(stats.value("service_analyze_total"), 9);
 }
