@@ -1469,6 +1469,33 @@ mod tests {
     }
 
     #[test]
+    fn a_memo_attaches_only_to_the_image_it_was_computed_on() {
+        let store = AppStore::new(u64::MAX, tiny_loader(3));
+        let key = ["crypto", "ssl"];
+        let outcome = || Outcome {
+            sink_reports: Vec::new(),
+            sink_cache: SinkCacheStats::default(),
+        };
+        let (v1, _) = store.get("a").unwrap();
+        // An update lands while a read of version 1 is still analyzing.
+        store.put("a", tiny_loader(6)("a").unwrap());
+        let before = store.resident_bytes();
+        store.memoize("a", &v1, &key, outcome());
+        assert_eq!(store.resident_bytes(), before, "a stale outcome is dropped");
+        let (v2, _) = store.get("a").unwrap();
+        assert!(store.memo("a", &v2, &key).is_none());
+        // The new image's own outcome is kept once, under its key only.
+        store.memoize("a", &v2, &key, outcome());
+        let kept = store.resident_bytes();
+        assert!(kept > before, "a kept memo counts in the budget");
+        store.memoize("a", &v2, &key, outcome());
+        assert_eq!(store.resident_bytes(), kept, "the first entry wins");
+        assert!(store.memo("a", &v2, &key).is_some());
+        assert!(store.memo("a", &v2, &["crypto"]).is_none());
+        assert!(store.memo("a", &v1, &key).is_none());
+    }
+
+    #[test]
     fn put_replaces_resident_image_and_snapshot() {
         let scratch = ScratchDir::new("put");
         let tier = DiskTier::new(&scratch.0, backdroid_core::BackendChoice::default());
